@@ -27,6 +27,11 @@ from .verification import borsuk_discontinuity_demo, run_suite
 
 SEED_ENV = "PCRETRACT_SEED"
 
+# Upper bounds on verify's work flags, so a typo gets an exit-2 error rather
+# than a run that exhausts memory or never ends.
+MAX_SAMPLES = 10**7
+MAX_PIECE_INDEX = 10**4
+
 
 def _default_seed() -> int:
     try:
@@ -97,9 +102,15 @@ def _build_map(args):
     )
 
 
+def _check_range(flag: str, value: int, hi: int) -> None:
+    if not 1 <= value <= hi:
+        raise ConstructionError(f"{flag} must be between 1 and {hi}, got {value}")
+
+
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise ConstructionError("samples must be >= 1")
+    _check_range("--samples", args.samples, MAX_SAMPLES)
+    _check_range("--pairs", args.pairs, MAX_SAMPLES)
+    _check_range("--max-piece-index", args.max_piece_index, MAX_PIECE_INDEX)
     m = _build_map(args)
     tol = Tolerance(membership_tol=args.membership_tol, identity_tol=args.identity_tol)
     fields = []

@@ -14,6 +14,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .core import (
+    DiagonalBands,
     DimensionMismatch,
     FiniteUnion,
     FullSpace,
@@ -344,7 +345,7 @@ def fractional_part_retraction() -> PiecewiseMap:
 
     Witness piece m is the union of the intervals [n, n+1-1/(m+1)] for
     |n| <= m: the doubly-indexed closed cover re-enumerated diagonally into a
-    single increasing sequence.
+    single increasing sequence, carried as one :class:`DiagonalBands`.
     """
 
     def rule(pts):
@@ -352,10 +353,7 @@ def fractional_part_retraction() -> PiecewiseMap:
         return frac[:, None]
 
     def piece_at(m):
-        width = 1.0 - 1.0 / (m + 1)
-        return FiniteUnion(
-            tuple(Interval(float(n), float(n) + width) for n in range(-m, m + 1))
-        )
+        return DiagonalBands(None, -m, m, 1)
 
     def predicted(pts, tol):
         base, frac = _frac_split(pts[:, 0])
@@ -633,7 +631,8 @@ def open_ball_retraction(
 
     Witness piece m is the union over n = 0..m of the closed bands
     {n <= ||x|| <= n+1 - 1/(m+1)} (diagonal enumeration of the doubly-indexed
-    band family, started at n = 0 so the open unit ball region is covered).
+    band family, started at n = 0 so the open unit ball region is covered),
+    carried as one :class:`DiagonalBands`.
     """
     if dim < 2 and not allow_low_dim:
         raise ConstructionError(
@@ -654,10 +653,7 @@ def open_ball_retraction(
         return out
 
     def piece_at(m):
-        hi_off = 1.0 - 1.0 / (m + 1)
-        return FiniteUnion(
-            tuple(NormBand(kind, float(n), float(n) + hi_off, dim) for n in range(m + 1))
-        )
+        return DiagonalBands(kind, 0, m, dim)
 
     def predicted(pts, tol):
         r = norm(pts, kind)

@@ -3,14 +3,15 @@
 Every set constructible through this module is closed by construction: the
 descriptor grammar only offers closed primitives (closed intervals, closed
 norm bands, singletons) and closure-preserving combinators (finite unions,
-translates).  There is deliberately no runtime closedness check.
+diagonal band unions, translates).  There is deliberately no runtime
+closedness check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -304,6 +305,98 @@ class FiniteUnion(SetDescriptor):
         return {"variant": "finite_union", "members": [m.to_json() for m in self.members]}
 
 
+# Band indices must stay below 2**52: beyond it n + 1 - 1/(m+1) rounds to an
+# integer, so a member's endpoints stop being the exact band bounds.
+DIAGONAL_INDEX_LIMIT = 2**52
+# Diagonal pieces with at most this many members serialize as finite unions.
+EXPANDED_JSON_CAP = 1001
+
+
+@dataclass(frozen=True)
+class DiagonalBands(SetDescriptor):
+    """Union over n = start..m of {n <= t <= n + 1 - 1/(m+1)}, where t is the
+    coordinate (``kind`` None, d = 1) or the norm ||x|| under ``kind``.
+
+    Piece m of a diagonal re-enumeration of a doubly-indexed closed cover.
+    It equals ``expand()`` point for point and draw for draw, but membership
+    costs O(1) per point instead of O(m - start).
+    """
+
+    kind: Optional[NormKind]
+    start: int
+    m: int
+    ndim: int
+
+    def __post_init__(self):
+        if self.kind is None and self.ndim != 1:
+            raise ValueError("coordinate bands live in dimension 1")
+        if self.ndim < 1:
+            raise ValueError("band dimension must be >= 1")
+        if self.kind is not None and self.start < 0:
+            raise ValueError("norm bands start at n >= 0")
+        if not (-DIAGONAL_INDEX_LIMIT < self.start <= self.m < DIAGONAL_INDEX_LIMIT):
+            raise ValueError(
+                "diagonal band indices need -2**52 < start <= m < 2**52,"
+                f" got start={self.start}, m={self.m}"
+            )
+
+    @property
+    def dim(self) -> int:
+        return self.ndim
+
+    @property
+    def width(self) -> float:
+        return 1.0 - 1.0 / (self.m + 1)
+
+    def member(self, n: int) -> SetDescriptor:
+        lo = float(n)
+        hi = lo + self.width
+        return Interval(lo, hi) if self.kind is None else NormBand(self.kind, lo, hi, self.ndim)
+
+    def expand(self) -> FiniteUnion:
+        """The same set as an explicit union of its m - start + 1 members."""
+        return FiniteUnion(tuple(self.member(n) for n in range(self.start, self.m + 1)))
+
+    def _contains(self, pts, tol):
+        t = pts[:, 0] if self.kind is None else norm(pts, self.kind)
+        w = self.width
+        # Member n holds t when n - tol <= t and t <= (n + w) + tol.  The first
+        # bound holds up to some n and the second from some n on, so the
+        # members holding t are consecutive.  Member floor(t) meets the first
+        # bound, so if a lower member holds t, floor(t) does too; a member
+        # above floor(t) + 1 holds t only when tol >= 1, and then floor(t)
+        # does too.  So members floor(t) and floor(t) + 1, clipped to
+        # [start, m], decide.  The comparisons repeat a member's float
+        # operations, so the result is bit-for-bit the expanded union's.
+        base = np.floor(t)
+        out = np.zeros(len(t), dtype=bool)
+        for shift in (0.0, 1.0):
+            n = np.clip(base + shift, self.start, self.m)
+            out |= (t >= n - tol) & (t <= (n + w) + tol)
+        return out
+
+    def sample(self, rng, n, cap=8.0):
+        # Same generator stream as expand().sample: member choice first, then
+        # each drawn member's points in member order.
+        which = np.sort(rng.integers(0, self.m - self.start + 1, size=n)) + self.start
+        if self.kind is None:
+            lo = which.astype(float)
+            hi = lo + self.width
+            return (lo + (hi - lo) * rng.random(n))[:, None]
+        # A band draws normals then radii, so its draws cannot be batched.
+        ns, counts = np.unique(which, return_counts=True)
+        return np.concatenate(
+            [self.member(int(k)).sample(rng, int(c), cap) for k, c in zip(ns, counts)]
+        )
+
+    def to_json(self):
+        if self.m - self.start < EXPANDED_JSON_CAP:
+            return self.expand().to_json()
+        along = {"coordinate": 0} if self.kind is None else {"norm": self.kind.label()}
+        return {"variant": "diagonal_bands", **along,
+                "start": self.start, "m": self.m, "dim": self.ndim}
+
+
 @dataclass(frozen=True)
 class Translate(SetDescriptor):
     """base + offset; a translate of a closed set is closed."""
@@ -347,6 +440,9 @@ def descriptor_from_json(obj: dict) -> SetDescriptor:
         return Singleton(tuple(obj["point"]))
     if variant == "finite_union":
         return FiniteUnion(tuple(descriptor_from_json(m) for m in obj["members"]))
+    if variant == "diagonal_bands":
+        kind = None if "coordinate" in obj else NormKind.parse(obj["norm"])
+        return DiagonalBands(kind, obj["start"], obj["m"], obj["dim"])
     if variant == "translate":
         return Translate(descriptor_from_json(obj["base"]), tuple(obj["offset"]))
     raise ValueError(f"unknown descriptor variant {variant!r}")

@@ -72,6 +72,14 @@ class TestVerifyCommand:
         names = [c["check"] for c in json.loads(p.stdout)["checks"]]
         assert "operator-isometry" in names
 
+    @pytest.mark.parametrize(
+        "flag,bound", [("--samples", 10**7), ("--pairs", 10**7), ("--max-piece-index", 10**4)]
+    )
+    def test_work_flags_bounded(self, flag, bound):
+        p = run_cli("verify", "--construction", "fractional", flag, str(bound + 1))
+        assert p.returncode == 2
+        assert flag.encode() in p.stderr
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "report.json"
         p = run_cli(
@@ -101,6 +109,19 @@ class TestWitnessCommand:
             (0.0, 0.5),
             (1.0, 1.5),
         ]
+
+    def test_large_fractional_index_is_bounded_json(self):
+        p = run_cli("witness", "--construction", "fractional", "--n", "1000000000000")
+        assert p.returncode == 0
+        assert json.loads(p.stdout) == {
+            "variant": "diagonal_bands", "coordinate": 0,
+            "start": -(10**12), "m": 10**12, "dim": 1,
+        }
+
+    def test_inexact_diagonal_index_rejected(self):
+        p = run_cli("witness", "--construction", "open-ball", "--n", str(2**52))
+        assert p.returncode == 2
+        assert b"2**52" in p.stderr
 
     def test_negative_index_rejected(self):
         p = run_cli("witness", "--construction", "sphere", "--n", "-1")

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcretract.core import (
+    DiagonalBands,
     DimensionMismatch,
     FiniteUnion,
     FullSpace,
@@ -171,10 +172,28 @@ class TestDescriptors:
             Singleton((1.0, -2.0)),
             FiniteUnion((Interval(0, 1), Interval(2, 3))),
             Translate(NormBand(NormKind(2.0), 1.0, 1.0, 2), (1.0, 1.0)),
+            DiagonalBands(None, -600, 600, 1),
+            DiagonalBands(NormKind(1.5), 0, 10**12, 3),
+            DiagonalBands(NormKind(math.inf), 0, 2**52 - 1, 2),
         ],
     )
     def test_json_round_trip(self, desc):
         assert descriptor_from_json(json.loads(str(desc))) == desc
+
+    def test_small_diagonal_bands_serialize_expanded(self):
+        d = DiagonalBands(NormKind(2.0), 0, 1000, 2)
+        doc = d.to_json()
+        assert doc["variant"] == "finite_union" and len(doc["members"]) == 1001
+        assert descriptor_from_json(json.loads(str(d))) == d.expand()
+
+    def test_diagonal_bands_reject_inexact_indices(self):
+        for start, m in ((-(2**52), 0), (0, 2**52), (3, 2)):
+            with pytest.raises(ValueError):
+                DiagonalBands(None, start, m, 1)
+        with pytest.raises(ValueError):
+            DiagonalBands(NormKind(2.0), -1, 2, 2)
+        with pytest.raises(ValueError):
+            DiagonalBands(None, 0, 2, 2)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -192,6 +211,60 @@ class TestDescriptors:
             pts = desc.sample(rng, 500)
             assert len(pts) == 500
             assert np.all(desc.contains(pts, 1e-9))
+
+
+def _band_probe_points(d, anchors, big, rng):
+    """Values of t at and one float step around every member boundary near
+    the anchors, plus large |t|; as points whose coordinate or norm is t."""
+    w = d.width
+    ts = [big, -big]
+    for a in anchors:
+        for edge in (float(a), a + w):
+            for v in (edge, edge - 1e-9, edge + 1e-9):
+                ts += [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]
+    ts = np.asarray(ts)
+    if d.kind is None:
+        return ts[:, None]
+    axis = np.zeros((len(ts), d.ndim))
+    axis[:, 0] = ts
+    g = rng.normal(size=(len(ts), d.ndim))
+    g /= norm(g, d.kind)[:, None]
+    return np.concatenate([axis, g * ts[:, None]])
+
+
+class TestDiagonalBands:
+    """DiagonalBands must agree exactly with its expansion into a FiniteUnion,
+    the reference it replaces as the diagonal witness pieces."""
+
+    @given(
+        st.sampled_from([None, NormKind(1.0), NormKind(1.5), NormKind(2.0), NormKind(math.inf)]),
+        st.integers(min_value=0, max_value=2000),
+        st.integers(min_value=-2002, max_value=2002),
+        st.floats(min_value=0.0, max_value=1e15),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(None, 0, 0, 0.5, 0)
+    @example(NormKind(2.0), 2000, 1999, 1e15, 1)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_expanded_union(self, kind, m, anchor, big, seed):
+        d = DiagonalBands(kind, -m if kind is None else 0, m, 1 if kind is None else 3)
+        ref = d.expand()
+        anchors = {d.start - 1, d.start, d.start + 1, m - 1, m, m + 1, anchor}
+        pts = _band_probe_points(d, sorted(anchors), big, np.random.default_rng(seed))
+        for tol in (1e-9, 0.0):
+            assert np.array_equal(d.contains(pts, tol), ref.contains(pts, tol))
+        assert np.array_equal(
+            d.sample(np.random.default_rng(seed), 257), ref.sample(np.random.default_rng(seed), 257)
+        )
+
+    @pytest.mark.parametrize("tol", [0.25, 0.9999999, 669.2143759336518])
+    def test_matches_expanded_union_at_large_tolerance(self, tol):
+        rng = np.random.default_rng(3)
+        for d in (DiagonalBands(None, -800, 800, 1), DiagonalBands(NormKind(1.5), 0, 40, 2)):
+            ref = d.expand()
+            pts = _band_probe_points(d, range(d.start - 2, d.m + 3, 7), 2e3, rng)
+            pts = np.concatenate([pts, pts - tol, pts + tol])
+            assert np.array_equal(d.contains(pts, tol), ref.contains(pts, tol))
 
 
 class TestPieceFamily:
