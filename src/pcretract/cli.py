@@ -33,11 +33,12 @@ MAX_SAMPLES = 10**7
 MAX_PIECE_INDEX = 10**4
 
 
-def _default_seed() -> int:
+def _env_seed() -> int:
+    raw = os.environ.get(SEED_ENV, "0")
     try:
-        return int(os.environ.get(SEED_ENV, "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
 
 
 def _fmt(x: float) -> str:
@@ -56,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--construction", required=True, choices=CONSTRUCTION_IDS)
         sp.add_argument("--dim", type=int, default=2)
         sp.add_argument("--norm", default="p:2", help="'p:<value>' or 'max'")
-        sp.add_argument("--seed", type=int, default=_default_seed())
+        sp.add_argument("--seed", type=int, default=None,
+                        help=f"defaults to ${SEED_ENV}, else 0")
 
     v = sub.add_parser("verify", help="run the full check suite for a construction")
     common(v)
@@ -195,6 +197,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _env_seed()
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "witness":

@@ -14,6 +14,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .core import (
+    DIAGONAL_INDEX_LIMIT,
     DiagonalBands,
     DimensionMismatch,
     FiniteUnion,
@@ -28,6 +29,7 @@ from .core import (
     as_points,
     as_vector,
     constant_family,
+    diagonal_membership,
     norm,
     piece,
 )
@@ -328,12 +330,45 @@ def _frac_split(values: np.ndarray):
     return base, frac
 
 
-def _index_for_fraction(frac: np.ndarray) -> np.ndarray:
-    """Smallest m with frac <= 1 - 1/(m+1), i.e. m+1 >= 1/(1-frac)."""
-    m = np.zeros(len(frac), dtype=np.int64)
-    pos = frac > 0.0
-    m[pos] = np.ceil(1.0 / (1.0 - frac[pos])).astype(np.int64) - 1
-    return m
+def _diagonal_index(t: np.ndarray, tol: float, signed: bool) -> np.ndarray:
+    """Smallest m whose diagonal piece holds t under tol: members |n| <= m
+    when ``signed`` (fractional), else 0 <= n <= m (open-ball norms).
+
+    Only members floor(t) and floor(t) + 1 can decide (see diagonal_membership).
+    Member floor(t) + 1 holds t within tol below it from m = |floor(t) + 1|
+    on; member floor(t) holds t from m = |floor(t)| on once
+    1/(m+1) <= 1 - frac(t) + tol.  Where float rounding of 1 - 1/(m+1)
+    moves the answer off that closed form (by one, or by far more near
+    m = 2**52, where the width stays constant over long runs of m), the
+    pieces' monotonicity lets a bisection find it.  The index saturates at
+    DIAGONAL_INDEX_LIMIT - 1; a point no piece up to it holds (an ulp below
+    an integer at tol 0, or |t| >= 2**52) is then reported by the cover
+    check rather than raising.
+    """
+    cap = float(DIAGONAL_INDEX_LIMIT - 1)
+
+    def holds(t, m):
+        return diagonal_membership(t, -m if signed else 0.0, m, tol)
+
+    base = np.floor(t)
+    up = base + 1.0
+    gap = np.maximum(1.0 - (t - base) + tol, 1.0 / DIAGONAL_INDEX_LIMIT)
+    m = np.maximum(np.abs(base), np.ceil(1.0 / gap) - 1.0)
+    m = np.minimum(np.where(t >= up - tol, np.minimum(m, np.abs(up)), m), cap)
+    off = ~holds(t, m) | ((m > 0.0) & holds(t, np.maximum(m - 1.0, 0.0)))
+    if off.any():
+        # holds(lo) is false (lo = -1: no piece) and holds(hi) true, unless
+        # even the last piece misses t, which then keeps hi = cap.
+        sub = t[off]
+        lo = np.full(len(sub), -1.0)
+        hi = np.full(len(sub), cap)
+        while np.any(hi - lo > 1.0):
+            mid = np.floor((lo + hi) / 2.0)
+            h = holds(sub, mid)
+            hi = np.where(h, mid, hi)
+            lo = np.where(h, lo, mid)
+        m[off] = hi
+    return m.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +391,7 @@ def fractional_part_retraction() -> PiecewiseMap:
         return DiagonalBands(None, -m, m, 1)
 
     def predicted(pts, tol):
-        base, frac = _frac_split(pts[:, 0])
-        return np.maximum(np.abs(base).astype(np.int64), _index_for_fraction(frac))
+        return _diagonal_index(pts[:, 0], tol, signed=True)
 
     return PiecewiseMap(
         construction_id="fractional",
@@ -656,9 +690,7 @@ def open_ball_retraction(
         return DiagonalBands(kind, 0, m, dim)
 
     def predicted(pts, tol):
-        r = norm(pts, kind)
-        base, frac = _frac_split(r)
-        return np.maximum(base.astype(np.int64), _index_for_fraction(frac))
+        return _diagonal_index(norm(pts, kind), tol, signed=False)
 
     return PiecewiseMap(
         construction_id="open-ball",

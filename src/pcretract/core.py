@@ -265,6 +265,11 @@ class Singleton(SetDescriptor):
         return {"variant": "singleton", "point": list(self.point)}
 
 
+def _stack(chunks: list, dim: int) -> np.ndarray:
+    """Row-wise concatenation; an empty (0, dim) array for a draw of 0 points."""
+    return np.concatenate(chunks, axis=0) if chunks else np.empty((0, dim))
+
+
 @dataclass(frozen=True)
 class FiniteUnion(SetDescriptor):
     """Finite union of closed descriptors of equal dimension."""
@@ -299,7 +304,7 @@ class FiniteUnion(SetDescriptor):
             k = int(np.sum(which == i))
             if k:
                 chunks.append(m.sample(rng, k, cap))
-        return np.concatenate(chunks, axis=0)
+        return _stack(chunks, self.dim)
 
     def to_json(self):
         return {"variant": "finite_union", "members": [m.to_json() for m in self.members]}
@@ -310,6 +315,29 @@ class FiniteUnion(SetDescriptor):
 DIAGONAL_INDEX_LIMIT = 2**52
 # Diagonal pieces with at most this many members serialize as finite unions.
 EXPANDED_JSON_CAP = 1001
+
+
+def diagonal_membership(t: np.ndarray, start, m, tol: float) -> np.ndarray:
+    """Whether each t lies in the union over n = start..m of
+    [n - tol, (n + 1 - 1/(m+1)) + tol]: membership in a DiagonalBands piece.
+    ``start`` and ``m`` are integers, or float arrays with one piece per t.
+
+    Member n holds t when n - tol <= t and t <= (n + w) + tol.  The first
+    bound holds up to some n and the second from some n on, so the members
+    holding t are consecutive.  Member floor(t) meets the first bound, so if
+    a lower member holds t, floor(t) does too; a member above floor(t) + 1
+    holds t only when tol >= 1, and then floor(t) does too.  So members
+    floor(t) and floor(t) + 1, clipped to [start, m], decide.  The
+    comparisons repeat a member's float operations, so the result is
+    bit-for-bit the expanded union's.
+    """
+    w = 1.0 - 1.0 / (m + 1)
+    base = np.floor(t)
+    out = np.zeros(len(t), dtype=bool)
+    for shift in (0.0, 1.0):
+        n = np.minimum(np.maximum(base + shift, start), m)
+        out |= (t >= n - tol) & (t <= (n + w) + tol)
+    return out
 
 
 @dataclass(frozen=True)
@@ -359,21 +387,7 @@ class DiagonalBands(SetDescriptor):
 
     def _contains(self, pts, tol):
         t = pts[:, 0] if self.kind is None else norm(pts, self.kind)
-        w = self.width
-        # Member n holds t when n - tol <= t and t <= (n + w) + tol.  The first
-        # bound holds up to some n and the second from some n on, so the
-        # members holding t are consecutive.  Member floor(t) meets the first
-        # bound, so if a lower member holds t, floor(t) does too; a member
-        # above floor(t) + 1 holds t only when tol >= 1, and then floor(t)
-        # does too.  So members floor(t) and floor(t) + 1, clipped to
-        # [start, m], decide.  The comparisons repeat a member's float
-        # operations, so the result is bit-for-bit the expanded union's.
-        base = np.floor(t)
-        out = np.zeros(len(t), dtype=bool)
-        for shift in (0.0, 1.0):
-            n = np.clip(base + shift, self.start, self.m)
-            out |= (t >= n - tol) & (t <= (n + w) + tol)
-        return out
+        return diagonal_membership(t, self.start, self.m, tol)
 
     def sample(self, rng, n, cap=8.0):
         # Same generator stream as expand().sample: member choice first, then
@@ -385,8 +399,8 @@ class DiagonalBands(SetDescriptor):
             return (lo + (hi - lo) * rng.random(n))[:, None]
         # A band draws normals then radii, so its draws cannot be batched.
         ns, counts = np.unique(which, return_counts=True)
-        return np.concatenate(
-            [self.member(int(k)).sample(rng, int(c), cap) for k, c in zip(ns, counts)]
+        return _stack(
+            [self.member(int(k)).sample(rng, int(c), cap) for k, c in zip(ns, counts)], self.ndim
         )
 
     def to_json(self):

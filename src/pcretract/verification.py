@@ -217,8 +217,12 @@ def check_cover(
     uncovered = idx < 0
     failures += int(np.sum(uncovered))
     offenders.extend(pts[uncovered][:10])
-    for k in np.unique(idx[idx >= 0]):
-        sel = pts[idx == k]
+    # One stable sort groups the points by index, each group in input order.
+    order = np.flatnonzero(~uncovered)
+    order = order[np.argsort(idx[order], kind="stable")]
+    keys = idx[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    for k, sel in zip(keys[starts], np.split(pts[order], starts[1:])):
         inside = np.asarray(piece(m.witness, int(k)).contains(sel, tol))
         failures += int(np.sum(~inside))
         offenders.extend(sel[~inside][:10])
@@ -324,6 +328,27 @@ def check_norm_identity_open_ball(
     return _mk_report("open-ball-norm-identity", len(pts), failures, tol, offenders)
 
 
+def _frozen(pts: np.ndarray) -> np.ndarray:
+    pts.flags.writeable = False
+    return pts
+
+
+def _single_slot_memo(phi: PiecewiseMap) -> PiecewiseMap:
+    """phi whose rule returns the cached image, read-only, when it is given
+    the same array object as on its last call.  Callers must pass arrays
+    that nobody writes to, or the cached image goes stale."""
+    base = phi.rule
+    last_pts, last_image = None, None
+
+    def rule(pts):
+        nonlocal last_pts, last_image
+        if pts is not last_pts:
+            last_pts, last_image = pts, _frozen(base(pts))
+        return last_image
+
+    return phi.replace(rule=rule)
+
+
 def check_operator_properties(
     phi: PiecewiseMap,
     fields: Sequence[ScalarField],
@@ -337,20 +362,30 @@ def check_operator_properties(
     operator: Callable[[PiecewiseMap, ScalarField], ScalarField] = extension_operator,
 ) -> list:
     """Linearity, positivity, extension and sup-norm isometry reports for the
-    composition operator f -> f∘phi over the given catalog fields."""
+    composition operator f -> f∘phi over the given catalog fields.
+
+    phi is evaluated once per point set (four sets: the linearity/positivity
+    domain draws, the retract draws, and the two isometry sets), however many
+    fields there are: ``operator`` receives phi with a single-slot memo on
+    its rule.  The point sets and phi's images are read-only, so a field
+    rule that writes into its input raises instead of corrupting them.
+    ``operator`` is called once per field, combination and shifted field.
+    """
     if not fields:
         raise ValueError("need at least one field")
-    x_pts = domain_sampler(phi, seed).draw(n)
-    a_pts = as_points(codomain_sampler(phi.codomain, seed + 1).draw(n), phi.dim)
-    x_pts = as_points(x_pts, phi.dim)
+    phi = _single_slot_memo(phi)
+    x_pts = _frozen(as_points(domain_sampler(phi, seed).draw(n), phi.dim))
+    a_pts = _frozen(as_points(codomain_sampler(phi.codomain, seed + 1).draw(n), phi.dim))
+    ext = [operator(phi, f) for f in fields]
     reports = []
 
     # Linearity: T(alpha*f + beta*g) against alpha*Tf + beta*Tg pointwise.
     lin_v = 0.0
-    for f, g in zip(fields, list(fields[1:]) + [fields[0]]):
+    pairs = list(zip(fields, ext))
+    for (f, tf), (g, tg) in zip(pairs, pairs[1:] + pairs[:1]):
         comb = linear_combination([(alpha, f), (beta, g)])
         lhs = operator(phi, comb).apply(x_pts)
-        rhs = alpha * operator(phi, f).apply(x_pts) + beta * operator(phi, g).apply(x_pts)
+        rhs = alpha * tf.apply(x_pts) + beta * tg.apply(x_pts)
         scale = np.maximum(1.0, np.abs(rhs))
         lin_v = max(lin_v, float(np.max(np.abs(lhs - rhs) / scale)))
     reports.append(_mk_report("operator-linearity", len(x_pts), lin_v, tolerance.identity_tol))
@@ -378,8 +413,8 @@ def check_operator_properties(
     # Extension: the operator leaves values on the retract untouched.
     ext_v = 0.0
     ext_off = []
-    for f in fields:
-        dev = np.abs(operator(phi, f).apply(a_pts) - f.apply(a_pts))
+    for f, tf in pairs:
+        dev = np.abs(tf.apply(a_pts) - f.apply(a_pts))
         ext_v = max(ext_v, float(np.max(dev)))
         ext_off.extend(_worst_points(a_pts, np.where(dev > tolerance.identity_tol, dev, 0.0)))
     reports.append(_mk_report("operator-extension", len(a_pts), ext_v, tolerance.identity_tol, ext_off))
@@ -388,14 +423,14 @@ def check_operator_properties(
     # is the phi-image of the domain draws plus retract draws; since phi
     # fixes the retract, the two sample suprema must agree.
     iso_v = 0.0
-    xs = as_points(domain_sampler(phi, seed + 2).draw(iso_n), phi.dim)
+    xs = _frozen(as_points(domain_sampler(phi, seed + 2).draw(iso_n), phi.dim))
     as_ = as_points(codomain_sampler(phi.codomain, seed + 3).draw(iso_n), phi.dim)
-    x_set = np.concatenate([xs, as_])
-    a_set = np.concatenate([phi.apply(xs), as_])
-    for f in fields:
+    x_set = _frozen(np.concatenate([xs, as_]))
+    a_set = _frozen(np.concatenate([phi.apply(xs), as_]))
+    for f, tf in pairs:
         if not f.bounded:
             continue
-        sup_x = float(np.max(np.abs(operator(phi, f).apply(x_set))))
+        sup_x = float(np.max(np.abs(tf.apply(x_set))))
         sup_a = float(np.max(np.abs(f.apply(a_set))))
         iso_v = max(iso_v, abs(sup_x - sup_a))
     reports.append(_mk_report("operator-isometry", len(x_set), iso_v, iso_tol))

@@ -163,3 +163,12 @@ class TestSeedEnvOverride:
             "--format", "json",
         )
         assert with_env.stdout == explicit.stdout
+
+    def test_malformed_env_seed_is_usage_error(self):
+        import os
+
+        env = dict(os.environ, PCRETRACT_SEED="abc")
+        p = run_cli("verify", "--construction", "sphere", "--samples", "300", env=env)
+        assert p.returncode == 2
+        assert b"PCRETRACT_SEED" in p.stderr
+        assert p.stdout == b""

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcretract.core import (
+    DIAGONAL_INDEX_LIMIT,
     FiniteUnion,
     Interval,
     NormBand,
     NormKind,
     Singleton,
+    Tolerance,
     constant_family,
     norm,
     piece,
@@ -34,6 +38,7 @@ from pcretract.constructions import (
     radial_projection_map,
     sphere_retraction,
 )
+from pcretract.verification import check_cover
 
 P2 = NormKind(2.0)
 
@@ -81,6 +86,71 @@ class TestFractional:
 
     def test_piece_lipschitz_declared_one(self):
         assert self.m.piece_lipschitz(4) == 1.0
+
+
+class TestDiagonalPredictedIndex:
+    """fractional and open-ball predict the smallest witness piece that holds
+    a point under the tolerance they are given, below 2**52, also for points
+    an ulp below an integer, where 1/(1 - frac) reaches 2**53."""
+
+    FAMILIES = {
+        "fractional": (fractional_part_retraction(), lambda t: [t]),
+        "open-ball": (open_ball_retraction(3, P2), lambda t: [t, 0.0, 0.0]),
+    }
+
+    def assert_smallest(self, name, t, tol):
+        m, point = self.FAMILIES[name]
+        x = np.asarray(point(t))
+        k = int(m.predicted_index([x], tol)[0])
+        assert 0 <= k < DIAGONAL_INDEX_LIMIT
+        if piece(m.witness, k).contains(x, tol):
+            assert k == 0 or not piece(m.witness, k - 1).contains(x, tol)
+        else:  # saturated: no piece below 2**52 holds the point
+            assert k == DIAGONAL_INDEX_LIMIT - 1
+        return k
+
+    @pytest.mark.parametrize("name", ["fractional", "open-ball"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_ulp_below_integer(self, name, n):
+        below = np.nextafter(float(n), 0.0)
+        # Within tol of n, so piece n holds it by its member n.
+        assert self.assert_smallest(name, below, 1e-9) == n
+        self.assert_smallest(name, below, 0.0)
+        self.assert_smallest(name, float(n), 0.0)
+        self.assert_smallest(name, np.nextafter(float(n), 9.0), 0.0)
+        if name == "fractional":
+            assert self.assert_smallest(name, -below, 1e-9) == n
+            self.assert_smallest(name, -below, 0.0)
+
+    @given(
+        st.sampled_from(["fractional", "open-ball"]),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=-3, max_value=3),
+        st.floats(min_value=-2e-9, max_value=2e-9),
+        st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_smallest_near_integers(self, name, n, ulps, offset, tol):
+        t = float(n) + offset
+        for _ in range(abs(ulps)):
+            t = np.nextafter(t, math.copysign(9.0, ulps))
+        if name == "open-ball":
+            t = abs(t)
+        self.assert_smallest(name, t, tol)
+
+    def test_far_points_saturate(self):
+        m, _ = self.FAMILIES["fractional"]
+        k = m.predicted_index([[1e300], [-1e300], [2.0**52], [2.0**53 + 2.0], [-(2.0**53) - 2.0]], 1e-9)
+        assert np.all(k == DIAGONAL_INDEX_LIMIT - 1)
+
+    def test_cover_reports_instead_of_raising(self):
+        m, _ = self.FAMILIES["fractional"]
+        assert check_cover(m, n=10, extra_points=[[0.9999999999999999]]).passed
+        ob, _ = self.FAMILIES["open-ball"]
+        assert check_cover(ob, n=10, extra_points=[[0.9999999999999999, 0.0, 0.0]]).passed
+        # At tol 0 no piece below 2**52 holds it: one miss, no exception.
+        r = check_cover(m, n=10, extra_points=[[0.9999999999999999]], tolerance=Tolerance(1e-300))
+        assert r.max_violation == 1.0
 
 
 class TestGlue:

@@ -257,6 +257,13 @@ class TestDiagonalBands:
             d.sample(np.random.default_rng(seed), 257), ref.sample(np.random.default_rng(seed), 257)
         )
 
+    @pytest.mark.parametrize("kind,ndim", [(None, 1), (NormKind(2.0), 3)])
+    def test_empty_draw(self, kind, ndim):
+        d = DiagonalBands(kind, 0, 4, ndim)
+        for s in (d, d.expand()):
+            out = s.sample(np.random.default_rng(0), 0)
+            assert out.shape == (0, ndim)
+
     @pytest.mark.parametrize("tol", [0.25, 0.9999999, 669.2143759336518])
     def test_matches_expanded_union_at_large_tolerance(self, tol):
         rng = np.random.default_rng(3)

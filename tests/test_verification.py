@@ -9,7 +9,7 @@ from pcretract.constructions import (
     open_ball_retraction,
     sphere_retraction,
 )
-from pcretract.fields import parse_field
+from pcretract.fields import ScalarField, extension_operator, parse_field
 from pcretract.verification import (
     CORRUPTIONS,
     FAIL,
@@ -111,6 +111,18 @@ class TestCoverCheck:
         r = check_cover(corrupt_shrinking_witness(sphere), n=500, seed=2)
         assert r.status == FAIL
 
+    def test_offenders_grouped_by_index_in_input_order(self, open_ball):
+        bad = corrupt_shrinking_witness(open_ball)
+        r = check_cover(bad, n=3000, seed=5, max_index=1)
+        pts = domain_sampler(bad, 5).draw(3000)
+        idx = bad.predicted_index(pts, 1e-9)
+        want = []
+        for k in np.unique(idx):
+            sel = pts[idx == k]
+            want.extend(sel[~piece(bad.witness, int(k)).contains(sel, 1e-9)][:10])
+        assert r.max_violation > 10
+        assert r.witness_points == tuple(tuple(float(c) for c in p) for p in want[:10])
+
     def test_open_ball_cover(self, open_ball):
         r = check_cover(open_ball, n=5000, seed=3, extra_points=[np.zeros(2)])
         assert r.status == PASS
@@ -136,6 +148,13 @@ class TestContinuityCheck:
         # Piece 0 is the origin alone: no usable pairs.
         r = check_piece_continuity(open_ball, 0, pairs=500, seed=4)
         assert r.status == INCONCLUSIVE
+
+    @pytest.mark.parametrize("name", ["fractional", "open-ball"])
+    def test_zero_pairs_inconclusive(self, name):
+        m = build_construction(name, 3, P2)
+        r = check_piece_continuity(m, 1, pairs=0)
+        assert r.status == INCONCLUSIVE
+        assert r.samples_used == 0
 
     def test_negative_control_understated(self, sphere):
         r = check_piece_continuity(corrupt_understated_lipschitz(sphere), 2, pairs=2000, seed=4)
@@ -223,6 +242,61 @@ class TestOperatorChecks:
         reps = check_operator_properties(corrupt_halved(sphere), catalog, n=2000, iso_n=2000, seed=8)
         by_name = {r.check_name: r for r in reps}
         assert by_name["operator-extension"].status == FAIL
+
+
+class TestOperatorEvaluationCount:
+    FIELDS = ("coord:0", "sin:1", "cos:2", "const:2", "poly:0:3")
+
+    @pytest.fixture
+    def phi(self):
+        return build_construction("extend", 3, P2)
+
+    def fields(self, phi):
+        return [parse_field(e, 3, phi.codomain, 1.0) for e in self.FIELDS]
+
+    def test_phi_evaluated_once_per_point_set(self, phi):
+        calls = []
+        counted = phi.replace(rule=lambda pts, r=phi.rule: calls.append(1) or r(pts))
+        built = []
+        def operator(p, f):
+            built.append(f.label)
+            return extension_operator(p, f)
+        reps = check_operator_properties(counted, self.fields(phi), n=2000, iso_n=3000, seed=4,
+                                         operator=operator)
+        # x_pts, a_pts, the isometry domain draws and the isometry set.
+        assert len(calls) == 4
+        # One extension per field, per linear combination, per shifted field.
+        assert len(built) == 15
+        plain = check_operator_properties(phi, self.fields(phi), n=2000, iso_n=3000, seed=4)
+        assert [r.to_json_dict() for r in reps] == [r.to_json_dict() for r in plain]
+        assert all(r.status == PASS for r in reps)
+
+    @staticmethod
+    def scribbler(phi):
+        """A field that writes into its input on its first call only, so a
+        write that is let through would go unnoticed."""
+        calls = []
+
+        def scribble(pts):
+            if not calls:
+                calls.append(1)
+                pts[:, 0] = 0.0
+            return pts[:, 0].copy()
+
+        return ScalarField("scribble", 3, scribble, phi.codomain, bounded=True, bound=1.0)
+
+    def test_field_writing_into_input_raises(self, phi):
+        before = check_operator_properties(phi, self.fields(phi), n=500, iso_n=500, seed=2)
+        # First written: phi's image of the domain draws.
+        with pytest.raises(ValueError, match="read-only"):
+            check_operator_properties(phi, [self.scribbler(phi)] + self.fields(phi),
+                                      n=500, iso_n=500, seed=2)
+        # With an operator that does not compose, the domain draws themselves.
+        with pytest.raises(ValueError, match="read-only"):
+            check_operator_properties(phi, [self.scribbler(phi)], n=500, iso_n=500, seed=2,
+                                      operator=lambda p, f: f)
+        after = check_operator_properties(phi, self.fields(phi), n=500, iso_n=500, seed=2)
+        assert [r.to_json_dict() for r in after] == [r.to_json_dict() for r in before]
 
 
 class TestBorsukDemo:
