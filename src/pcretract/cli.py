@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .core import NormKind, Tolerance, piece
+from .core import EUCLIDEAN, NormKind, Tolerance, piece
 from .constructions import (
     CONSTRUCTION_IDS,
     ConstructionError,
@@ -55,8 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--construction", required=True, choices=CONSTRUCTION_IDS)
-        sp.add_argument("--dim", type=int, default=2)
-        sp.add_argument("--norm", default="p:2", help="'p:<value>' or 'max'")
+        sp.add_argument("--dim", type=int, default=None,
+                        help="default 2; fractional and glue take only 1")
+        sp.add_argument("--norm", default="p:2",
+                        help="'p:<value>' or 'max'; fractional and glue take only p:2")
         sp.add_argument("--seed", type=int, default=None,
                         help=f"defaults to ${SEED_ENV}, else 0")
 
@@ -90,11 +92,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Constructions defined on R with the Euclidean norm only.
+LINE_CONSTRUCTIONS = ("fractional", "glue")
+
+
 def _build_map(args):
     kind = NormKind.parse(args.norm)
-    if args.dim < 1:
+    dim = 2 if args.dim is None else args.dim
+    if dim < 1:
         raise ConstructionError("dimension must be >= 1")
-    dim = 1 if args.construction == "fractional" else args.dim
+    if args.construction in LINE_CONSTRUCTIONS:
+        if args.dim is not None and dim != 1:
+            raise ConstructionError(f"--dim: {args.construction} lives in dimension 1, got {dim}")
+        if kind != EUCLIDEAN:
+            raise ConstructionError(
+                f"--norm: {args.construction} uses the norm p:2, got {kind.label()}"
+            )
+        dim = 1
     return build_construction(
         args.construction,
         dim,

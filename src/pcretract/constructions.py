@@ -30,8 +30,10 @@ from .core import (
     as_vector,
     constant_family,
     diagonal_membership,
+    fold_columns,
     norm,
     piece,
+    union_family,
 )
 
 
@@ -153,13 +155,16 @@ class PuncturedSpace:
 
     def contains(self, x, tol=0.0):
         single = np.asarray(x, dtype=float).ndim == 1
-        pts = as_points(x, self.ndim)
-        out = np.any(pts != 0.0, axis=1)
+        out = _off_origin(as_points(x, self.ndim))
         return bool(out[0]) if single else out
 
     def sample(self, rng, n):
         pts = rng.normal(size=(n, self.ndim)) * 2.0
-        return pts[np.any(pts != 0.0, axis=1)]
+        return pts[_off_origin(pts)]
+
+
+def _off_origin(pts: np.ndarray) -> np.ndarray:
+    return fold_columns(pts, lambda c: c != 0.0, np.logical_or)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +376,24 @@ def _diagonal_index(t: np.ndarray, tol: float, signed: bool) -> np.ndarray:
     return m.astype(np.int64)
 
 
+def _diagonal_family(kind: Optional[NormKind], dim: int, label: str) -> PieceFamily:
+    """Pieces DiagonalBands(kind, start, m, dim): members |n| <= m along the
+    coordinate (``kind`` None), 0 <= n <= m along the norm."""
+    signed = kind is None
+
+    def piece_at(m):
+        return DiagonalBands(kind, -m if signed else 0, m, dim)
+
+    def membership(pts, idx, tol):
+        if np.any(idx >= DIAGONAL_INDEX_LIMIT):
+            raise ValueError("diagonal band indices need m < 2**52")
+        m = idx.astype(float)
+        t = pts[:, 0] if signed else norm(pts, kind)
+        return diagonal_membership(t, -m if signed else 0, m, tol)
+
+    return PieceFamily(piece_at, declared_monotone=True, label=label, membership=membership)
+
+
 # ---------------------------------------------------------------------------
 # Constructions
 
@@ -387,9 +410,6 @@ def fractional_part_retraction() -> PiecewiseMap:
         base, frac = _frac_split(pts[:, 0])
         return frac[:, None]
 
-    def piece_at(m):
-        return DiagonalBands(None, -m, m, 1)
-
     def predicted(pts, tol):
         return _diagonal_index(pts[:, 0], tol, signed=True)
 
@@ -400,7 +420,7 @@ def fractional_part_retraction() -> PiecewiseMap:
         domain=FullSpace(1),
         codomain=HalfOpenUnitInterval(),
         rule=rule,
-        witness=PieceFamily(piece_at, declared_monotone=True, label="fractional-diagonal"),
+        witness=_diagonal_family(None, 1, "fractional-diagonal"),
         piece_lipschitz=lambda m: 1.0,
         predicted_index_fn=predicted,
     )
@@ -450,14 +470,11 @@ def glue_retraction(
             out[~on_a] = g.apply(pts[~on_a])
         return out
 
-    def piece_at(n):
-        return FiniteUnion((piece(a_pieces, n), piece(complement_pieces, n)))
-
-    witness = PieceFamily(piece_at, declared_monotone=True, label=f"{construction_id}-glued")
+    witness = union_family(a_pieces, complement_pieces, label=f"{construction_id}-glued")
     return PiecewiseMap(
         construction_id=construction_id,
         dim=dim,
-        kind=NormKind(2.0) if dim > 1 else NormKind(2.0),
+        kind=NormKind(2.0),
         domain=FullSpace(dim),
         codomain=a_region,
         rule=rule,
@@ -513,10 +530,7 @@ def extend_retraction(
             out[~in_u] = g.apply(pts[~in_u])
         return out
 
-    def piece_at(n):
-        return FiniteUnion((piece(inner.witness, n), piece(complement_pieces, n)))
-
-    witness = PieceFamily(piece_at, declared_monotone=True, label=f"{construction_id}-extended")
+    witness = union_family(inner.witness, complement_pieces, label=f"{construction_id}-extended")
     return PiecewiseMap(
         construction_id=construction_id,
         dim=dim,
@@ -550,6 +564,23 @@ def constant_extension(
     )
 
 
+def _radial_bands(kind: NormKind, dim: int, hi: float, label: str, with_origin: bool) -> PieceFamily:
+    """Pieces {1/max(n, 1) <= ||x|| <= hi}, each with the origin added when
+    ``with_origin``."""
+    origin = Singleton(tuple(0.0 for _ in range(dim)))
+
+    def piece_at(n):
+        band = NormBand(kind, 1.0 / max(n, 1), hi, dim)
+        return FiniteUnion((origin, band)) if with_origin else band
+
+    def membership(pts, idx, tol):
+        r = norm(pts, kind)
+        out = (r >= 1.0 / np.maximum(idx, 1) - tol) & (r <= hi + tol)
+        return out | origin._contains(pts, tol) if with_origin else out
+
+    return PieceFamily(piece_at, declared_monotone=True, label=label, membership=membership)
+
+
 def radial_projection_map(dim: int, kind: NormKind) -> PiecewiseMap:
     """x -> x/||x|| on R^d minus the origin, witnessed by the bands
     {||x|| >= 1/n}; the inner retraction used by the extension factories."""
@@ -559,9 +590,6 @@ def radial_projection_map(dim: int, kind: NormKind) -> PiecewiseMap:
 
     def rule(pts):
         return RadialProjection(kind).apply(pts)
-
-    def piece_at(n):
-        return NormBand(kind, 1.0 / max(n, 1), math.inf, dim)
 
     def predicted(pts, tol):
         r = norm(pts, kind)
@@ -577,7 +605,7 @@ def radial_projection_map(dim: int, kind: NormKind) -> PiecewiseMap:
         domain=PuncturedSpace(dim),
         codomain=sphere,
         rule=rule,
-        witness=PieceFamily(piece_at, declared_monotone=True, label="radial-bands"),
+        witness=_radial_bands(kind, dim, math.inf, "radial-bands", with_origin=False),
         piece_lipschitz=lambda n: 2.0 * max(n, 1),
         predicted_index_fn=predicted,
     )
@@ -612,8 +640,6 @@ def sphere_retraction(
         raise DimensionMismatch("t must live in the ambient dimension")
     if abs(norm(t, kind) - 1.0) > tolerance.identity_tol:
         raise ConstructionError("t must lie on the unit sphere")
-    origin = Singleton(tuple(0.0 for _ in range(dim)))
-    band_hi = 1.0 if ambient == "ball" else math.inf
 
     def rule(pts):
         r = norm(pts, kind)
@@ -623,12 +649,6 @@ def sphere_retraction(
         if zero.any():
             out[zero] = np.asarray(t)
         return out
-
-    def piece_at(n):
-        band = NormBand(kind, 1.0 / max(n, 1), band_hi, dim)
-        if paper_witness:
-            return band
-        return FiniteUnion((origin, band))
 
     def predicted(pts, tol):
         r = norm(pts, kind)
@@ -644,10 +664,12 @@ def sphere_retraction(
         domain=FullSpace(dim) if ambient == "space" else NormBand(kind, 0.0, 1.0, dim),
         codomain=unit_sphere(kind, dim),
         rule=rule,
-        witness=PieceFamily(
-            piece_at,
-            declared_monotone=True,
-            label="sphere-paper-bands" if paper_witness else "sphere-augmented-bands",
+        witness=_radial_bands(
+            kind,
+            dim,
+            1.0 if ambient == "ball" else math.inf,
+            "sphere-paper-bands" if paper_witness else "sphere-augmented-bands",
+            with_origin=not paper_witness,
         ),
         piece_lipschitz=lambda n: 2.0 * max(n, 1),
         predicted_index_fn=predicted,
@@ -686,9 +708,6 @@ def open_ball_retraction(
             out[zero] = 0.0
         return out
 
-    def piece_at(m):
-        return DiagonalBands(kind, 0, m, dim)
-
     def predicted(pts, tol):
         return _diagonal_index(norm(pts, kind), tol, signed=False)
 
@@ -699,7 +718,7 @@ def open_ball_retraction(
         domain=FullSpace(dim),
         codomain=OpenUnitBall(kind, dim),
         rule=rule,
-        witness=PieceFamily(piece_at, declared_monotone=True, label="open-ball-diagonal"),
+        witness=_diagonal_family(kind, dim, "open-ball-diagonal"),
         piece_lipschitz=lambda m: 1.0 if m == 0 else max(3.0, 2.0 * m),
         predicted_index_fn=predicted,
     )
@@ -721,6 +740,12 @@ def canonical_glue(dim: int = 1, kind: NormKind = NormKind(2.0)) -> PiecewiseMap
             )
         )
 
+    def complement_membership(pts, n, tol):
+        t = pts[:, 0]
+        left = (t >= -(n + 1.0) - tol) & (t <= -1.0 / (n + 2) + tol)
+        right = (t >= (1.0 + 1.0 / (n + 2)) - tol) & (t <= (n + 2.0) + tol)
+        return left | right
+
     def predicted(pts, tol):
         t = pts[:, 0]
         idx = np.zeros(len(t), dtype=np.int64)
@@ -737,7 +762,12 @@ def canonical_glue(dim: int = 1, kind: NormKind = NormKind(2.0)) -> PiecewiseMap
     return glue_retraction(
         ClosedRegion(a),
         constant_family(a, label="retract-constant"),
-        PieceFamily(complement_at, declared_monotone=True, label="complement-intervals"),
+        PieceFamily(
+            complement_at,
+            declared_monotone=True,
+            label="complement-intervals",
+            membership=complement_membership,
+        ),
         Clamp1D(0.0, 1.0),
         # the glued map coincides with the global clamp, which is 1-Lipschitz
         piece_lipschitz=lambda n: 1.0,

@@ -82,13 +82,54 @@ MAX_NORM = NormKind(math.inf)
 EUCLIDEAN = NormKind(2.0)
 
 
+# numpy reduces a row of fewer than 8 elements strictly left to right, but
+# one row at a time, which is slow for short rows; from 8 on it keeps 8
+# partial sums, which a left-to-right loop does not reproduce.
+COLUMN_LOOP_WIDTH = 8
+
+
+def fold_columns(a: np.ndarray, f: Callable, op: np.ufunc) -> np.ndarray:
+    """Row-wise ``op.reduce(f(a), axis=1)`` of an (n, d) array, d >= 1.
+
+    Below COLUMN_LOOP_WIDTH columns this loops over the columns instead,
+    which does the same float operations in the same order, so it gives the
+    same bits in a fraction of the time.  ``f`` acts elementwise and returns
+    a new array.
+    """
+    if a.shape[1] >= COLUMN_LOOP_WIDTH:
+        return op.reduce(f(a), axis=1)
+    r = f(a[:, 0])
+    for j in range(1, a.shape[1]):
+        op(r, f(a[:, j]), out=r)
+    return r
+
+
 def norm(x, kind: NormKind = EUCLIDEAN) -> Union[float, np.ndarray]:
-    """p-norm or max-norm of a point or an (n, d) batch."""
+    """p-norm or max-norm of a point or an (n, d) batch.
+
+    The result equals ``np.linalg.norm(x, ord=p, axis=-1)`` bit for bit:
+    max of |x_j|, sum of |x_j|, sqrt of the sum of x_j*x_j, or the sum of
+    |x_j|**p to the power 1/p, each summed left to right over the columns
+    for rows of fewer than 8 coordinates and by numpy's own reduction for
+    wider rows (see fold_columns).  Sums of |x_j|**p are not rescaled, so
+    large p can overflow to inf or underflow to 0.  A NaN coordinate raises
+    ``ValueError``.
+    """
     a = np.asarray(x, dtype=float)
-    if np.any(np.isnan(a)):
+    if a.ndim != 2 or a.shape[1] == 0:
+        r = np.linalg.norm(a, ord=np.inf if kind.is_max else kind.p, axis=-1)
+    elif kind.is_max:
+        r = fold_columns(a, np.abs, np.maximum)
+    elif kind.p == 1.0:
+        r = fold_columns(a, np.abs, np.add)
+    elif kind.p == 2.0:
+        r = np.sqrt(fold_columns(a, lambda c: c * c, np.add))
+    else:
+        p = kind.p
+        r = fold_columns(a, lambda c: np.abs(c) ** p, np.add) ** (1.0 / p)
+    # A norm is NaN exactly when a coordinate is: the terms are nonnegative.
+    if np.any(np.isnan(r)):
         raise ValueError("norm of a NaN coordinate is undefined")
-    ord_ = np.inf if kind.is_max else kind.p
-    r = np.linalg.norm(a, ord=ord_, axis=-1)
     return float(r) if np.ndim(r) == 0 else r
 
 
@@ -256,7 +297,7 @@ class Singleton(SetDescriptor):
         return as_vector(self.point)
 
     def _contains(self, pts, tol):
-        return np.max(np.abs(pts - np.asarray(self.point)), axis=1) <= tol
+        return fold_columns(pts - np.asarray(self.point), np.abs, np.maximum) <= tol
 
     def sample(self, rng, n, cap=8.0):
         return np.tile(np.asarray(self.point, dtype=float), (n, 1))
@@ -501,11 +542,45 @@ class FullSpace:
 class PieceFamily:
     """Increasing sequence n -> closed set, the certificate carried by a
     witnessed piecewise map.  ``declared_monotone`` records the constructor's
-    claim that piece(n) is contained in piece(n+1); checks sample-test it."""
+    claim that piece(n) is contained in piece(n+1); checks sample-test it.
+
+    ``membership(pts, idx, tol)``, when given, is a closed form of
+    :meth:`contains_at`.  A family supplies one when its pieces differ only
+    in parameters that can be computed per point, such as band radii; it
+    must repeat the pieces' own float operations, so that it gives the same
+    booleans as ``piece(idx[i]).contains``.
+    """
 
     piece_at: Callable[[int], SetDescriptor]
     declared_monotone: bool = True
     label: str = ""
+    membership: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
+
+    def contains_at(self, pts, idx, tol=1e-9) -> np.ndarray:
+        """Whether each point pts[i] of an (n, d) batch lies in piece(idx[i]).
+
+        Without a closed form, the points are grouped by index with one
+        stable sort and each group is tested against its piece, so the cost
+        is one piece per distinct index.
+        """
+        pts = as_points(pts)
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.shape != (len(pts),):
+            raise ValueError("need one piece index per point")
+        if np.any(idx < 0):
+            raise ValueError("piece index must be >= 0")
+        return self._contains_at(pts, idx, _mtol(tol))
+
+    def _contains_at(self, pts: np.ndarray, idx: np.ndarray, tol: float) -> np.ndarray:
+        if self.membership is not None:
+            return self.membership(pts, idx, tol)
+        out = np.empty(len(pts), dtype=bool)
+        order = np.argsort(idx, kind="stable")
+        keys = idx[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        for k, sel in zip(keys[starts], np.split(order, starts[1:])):
+            out[sel] = self.piece_at(int(k)).contains(pts[sel], tol)
+        return out
 
     def to_json(self, upto: int = 3) -> dict:
         return {
@@ -524,4 +599,19 @@ def piece(family: PieceFamily, n: int) -> SetDescriptor:
 
 
 def constant_family(descriptor: SetDescriptor, label: str = "") -> PieceFamily:
-    return PieceFamily(lambda n: descriptor, declared_monotone=True, label=label)
+    return PieceFamily(
+        lambda n: descriptor,
+        declared_monotone=True,
+        label=label,
+        membership=lambda pts, idx, tol: descriptor.contains(pts, tol),
+    )
+
+
+def union_family(a: PieceFamily, b: PieceFamily, label: str = "") -> PieceFamily:
+    """Piece n is piece(a, n) ∪ piece(b, n); increasing when a and b are."""
+    return PieceFamily(
+        lambda n: FiniteUnion((piece(a, n), piece(b, n))),
+        declared_monotone=True,
+        label=label,
+        membership=lambda pts, idx, tol: a._contains_at(pts, idx, tol) | b._contains_at(pts, idx, tol),
+    )

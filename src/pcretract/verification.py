@@ -163,8 +163,8 @@ def _mk_report(name, n, max_violation, tol, offenders=()) -> CheckReport:
 
 
 def _worst_points(pts: np.ndarray, dev: np.ndarray, k: int = 10) -> np.ndarray:
-    if len(pts) == 0:
-        return pts
+    if not np.any(dev > 0):
+        return pts[:0]
     order = np.argsort(dev)[::-1]
     bad = order[dev[order] > 0][:k]
     return pts[bad]
@@ -211,32 +211,27 @@ def check_cover(
         pts = np.concatenate([as_points(np.asarray(extra_points, float), m.dim), pts])
     tol = tolerance.membership_tol
 
-    failures = 0
-    offenders = []
+    # Offenders: uncovered points, then points outside their predicted piece
+    # by index and input position, then monotonicity misses by k.
     idx = m.predicted_index(pts, tol)
-    uncovered = idx < 0
-    failures += int(np.sum(uncovered))
-    offenders.extend(pts[uncovered][:10])
-    # One stable sort groups the points by index, each group in input order.
-    order = np.flatnonzero(~uncovered)
-    order = order[np.argsort(idx[order], kind="stable")]
-    keys = idx[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    for k, sel in zip(keys[starts], np.split(pts[order], starts[1:])):
-        inside = np.asarray(piece(m.witness, int(k)).contains(sel, tol))
-        failures += int(np.sum(~inside))
-        offenders.extend(sel[~inside][:10])
+    covered = idx >= 0
+    inside = m.witness.contains_at(pts[covered], idx[covered], tol)
+    missed = np.flatnonzero(covered)[~inside]
+    missed = missed[np.argsort(idx[missed], kind="stable")]
+    offenders = [pts[~covered][:10], pts[missed][:10]]
+    failures = len(pts) - int(np.sum(inside))
 
     rng = _rng(seed, 17)
-    for k in range(1, max_index):
-        s = piece(m.witness, k).sample(rng, piece_samples)
-        if len(s) == 0:
-            continue
-        inside = np.asarray(piece(m.witness, k + 1).contains(s, tol))
-        failures += int(np.sum(~inside))
-        offenders.extend(s[~inside][:10])
+    draws = [piece(m.witness, k).sample(rng, piece_samples) for k in range(1, max_index)]
+    s = as_points(np.concatenate([np.empty((0, m.dim))] + draws), m.dim)
+    grown = np.repeat(np.arange(2, max_index + 1), [len(d) for d in draws])
+    inside = m.witness.contains_at(s, grown, tol)
+    offenders.append(s[~inside][:10])
+    failures += int(np.sum(~inside))
 
-    return _mk_report("cover-and-monotonicity", len(pts), float(failures), 0.0, offenders)
+    return _mk_report(
+        "cover-and-monotonicity", len(pts), float(failures), 0.0, np.concatenate(offenders)
+    )
 
 
 def check_piece_continuity(

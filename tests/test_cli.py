@@ -80,6 +80,27 @@ class TestVerifyCommand:
         assert p.returncode == 2
         assert flag.encode() in p.stderr
 
+    @pytest.mark.parametrize("command", ["verify", "witness"])
+    @pytest.mark.parametrize("construction", ["fractional", "glue"])
+    @pytest.mark.parametrize(
+        # --dim 2 is the default of the other constructions, given explicitly.
+        "flags,named", [(("--dim", "2"), b"--dim"), (("--norm", "max"), b"--norm")]
+    )
+    def test_line_constructions_reject_other_dim_or_norm(self, command, construction, flags, named):
+        extra = ("--n", "1") if command == "witness" else ("--samples", "10")
+        p = run_cli(command, "--construction", construction, *flags, *extra)
+        assert p.returncode == 2
+        assert named in p.stderr
+        assert p.stdout == b""
+
+    @pytest.mark.parametrize("construction", ["fractional", "glue"])
+    def test_line_constructions_accept_their_own_dim_and_norm(self, construction):
+        args = ("verify", "--construction", construction, "--samples", "200", "--seed", "3")
+        plain = run_cli(*args)
+        assert plain.returncode == 0
+        assert b"dim=1 norm=p:2" in plain.stdout
+        assert run_cli(*args, "--dim", "1", "--norm", "p:2").stdout == plain.stdout
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "report.json"
         p = run_cli(

@@ -38,7 +38,8 @@ from pcretract.constructions import (
     radial_projection_map,
     sphere_retraction,
 )
-from pcretract.verification import check_cover
+from pcretract.fields import coord_field, extension_operator
+from pcretract.verification import CORRUPTIONS, check_cover, corrupt_shrinking_witness, run_suite
 
 P2 = NormKind(2.0)
 
@@ -380,3 +381,142 @@ class TestRegistry:
         m = build_construction("sphere", 3, P2)
         x = [1.0, 2.0, 2.0]
         assert np.array_equal(m(x), m.apply([x])[0])
+
+
+# ---------------------------------------------------------------------------
+# PieceFamily.contains_at against piece(k).contains
+
+
+def _diagonal_edges(k, rng, signed):
+    w = 1.0 - 1.0 / (k + 1)
+    ns = {0, 1, k, k + 1, int(rng.integers(0, k + 1))}
+    if signed:
+        ns |= {-n for n in ns}
+    return [e for n in ns for e in (float(n), n + w)]
+
+
+def _radial_edges(k, rng):
+    return [1.0 / max(k, 1), 1.0, 0.0, 2.5]
+
+
+def _glue_edges(k, rng):
+    return [-(k + 1.0), -1.0 / (k + 2), 0.0, 1.0, 1.0 + 1.0 / (k + 2), k + 2.0]
+
+
+def _composed_refined():
+    sphere = sphere_retraction(2, P2)
+    tf = extension_operator(sphere, coord_field(0, 2, sphere.codomain))
+    return extension_operator(sphere, tf).witness
+
+
+# name -> (family builder, dimension, norm of the probe directions, edges, largest index)
+CONTAINS_AT_FAMILIES = {
+    "fractional": (lambda: fractional_part_retraction().witness, 1, P2,
+                   lambda k, rng: _diagonal_edges(k, rng, True), DIAGONAL_INDEX_LIMIT - 1),
+    **{
+        f"open-ball-{label}": (lambda p=p: open_ball_retraction(3, NormKind(p)).witness, 3,
+                               NormKind(p), lambda k, rng: _diagonal_edges(k, rng, False),
+                               DIAGONAL_INDEX_LIMIT - 1)
+        for label, p in (("p1", 1.0), ("p1.5", 1.5), ("p2", 2.0), ("max", math.inf))
+    },
+    "sphere-space": (lambda: sphere_retraction(3, NormKind(1.5)).witness, 3, NormKind(1.5),
+                     _radial_edges, 2**62),
+    "sphere-ball": (lambda: sphere_retraction(3, P2, ambient="ball").witness, 3, P2,
+                    _radial_edges, 2**62),
+    "sphere-paper": (lambda: sphere_retraction(2, NormKind(math.inf), paper_witness=True).witness,
+                     2, NormKind(math.inf), _radial_edges, 2**62),
+    "radial": (lambda: radial_projection_map(3, NormKind(3.0)).witness, 3, NormKind(3.0),
+               _radial_edges, 2**62),
+    "extend": (lambda: canonical_extend(3).witness, 3, P2, _radial_edges, 2**62),
+    "const-extend": (lambda: canonical_constant_extension(3, NormKind(1.0)).witness, 3,
+                     NormKind(1.0), _radial_edges, 2**62),
+    "glue": (lambda: canonical_glue().witness, 1, P2, _glue_edges, 2**62),
+    "shrinking-witness": (lambda: corrupt_shrinking_witness(sphere_retraction(3, P2)).witness,
+                          3, P2, _radial_edges, 2**62),
+    "composed-refined": (_composed_refined, 2, P2, _radial_edges, 12),
+}
+
+
+def _probe_points(edges, dim, kind, rng):
+    """Each edge, the edge +- 1e-9, and one float step around all of them,
+    along +-e1 and a random unit direction."""
+    ts = []
+    for e in edges:
+        for v in (e, e - 1e-9, e + 1e-9):
+            ts += [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]
+    ts = np.asarray(ts)
+    if dim == 1:
+        return np.concatenate([ts, -ts])[:, None]
+    e1 = np.zeros(dim)
+    e1[0] = 1.0
+    g = rng.normal(size=dim)
+    dirs = np.stack([e1, -e1, g / norm(g, kind)])
+    return (dirs[:, None, :] * ts[None, :, None]).reshape(-1, dim)
+
+
+class TestContainsAt:
+    """contains_at, with or without a closed form, must give the booleans of
+    piece(idx[i]).contains point for point."""
+
+    @pytest.mark.parametrize("name", sorted(CONTAINS_AT_FAMILIES))
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**62), max_size=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_matches_piece_contains(self, name, extra, seed):
+        build, dim, kind, edges, top = CONTAINS_AT_FAMILIES[name]
+        fam = build()
+        rng = np.random.default_rng(seed)
+        ks = sorted({0, 1, top, *(k % (top + 1) for k in extra)})
+        blocks = [_probe_points(edges(k, rng), dim, kind, rng) for k in ks]
+        pts = np.concatenate(blocks)
+        idx = np.repeat(ks, [len(b) for b in blocks])
+        perm = rng.permutation(len(pts))
+        pts, idx = pts[perm], idx[perm]
+        for tol in (1e-9, 0.0):
+            want = np.empty(len(pts), dtype=bool)
+            for k in ks:
+                want[idx == k] = piece(fam, k).contains(pts[idx == k], tol)
+            assert np.array_equal(fam.contains_at(pts, idx, tol), want)
+
+    def test_rejects_bad_indices(self):
+        fam = fractional_part_retraction().witness
+        with pytest.raises(ValueError):
+            fam.contains_at([[0.5], [1.5]], [0, -1])
+        with pytest.raises(ValueError):
+            fam.contains_at([[0.5], [1.5]], [0])
+        # Like piece(2**52), which has no exact band bounds.
+        for fam in (fam, open_ball_retraction(2, P2).witness):
+            with pytest.raises(ValueError, match="2\\*\\*52"):
+                fam.contains_at(np.zeros((2, fam.piece_at(0).dim)), [0, DIAGONAL_INDEX_LIMIT])
+
+    def test_empty_batch(self):
+        for build, dim, *_ in CONTAINS_AT_FAMILIES.values():
+            out = build().contains_at(np.empty((0, dim)), np.empty(0, dtype=np.int64))
+            assert out.shape == (0,) and out.dtype == bool
+
+
+CONTROL_TARGETS = {
+    "halved": "retraction-identity",
+    "shrinking-witness": "cover-and-monotonicity",
+    "understated-lipschitz": "piece-continuity-",
+    "identity-rule": "open-ball-norm-identity",  # checked for open-ball only
+}
+
+
+class TestNegativeControlsStillFail:
+    @pytest.mark.parametrize(
+        "cid,control",
+        [
+            (cid, control)
+            for cid in ("fractional", "glue", "extend", "const-extend", "sphere", "open-ball")
+            for control in sorted(CORRUPTIONS)
+            if control != "identity-rule" or cid == "open-ball"
+        ],
+    )
+    def test_control_fails_its_target(self, cid, control):
+        target = CONTROL_TARGETS[control]
+        m = CORRUPTIONS[control](build_construction(cid, 3, P2))
+        reports = run_suite(m, seed=4, samples=500, pairs=500)
+        assert any(r.check_name.startswith(target) and r.status == "fail" for r in reports)

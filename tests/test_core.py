@@ -26,6 +26,7 @@ from pcretract.core import (
     norm,
     piece,
 )
+from pcretract.constructions import PuncturedSpace
 
 # Keep magnitudes away from the subnormal range so relative-error reasoning holds.
 finite_floats = st.floats(
@@ -101,6 +102,80 @@ class TestNorm:
         kind = NormKind(p)
         lhs = norm(np.asarray(a) + np.asarray(b), kind)
         assert lhs <= norm(a, kind) + norm(b, kind) + 1e-12 * max(1.0, lhs)
+
+
+KERNEL_PS = [1.0, 1.5, 2.0, 3.0, 400.0, math.inf]
+
+
+def _magnitude_points(rng, n, d):
+    """Signed values from 1e-300 to 1e300, with some exact zeros.  Half the
+    rows share one scale, so that their terms are close enough in size for
+    the order of summation to show in the last bit."""
+    scale = 10.0 ** rng.uniform(-300, 300, size=(n, d))
+    scale[: n // 2] = scale[: n // 2, :1]
+    x = rng.normal(size=(n, d)) * scale
+    x[rng.random(size=(n, d)) < 0.1] = 0.0
+    return x
+
+
+class TestNormKernel:
+    """norm must equal np.linalg.norm(axis=-1) bit for bit: the column loop
+    below 8 coordinates and numpy's reduction from 8 on."""
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=300),
+        st.sampled_from(KERNEL_PS),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_linalg_norm(self, d, n, p, seed):
+        rng = np.random.default_rng(seed)
+        x = _magnitude_points(rng, n, d)
+        kind = NormKind(p)
+        with np.errstate(over="ignore", under="ignore"):
+            for a in (x, x[:0], _magnitude_points(rng, 1, d)[0]):
+                want = np.linalg.norm(a, ord=p, axis=-1)
+                got = norm(a, kind)
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [1, 3, 7, 8, 12])
+    @pytest.mark.parametrize("p", KERNEL_PS)
+    def test_nan_raises_and_inf_is_inf(self, d, p):
+        x = np.ones((4, d))
+        x[2, d - 1] = np.nan
+        for a in (x, x[2]):
+            with pytest.raises(ValueError, match="NaN"):
+                norm(a, NormKind(p))
+        for v in (np.inf, -np.inf):
+            x[2, d - 1] = v
+            r = norm(x, NormKind(p))
+            assert r[2] == np.inf and np.all(np.isfinite(np.delete(r, 2)))
+            assert norm(x[2], NormKind(p)) == np.inf
+
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=200),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_origin_tests_match_axis_forms(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        x = _magnitude_points(rng, n, d)
+        x[rng.random(n) < 0.2] = 0.0
+        x[rng.random(n) < 0.1] = -0.0
+        point = tuple(rng.choice([0.0, 1e-10, -1.0], size=d))
+        s = Singleton(point)
+        for tol in (0.0, 1e-9):
+            assert np.array_equal(
+                s.contains(x, tol), np.max(np.abs(x - np.asarray(point)), axis=1) <= tol
+            )
+        space = PuncturedSpace(d)
+        assert np.array_equal(space.contains(x), np.any(x != 0.0, axis=1))
+        got = space.sample(np.random.default_rng(seed), n)
+        draw = np.random.default_rng(seed).normal(size=(n, d)) * 2.0
+        assert np.array_equal(got, draw[np.any(draw != 0.0, axis=1)])
 
 
 class TestEntier:
