@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -69,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--pairs", type=int, default=2_000)
     v.add_argument("--membership-tol", type=float, default=1e-9)
     v.add_argument("--identity-tol", type=float, default=1e-12)
-    v.add_argument("--fields", default="", help="comma-separated field expressions")
+    v.add_argument("--fields", default="",
+                   help="comma-separated field expressions, e.g. coord:0,prod:0,1,poly:0:1,2")
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--output", default=None, help="also write the report to this path")
     v.add_argument("--paper-witness", action="store_true",
@@ -118,6 +120,11 @@ def _build_map(args):
     )
 
 
+# A comma starts a new field expression only before a catalog head, since
+# prod:<i>,<j> and poly:<i>:<c0>,<c1>,... contain commas themselves.
+_FIELD_SEPARATOR = re.compile(r",(?=\s*(?:const|coord|sin|cos|prod|poly):)")
+
+
 def _check_range(flag: str, value: int, hi: int) -> None:
     if not 1 <= value <= hi:
         raise ConstructionError(f"{flag} must be between 1 and {hi}, got {value}")
@@ -131,7 +138,7 @@ def cmd_verify(args) -> int:
     tol = Tolerance(membership_tol=args.membership_tol, identity_tol=args.identity_tol)
     fields = []
     if args.fields:
-        for expr in args.fields.split(","):
+        for expr in _FIELD_SEPARATOR.split(args.fields):
             fields.append(parse_field(expr, m.codomain.dim, m.codomain, radius=1.0))
     reports = run_suite(
         m,

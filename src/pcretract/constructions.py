@@ -7,6 +7,7 @@ restriction is continuous (with a declared Lipschitz bound where known).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -17,12 +18,14 @@ from .core import (
     DIAGONAL_INDEX_LIMIT,
     DiagonalBands,
     DimensionMismatch,
+    EUCLIDEAN,
     FiniteUnion,
     FullSpace,
     Interval,
     NormBand,
     NormKind,
     PieceFamily,
+    Region,
     SetDescriptor,
     Singleton,
     Tolerance,
@@ -43,22 +46,30 @@ class ConstructionError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Codomain regions.  Retracts may be non-closed ([0,1), the open unit ball);
-# they are carried as a membership predicate on the closure (with boundary
-# slack) plus the increasing family of closed sets exhausting them.
+# they are carried as their closure, which decides membership (with boundary
+# slack) and sampling, plus the increasing family of closed sets exhausting
+# them.
 
 
-class Codomain:
-    dim: int
-
-    def contains(self, x, tol=1e-9):
-        raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+class Codomain(Region):
+    @property
+    def closure(self) -> SetDescriptor:
         raise NotImplementedError
 
     @property
+    def dim(self) -> int:
+        return self.closure.dim
+
+    def _contains(self, pts, tol):
+        return self.closure._contains(pts, tol)
+
+    def sample(self, rng, n, cap=8.0):
+        return self.closure.sample(rng, n, cap)
+
+    @property
     def closure_pieces(self) -> PieceFamily:
-        raise NotImplementedError
+        """Closed sets exhausting the retract; the closure itself if closed."""
+        return constant_family(self.closure, label="constant")
 
 
 @dataclass(frozen=True)
@@ -66,18 +77,8 @@ class ClosedRegion(Codomain):
     descriptor: SetDescriptor
 
     @property
-    def dim(self) -> int:
-        return self.descriptor.dim
-
-    def contains(self, x, tol=1e-9):
-        return self.descriptor.contains(x, tol)
-
-    def sample(self, rng, n):
-        return self.descriptor.sample(rng, n)
-
-    @property
-    def closure_pieces(self) -> PieceFamily:
-        return constant_family(self.descriptor, label="constant")
+    def closure(self) -> SetDescriptor:
+        return self.descriptor
 
 
 @dataclass(frozen=True)
@@ -85,23 +86,13 @@ class HalfOpenUnitInterval(Codomain):
     """[0, 1) in R, exhausted by the closed intervals [0, 1 - 1/(k+1)]."""
 
     @property
-    def dim(self) -> int:
-        return 1
-
-    def contains(self, x, tol=1e-9):
-        single = np.asarray(x, dtype=float).ndim == 1
-        t = as_points(x, 1)[:, 0]
-        out = (t >= -tol) & (t <= 1.0 + tol)
-        return bool(out[0]) if single else out
-
-    def sample(self, rng, n):
-        return rng.uniform(0.0, 1.0, size=(n, 1))
+    def closure(self) -> SetDescriptor:
+        return Interval(0.0, 1.0)
 
     @property
     def closure_pieces(self) -> PieceFamily:
         return PieceFamily(
             lambda k: Interval(0.0, 1.0 - 1.0 / (k + 1)),
-            declared_monotone=True,
             label="unit-interval-f-sigma",
         )
 
@@ -114,27 +105,13 @@ class OpenUnitBall(Codomain):
     ndim: int
 
     @property
-    def dim(self) -> int:
-        return self.ndim
-
-    def contains(self, x, tol=1e-9):
-        single = np.asarray(x, dtype=float).ndim == 1
-        r = norm(as_points(x, self.ndim), self.kind)
-        out = r <= 1.0 + tol
-        return bool(out[0]) if single else out
-
-    def sample(self, rng, n):
-        g = rng.normal(size=(n, self.ndim))
-        rg = norm(g, self.kind)
-        rg = np.where(rg == 0.0, 1.0, rg)
-        radii = rng.uniform(0.0, 1.0, size=n)
-        return (g / rg[:, None]) * radii[:, None]
+    def closure(self) -> SetDescriptor:
+        return NormBand(self.kind, 0.0, 1.0, self.ndim)
 
     @property
     def closure_pieces(self) -> PieceFamily:
         return PieceFamily(
             lambda k: NormBand(self.kind, 0.0, 1.0 - 1.0 / (k + 1), self.ndim),
-            declared_monotone=True,
             label="open-ball-f-sigma",
         )
 
@@ -144,21 +121,15 @@ def unit_sphere(kind: NormKind, dim: int) -> ClosedRegion:
 
 
 @dataclass(frozen=True)
-class PuncturedSpace:
+class PuncturedSpace(Region):
     """R^d without the origin; open, so only a membership predicate."""
 
     ndim: int
 
-    @property
-    def dim(self) -> int:
-        return self.ndim
+    def _contains(self, pts, tol):
+        return _off_origin(pts)
 
-    def contains(self, x, tol=0.0):
-        single = np.asarray(x, dtype=float).ndim == 1
-        out = _off_origin(as_points(x, self.ndim))
-        return bool(out[0]) if single else out
-
-    def sample(self, rng, n):
+    def sample(self, rng, n, cap=8.0):
         pts = rng.normal(size=(n, self.ndim)) * 2.0
         return pts[_off_origin(pts)]
 
@@ -177,7 +148,8 @@ class ContinuousMapRule:
     lipschitz: Optional[float] = None
 
     def defined_at(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Where the map is defined (and continuous); everywhere by default."""
+        return np.ones(len(pts), dtype=bool)
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -193,9 +165,6 @@ class Constant(ContinuousMapRule):
 
     lipschitz = 0.0
 
-    def defined_at(self, pts):
-        return np.ones(len(pts), dtype=bool)
-
     def apply(self, pts):
         return np.tile(np.asarray(self.value, dtype=float), (len(pts), 1))
 
@@ -210,9 +179,6 @@ class Clamp1D(ContinuousMapRule):
             raise ConstructionError("clamp requires lo <= hi")
 
     lipschitz = 1.0
-
-    def defined_at(self, pts):
-        return np.ones(len(pts), dtype=bool)
 
     def apply(self, pts):
         return np.clip(pts, self.lo, self.hi)
@@ -248,7 +214,9 @@ class PiecewiseMap:
     validated against the empirical Lipschitz oracle before being trusted.
     ``predicted_index_fn(points, tol)`` returns, per point, a witness index
     whose piece is guaranteed to contain the point (-1 = no piece found,
-    which a cover check must report as a failure).
+    which a cover check must report as a failure).  ``special_points`` are
+    points where the map switches branch (the origin of the sphere
+    retraction); the cover check tests them on top of its random draws.
     """
 
     construction_id: str
@@ -260,6 +228,7 @@ class PiecewiseMap:
     witness: PieceFamily
     piece_lipschitz: Callable[[int], Optional[float]]
     predicted_index_fn: Callable[[np.ndarray, float], np.ndarray]
+    special_points: tuple = ()
 
     def apply(self, pts) -> np.ndarray:
         return self.rule(as_points(pts, self.dim))
@@ -271,8 +240,6 @@ class PiecewiseMap:
         return self.predicted_index_fn(as_points(pts, self.dim), tol)
 
     def replace(self, **changes) -> "PiecewiseMap":
-        import dataclasses
-
         return dataclasses.replace(self, **changes)
 
 
@@ -310,29 +277,11 @@ class PreimageWithin(SetDescriptor):
         }
 
 
-def _scan_index(witness: PieceFamily, cap: int):
-    def fn(pts: np.ndarray, tol: float) -> np.ndarray:
-        idx = np.full(len(pts), -1, dtype=np.int64)
-        for n in range(cap + 1):
-            open_ = idx < 0
-            if not open_.any():
-                break
-            hit = np.asarray(witness.piece_at(n).contains(pts[open_], tol))
-            sel = np.flatnonzero(open_)[hit]
-            idx[sel] = n
-        return idx
-
-    return fn
-
-
-def _frac_split(values: np.ndarray):
-    """floor/fraction split with the wrap guard for frac rounding up to 1.0."""
-    base = np.floor(values)
-    frac = values - base
-    wrap = frac >= 1.0
-    base = np.where(wrap, base + 1.0, base)
-    frac = np.where(wrap, 0.0, frac)
-    return base, frac
+def _fractional_part(values: np.ndarray) -> np.ndarray:
+    """values - floor(values), with the wrap guard for a difference that
+    rounds up to 1.0 (tiny negative inputs)."""
+    frac = values - np.floor(values)
+    return np.where(frac >= 1.0, 0.0, frac)
 
 
 def _diagonal_index(t: np.ndarray, tol: float, signed: bool) -> np.ndarray:
@@ -391,7 +340,7 @@ def _diagonal_family(kind: Optional[NormKind], dim: int, label: str) -> PieceFam
         t = pts[:, 0] if signed else norm(pts, kind)
         return diagonal_membership(t, -m if signed else 0, m, tol)
 
-    return PieceFamily(piece_at, declared_monotone=True, label=label, membership=membership)
+    return PieceFamily(piece_at, label=label, membership=membership)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +356,7 @@ def fractional_part_retraction() -> PiecewiseMap:
     """
 
     def rule(pts):
-        base, frac = _frac_split(pts[:, 0])
-        return frac[:, None]
+        return _fractional_part(pts[:, 0])[:, None]
 
     def predicted(pts, tol):
         return _diagonal_index(pts[:, 0], tol, signed=True)
@@ -426,61 +374,47 @@ def fractional_part_retraction() -> PiecewiseMap:
     )
 
 
+def _identity_map(region: Codomain, pieces: PieceFamily, predicted_index: Callable) -> PiecewiseMap:
+    """The identity on a retract A, witnessed by closed pieces exhausting A."""
+    return PiecewiseMap(
+        construction_id="identity",
+        dim=region.dim,
+        kind=EUCLIDEAN,
+        domain=region,
+        codomain=region,
+        rule=lambda pts: pts,
+        witness=pieces,
+        piece_lipschitz=lambda n: 1.0,
+        predicted_index_fn=predicted_index,
+    )
+
+
 def glue_retraction(
     a_region: Codomain,
     a_pieces: PieceFamily,
     complement_pieces: PieceFamily,
     g: ContinuousMapRule,
     *,
+    predicted_index: Callable,
     construction_id: str = "glue",
     piece_lipschitz: Optional[Callable[[int], Optional[float]]] = None,
-    predicted_index: Optional[Callable] = None,
-    index_scan_cap: int = 64,
-    check_samples: int = 128,
-    check_seed: int = 0,
     tolerance: Tolerance = Tolerance(),
 ) -> PiecewiseMap:
-    """Identity on the retract A, the continuous catalog map g off it.
+    """Identity on the retract A, the continuous catalog map g off it: the
+    extension of the identity on U = A (see extend_retraction).
 
-    Witness piece n is a_pieces(n) ∪ complement_pieces(n).  The factory
-    sample-checks that g is defined on the complement pieces and maps them
-    into A.
+    Witness piece n is a_pieces(n) ∪ complement_pieces(n).  The complement
+    pieces lie off A, so on A ``predicted_index`` names an a_piece.
     """
-    dim = a_region.dim
-    rng = np.random.default_rng(check_seed)
-    for n in range(4):
-        s = piece(complement_pieces, n).sample(rng, check_samples)
-        if len(s) == 0:
-            continue
-        if not np.all(g.defined_at(s)):
-            raise ConstructionError(
-                f"g is undefined on sampled points of complement piece {n}"
-            )
-        imgs = g.apply(s)
-        inside = np.asarray(a_region.contains(imgs, tolerance.membership_tol))
-        if not np.all(inside):
-            raise ConstructionError(
-                f"g maps sampled points of complement piece {n} outside the retract"
-            )
-
-    def rule(pts):
-        on_a = np.asarray(a_region.contains(pts, 0.0))
-        out = pts.copy()
-        if (~on_a).any():
-            out[~on_a] = g.apply(pts[~on_a])
-        return out
-
-    witness = union_family(a_pieces, complement_pieces, label=f"{construction_id}-glued")
-    return PiecewiseMap(
+    return extend_retraction(
+        _identity_map(a_region, a_pieces, predicted_index),
+        g,
+        a_region,
+        complement_pieces,
+        predicted_index=predicted_index,
         construction_id=construction_id,
-        dim=dim,
-        kind=NormKind(2.0),
-        domain=FullSpace(dim),
-        codomain=a_region,
-        rule=rule,
-        witness=witness,
-        piece_lipschitz=piece_lipschitz or (lambda n: None),
-        predicted_index_fn=predicted_index or _scan_index(witness, index_scan_cap),
+        piece_lipschitz=piece_lipschitz,
+        tolerance=tolerance,
     )
 
 
@@ -490,35 +424,34 @@ def extend_retraction(
     u_region,
     complement_pieces: PieceFamily,
     *,
+    predicted_index: Callable,
     construction_id: str = "extend",
     piece_lipschitz: Optional[Callable[[int], Optional[float]]] = None,
-    predicted_index: Optional[Callable] = None,
-    index_scan_cap: int = 64,
-    check_samples: int = 128,
-    check_seed: int = 0,
     tolerance: Tolerance = Tolerance(),
 ) -> PiecewiseMap:
     """Extend a retraction on U to all of X by the continuous map g off U.
 
-    ``u_region`` decides membership in U (an open set, hence a predicate, not
-    a closed descriptor); ``complement_pieces`` is the closed decomposition
-    of X \\ U supplied by the caller, since the descriptor grammar cannot
-    express complements.  Witness piece n is inner.witness(n) ∪
-    complement_pieces(n).
+    ``u_region`` decides membership in U (a region, or any object with a
+    ``contains(points, tol)`` predicate); ``complement_pieces`` is the closed
+    decomposition of X \\ U supplied by the caller, since the descriptor
+    grammar cannot express complements.  Witness piece n is
+    inner.witness(n) ∪ complement_pieces(n).  The factory sample-checks that
+    the retract lies in U (up to membership slack) and that g is defined on
+    the complement pieces and maps them into the retract.
     """
     dim = inner.dim
-    rng = np.random.default_rng(check_seed)
-    a_samples = inner.codomain.sample(rng, check_samples)
-    if not np.all(np.asarray(u_region.contains(a_samples, 0.0))):
+    mtol = tolerance.membership_tol
+    rng = np.random.default_rng(0)
+    a_samples = inner.codomain.sample(rng, 128)
+    if not np.all(np.asarray(u_region.contains(a_samples, mtol))):
         raise ConstructionError("the retract is not contained in U on sampled points")
     for n in range(4):
-        s = piece(complement_pieces, n).sample(rng, check_samples)
+        s = piece(complement_pieces, n).sample(rng, 128)
         if len(s) == 0:
             continue
         if not np.all(g.defined_at(s)):
             raise ConstructionError(f"g is undefined on sampled complement piece {n}")
-        imgs = g.apply(s)
-        if not np.all(np.asarray(inner.codomain.contains(imgs, tolerance.membership_tol))):
+        if not np.all(np.asarray(inner.codomain.contains(g.apply(s), mtol))):
             raise ConstructionError(f"g maps sampled complement piece {n} outside the retract")
 
     def rule(pts):
@@ -530,7 +463,6 @@ def extend_retraction(
             out[~in_u] = g.apply(pts[~in_u])
         return out
 
-    witness = union_family(inner.witness, complement_pieces, label=f"{construction_id}-extended")
     return PiecewiseMap(
         construction_id=construction_id,
         dim=dim,
@@ -538,9 +470,9 @@ def extend_retraction(
         domain=FullSpace(dim),
         codomain=inner.codomain,
         rule=rule,
-        witness=witness,
+        witness=union_family(inner.witness, complement_pieces, label=f"{construction_id}-extended"),
         piece_lipschitz=piece_lipschitz or (lambda n: None),
-        predicted_index_fn=predicted_index or _scan_index(witness, index_scan_cap),
+        predicted_index_fn=predicted_index,
     )
 
 
@@ -564,10 +496,48 @@ def constant_extension(
     )
 
 
+def _origin(dim: int) -> tuple:
+    return (0.0,) * dim
+
+
+def _unit_e1(dim: int) -> tuple:
+    return (1.0,) + _origin(dim - 1)
+
+
+# Predicted indices saturate here: the reciprocal of a distance below
+# 1/INDEX_CAP would overflow the int64 cast (or float64 itself).  A point
+# that no piece up to the cap holds is reported by the cover check.
+INDEX_CAP = 2.0**62
+
+
+def _capped_index(x: np.ndarray) -> np.ndarray:
+    """ceil(x) as int64 piece indices, saturated at INDEX_CAP; x >= 0."""
+    return np.minimum(np.ceil(x), INDEX_CAP).astype(np.int64)
+
+
+def _inverse(t: np.ndarray) -> np.ndarray:
+    """1/t for t >= 0, held at INDEX_CAP where t is smaller than 1/INDEX_CAP."""
+    return 1.0 / np.maximum(t, 1.0 / INDEX_CAP)
+
+
+def _radial_index(kind: NormKind, at_origin: int):
+    """Predicted index of the radial bands {||x|| >= 1/max(n, 1)}: the
+    smallest n >= 1 with 1/n <= ||x||, and ``at_origin`` at the origin."""
+
+    def predicted(pts, tol):
+        r = norm(pts, kind)
+        idx = np.full(len(pts), at_origin, dtype=np.int64)
+        pos = r > 0.0
+        idx[pos] = np.maximum(_capped_index(_inverse(r[pos])), 1)
+        return idx
+
+    return predicted
+
+
 def _radial_bands(kind: NormKind, dim: int, hi: float, label: str, with_origin: bool) -> PieceFamily:
     """Pieces {1/max(n, 1) <= ||x|| <= hi}, each with the origin added when
     ``with_origin``."""
-    origin = Singleton(tuple(0.0 for _ in range(dim)))
+    origin = Singleton(_origin(dim))
 
     def piece_at(n):
         band = NormBand(kind, 1.0 / max(n, 1), hi, dim)
@@ -578,7 +548,7 @@ def _radial_bands(kind: NormKind, dim: int, hi: float, label: str, with_origin: 
         out = (r >= 1.0 / np.maximum(idx, 1) - tol) & (r <= hi + tol)
         return out | origin._contains(pts, tol) if with_origin else out
 
-    return PieceFamily(piece_at, declared_monotone=True, label=label, membership=membership)
+    return PieceFamily(piece_at, label=label, membership=membership)
 
 
 def radial_projection_map(dim: int, kind: NormKind) -> PiecewiseMap:
@@ -586,28 +556,16 @@ def radial_projection_map(dim: int, kind: NormKind) -> PiecewiseMap:
     {||x|| >= 1/n}; the inner retraction used by the extension factories."""
     if dim < 1:
         raise ConstructionError("dimension must be >= 1")
-    sphere = unit_sphere(kind, dim)
-
-    def rule(pts):
-        return RadialProjection(kind).apply(pts)
-
-    def predicted(pts, tol):
-        r = norm(pts, kind)
-        idx = np.full(len(pts), -1, dtype=np.int64)
-        pos = r > 0.0
-        idx[pos] = np.maximum(np.ceil(1.0 / r[pos]).astype(np.int64), 1)
-        return idx
-
     return PiecewiseMap(
         construction_id="radial",
         dim=dim,
         kind=kind,
         domain=PuncturedSpace(dim),
-        codomain=sphere,
-        rule=rule,
+        codomain=unit_sphere(kind, dim),
+        rule=RadialProjection(kind).apply,
         witness=_radial_bands(kind, dim, math.inf, "radial-bands", with_origin=False),
         piece_lipschitz=lambda n: 2.0 * max(n, 1),
-        predicted_index_fn=predicted,
+        predicted_index_fn=_radial_index(kind, -1),
     )
 
 
@@ -632,10 +590,7 @@ def sphere_retraction(
         raise ConstructionError("dimension must be >= 1")
     if ambient not in ("space", "ball"):
         raise ConstructionError("ambient must be 'space' or 'ball'")
-    if t is None:
-        t = np.zeros(dim)
-        t[0] = 1.0
-    t = as_vector(t)
+    t = as_vector(_unit_e1(dim) if t is None else t)
     if len(t) != dim:
         raise DimensionMismatch("t must live in the ambient dimension")
     if abs(norm(t, kind) - 1.0) > tolerance.identity_tol:
@@ -649,13 +604,6 @@ def sphere_retraction(
         if zero.any():
             out[zero] = np.asarray(t)
         return out
-
-    def predicted(pts, tol):
-        r = norm(pts, kind)
-        idx = np.full(len(pts), -1 if paper_witness else 1, dtype=np.int64)
-        pos = r > 0.0
-        idx[pos] = np.maximum(np.ceil(1.0 / r[pos]).astype(np.int64), 1)
-        return idx
 
     return PiecewiseMap(
         construction_id="sphere",
@@ -672,7 +620,8 @@ def sphere_retraction(
             with_origin=not paper_witness,
         ),
         piece_lipschitz=lambda n: 2.0 * max(n, 1),
-        predicted_index_fn=predicted,
+        predicted_index_fn=_radial_index(kind, -1 if paper_witness else 1),
+        special_points=(_origin(dim),),
     )
 
 
@@ -721,6 +670,7 @@ def open_ball_retraction(
         witness=_diagonal_family(kind, dim, "open-ball-diagonal"),
         piece_lipschitz=lambda m: 1.0 if m == 0 else max(3.0, 2.0 * m),
         predicted_index_fn=predicted,
+        special_points=(_origin(dim),),
     )
 
 
@@ -728,7 +678,7 @@ def open_ball_retraction(
 # Canonical instances and the registry used by the CLI and reports
 
 
-def canonical_glue(dim: int = 1, kind: NormKind = NormKind(2.0)) -> PiecewiseMap:
+def canonical_glue() -> PiecewiseMap:
     """X = R, A = [0, 1], g = clamp to [0, 1] off A."""
     a = Interval(0.0, 1.0)
 
@@ -750,13 +700,11 @@ def canonical_glue(dim: int = 1, kind: NormKind = NormKind(2.0)) -> PiecewiseMap
         t = pts[:, 0]
         idx = np.zeros(len(t), dtype=np.int64)
         neg = t < 0.0
-        idx[neg] = np.ceil(
-            np.maximum(np.maximum(-t[neg] - 1.0, 1.0 / (-t[neg]) - 2.0), 0.0)
-        ).astype(np.int64)
+        idx[neg] = _capped_index(np.maximum(np.maximum(-t[neg] - 1.0, _inverse(-t[neg]) - 2.0), 0.0))
         big = t > 1.0
-        idx[big] = np.ceil(
-            np.maximum(np.maximum(t[big] - 2.0, 1.0 / (t[big] - 1.0) - 2.0), 0.0)
-        ).astype(np.int64)
+        idx[big] = _capped_index(
+            np.maximum(np.maximum(t[big] - 2.0, _inverse(t[big] - 1.0) - 2.0), 0.0)
+        )
         return idx
 
     return glue_retraction(
@@ -764,45 +712,36 @@ def canonical_glue(dim: int = 1, kind: NormKind = NormKind(2.0)) -> PiecewiseMap
         constant_family(a, label="retract-constant"),
         PieceFamily(
             complement_at,
-            declared_monotone=True,
             label="complement-intervals",
             membership=complement_membership,
         ),
         Clamp1D(0.0, 1.0),
+        predicted_index=predicted,
         # the glued map coincides with the global clamp, which is 1-Lipschitz
         piece_lipschitz=lambda n: 1.0,
-        predicted_index=predicted,
     )
 
 
 def _punctured_extension(dim: int, kind: NormKind, factory, **kwargs) -> PiecewiseMap:
-    inner = radial_projection_map(dim, kind)
-    origin = Singleton(tuple(0.0 for _ in range(dim)))
-    t = np.zeros(dim)
-    t[0] = 1.0
-    sphere_like = sphere_retraction(dim, kind, t)
-    return factory(
-        inner,
+    m = factory(
+        radial_projection_map(dim, kind),
         u_region=PuncturedSpace(dim),
-        complement_pieces=constant_family(origin, label="origin"),
+        complement_pieces=constant_family(Singleton(_origin(dim)), label="origin"),
         piece_lipschitz=lambda n: 2.0 * max(n, 1),
-        predicted_index=sphere_like.predicted_index_fn,
+        predicted_index=_radial_index(kind, 1),
         **kwargs,
     )
+    return m.replace(special_points=(_origin(dim),))
 
 
 def canonical_extend(dim: int = 2, kind: NormKind = NormKind(2.0)) -> PiecewiseMap:
     """Extension of the radial projection over the puncture by the constant
     map to e1; behaves identically to the sphere retraction."""
-    t = np.zeros(dim)
-    t[0] = 1.0
-    return _punctured_extension(dim, kind, extend_retraction, g=Constant(tuple(t)))
+    return _punctured_extension(dim, kind, extend_retraction, g=Constant(_unit_e1(dim)))
 
 
 def canonical_constant_extension(dim: int = 2, kind: NormKind = NormKind(2.0)) -> PiecewiseMap:
-    t = np.zeros(dim)
-    t[0] = 1.0
-    return _punctured_extension(dim, kind, constant_extension, a0=t)
+    return _punctured_extension(dim, kind, constant_extension, a0=_unit_e1(dim))
 
 
 CONSTRUCTION_IDS = ("fractional", "glue", "extend", "const-extend", "sphere", "open-ball")
@@ -821,7 +760,7 @@ def build_construction(
     if construction_id == "fractional":
         return fractional_part_retraction()
     if construction_id == "glue":
-        return canonical_glue(dim, kind)
+        return canonical_glue()
     if construction_id == "extend":
         return canonical_extend(dim, kind)
     if construction_id == "const-extend":

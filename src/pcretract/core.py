@@ -10,8 +10,8 @@ closedness check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -164,23 +164,24 @@ def _mtol(tol) -> float:
 # Set descriptors
 
 
-class SetDescriptor:
-    """Closed subset of R^d described structurally.
+class Region:
+    """Subset of R^d with a membership test and a seeded sampler.
 
-    Subclasses implement ``dim``, ``contains``, ``sample`` and ``to_json``.
-    ``contains`` applies boundary slack ``tol`` so floating-point boundary
-    points do not spuriously fall outside.
+    Subclasses implement ``dim``, ``_contains`` on an (n, d) batch and
+    ``sample``; ``contains`` is the one public wrapper.  ``tol`` is boundary
+    slack, so floating-point boundary points do not spuriously fall outside.
     """
 
     @property
     def dim(self) -> int:
-        raise NotImplementedError
+        """Ambient dimension d; by default the ``ndim`` field."""
+        return self.ndim
 
     def contains(self, x, tol=1e-9):
-        """Membership test; accepts a single point or an (n, d) batch."""
+        """Membership test; a bool for a single point, a boolean array for
+        an (n, d) batch."""
         single = np.asarray(x, dtype=float).ndim == 1
-        pts = as_points(x, self.dim)
-        out = self._contains(pts, _mtol(tol))
+        out = self._contains(as_points(x, self.dim), _mtol(tol))
         return bool(out[0]) if single else out
 
     def _contains(self, pts: np.ndarray, tol: float) -> np.ndarray:
@@ -193,6 +194,10 @@ class SetDescriptor:
         coverage for property checks, not at measure uniformity.
         """
         raise NotImplementedError
+
+
+class SetDescriptor(Region):
+    """Closed subset of R^d described structurally; serializes to JSON."""
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -231,6 +236,14 @@ class Interval(SetDescriptor):
         return {"variant": "interval", "lo": self.lo, "hi": self.hi}
 
 
+def gaussian_directions(rng: np.random.Generator, n: int, dim: int, kind: NormKind) -> np.ndarray:
+    """n unit vectors under ``kind``: gaussian draws divided by their norm.
+    One ``rng.normal`` call; a zero draw, astronomically unlikely, stays 0."""
+    g = rng.normal(size=(n, dim))
+    r = norm(g, kind)
+    return g / np.where(r == 0.0, 1.0, r)[:, None]
+
+
 def _json_num(v: float):
     return "inf" if math.isinf(v) else v
 
@@ -250,20 +263,12 @@ class NormBand(SetDescriptor):
         if self.ndim < 1:
             raise ValueError("band dimension must be >= 1")
 
-    @property
-    def dim(self) -> int:
-        return self.ndim
-
     def _contains(self, pts, tol):
         r = norm(pts, self.kind)
         return (r >= self.lo - tol) & (r <= self.hi + tol)
 
     def sample(self, rng, n, cap=8.0):
-        g = rng.normal(size=(n, self.ndim))
-        # Degenerate gaussian draws are astronomically unlikely; nudge anyway.
-        rg = norm(g, self.kind)
-        rg = np.where(rg == 0.0, 1.0, rg)
-        dirs = g / rg[:, None]
+        dirs = gaussian_directions(rng, n, self.ndim, self.kind)
         hi = self.hi if math.isfinite(self.hi) else max(self.lo, 1.0) + cap
         radii = rng.uniform(self.lo, hi, size=n)
         return dirs * radii[:, None]
@@ -291,10 +296,6 @@ class Singleton(SetDescriptor):
     @property
     def dim(self) -> int:
         return len(self.point)
-
-    @property
-    def vector(self) -> np.ndarray:
-        return as_vector(self.point)
 
     def _contains(self, pts, tol):
         return fold_columns(pts - np.asarray(self.point), np.abs, np.maximum) <= tol
@@ -410,10 +411,6 @@ class DiagonalBands(SetDescriptor):
             )
 
     @property
-    def dim(self) -> int:
-        return self.ndim
-
-    @property
     def width(self) -> float:
         return 1.0 - 1.0 / (self.m + 1)
 
@@ -509,7 +506,7 @@ def contains(descriptor: SetDescriptor, x, tol=Tolerance()) -> bool:
 
 
 @dataclass(frozen=True)
-class FullSpace:
+class FullSpace(Region):
     """All of R^d, as the domain marker of a total map."""
 
     ndim: int
@@ -518,14 +515,8 @@ class FullSpace:
         if self.ndim < 1:
             raise ValueError("dimension must be >= 1")
 
-    @property
-    def dim(self) -> int:
-        return self.ndim
-
-    def contains(self, x, tol=1e-9):
-        single = np.asarray(x, dtype=float).ndim == 1
-        pts = as_points(x, self.ndim)
-        return True if single else np.ones(len(pts), dtype=bool)
+    def _contains(self, pts, tol):
+        return np.ones(len(pts), dtype=bool)
 
     def sample(self, rng, n, cap=8.0):
         return rng.normal(size=(n, self.ndim)) * (cap / 4.0)
@@ -541,8 +532,8 @@ class FullSpace:
 @dataclass(frozen=True, eq=False)
 class PieceFamily:
     """Increasing sequence n -> closed set, the certificate carried by a
-    witnessed piecewise map.  ``declared_monotone`` records the constructor's
-    claim that piece(n) is contained in piece(n+1); checks sample-test it.
+    witnessed piecewise map.  Every family claims that piece(n) is contained
+    in piece(n+1); checks sample-test the claim.
 
     ``membership(pts, idx, tol)``, when given, is a closed form of
     :meth:`contains_at`.  A family supplies one when its pieces differ only
@@ -552,7 +543,6 @@ class PieceFamily:
     """
 
     piece_at: Callable[[int], SetDescriptor]
-    declared_monotone: bool = True
     label: str = ""
     membership: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
 
@@ -585,7 +575,7 @@ class PieceFamily:
     def to_json(self, upto: int = 3) -> dict:
         return {
             "label": self.label,
-            "declared_monotone": self.declared_monotone,
+            "declared_monotone": True,
             "pieces": [piece(self, n).to_json() for n in range(upto + 1)],
         }
 
@@ -601,7 +591,6 @@ def piece(family: PieceFamily, n: int) -> SetDescriptor:
 def constant_family(descriptor: SetDescriptor, label: str = "") -> PieceFamily:
     return PieceFamily(
         lambda n: descriptor,
-        declared_monotone=True,
         label=label,
         membership=lambda pts, idx, tol: descriptor.contains(pts, tol),
     )
@@ -611,7 +600,6 @@ def union_family(a: PieceFamily, b: PieceFamily, label: str = "") -> PieceFamily
     """Piece n is piece(a, n) ∪ piece(b, n); increasing when a and b are."""
     return PieceFamily(
         lambda n: FiniteUnion((piece(a, n), piece(b, n))),
-        declared_monotone=True,
         label=label,
         membership=lambda pts, idx, tol: a._contains_at(pts, idx, tol) | b._contains_at(pts, idx, tol),
     )

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import PieceFamily, Tolerance, as_points, as_vector
+from .core import FiniteUnion, PieceFamily, Tolerance, as_points, as_vector, piece
 from .constructions import PiecewiseMap, PreimageWithin
 
 
@@ -51,81 +51,53 @@ class ScalarField:
         return float(self.apply(as_vector(x)[None, :])[0])
 
 
+def _catalog_field(label: str, coords: tuple, dim: int, domain, rule, bound, lipschitz) -> ScalarField:
+    """A catalog field that reads the coordinates ``coords``; unbounded when
+    ``bound`` is None."""
+    for i in coords:
+        if not (0 <= i < dim):
+            raise FieldDomainError(f"coordinate {i} out of range for dimension {dim}")
+    return ScalarField(
+        label=label,
+        dim=dim,
+        rule=rule,
+        domain=domain,
+        bounded=bound is not None,
+        bound=bound,
+        lipschitz=lipschitz,
+    )
+
+
 def const_field(c: float, dim: int, domain) -> ScalarField:
     c = float(c)
-    return ScalarField(
-        label=f"const:{c:g}",
-        dim=dim,
-        rule=lambda pts: np.full(len(pts), c),
-        domain=domain,
-        bounded=True,
-        bound=abs(c),
-        lipschitz=0.0,
-    )
+    return _catalog_field(f"const:{c:g}", (), dim, domain, lambda pts: np.full(len(pts), c), abs(c), 0.0)
 
 
 def coord_field(i: int, dim: int, domain, radius: float = 1.0) -> ScalarField:
-    if not (0 <= i < dim):
-        raise FieldDomainError(f"coordinate {i} out of range for dimension {dim}")
     # |x_i| <= ||x||_p for every p >= 1, so `radius` bounds the field.
-    return ScalarField(
-        label=f"coord:{i}",
-        dim=dim,
-        rule=lambda pts: pts[:, i].copy(),
-        domain=domain,
-        bounded=math.isfinite(radius),
-        bound=radius if math.isfinite(radius) else None,
-        lipschitz=1.0,
-    )
+    bound = radius if math.isfinite(radius) else None
+    return _catalog_field(f"coord:{i}", (i,), dim, domain, lambda pts: pts[:, i].copy(), bound, 1.0)
 
 
 def sin_field(i: int, dim: int, domain, radius: float = 1.0) -> ScalarField:
-    if not (0 <= i < dim):
-        raise FieldDomainError(f"coordinate {i} out of range for dimension {dim}")
-    return ScalarField(
-        label=f"sin:{i}",
-        dim=dim,
-        rule=lambda pts: np.sin(pts[:, i]),
-        domain=domain,
-        bounded=True,
-        bound=min(1.0, radius) if math.isfinite(radius) else 1.0,
-        lipschitz=1.0,
-    )
+    bound = min(1.0, radius) if math.isfinite(radius) else 1.0
+    return _catalog_field(f"sin:{i}", (i,), dim, domain, lambda pts: np.sin(pts[:, i]), bound, 1.0)
 
 
 def cos_field(i: int, dim: int, domain, radius: float = 1.0) -> ScalarField:
-    if not (0 <= i < dim):
-        raise FieldDomainError(f"coordinate {i} out of range for dimension {dim}")
-    return ScalarField(
-        label=f"cos:{i}",
-        dim=dim,
-        rule=lambda pts: np.cos(pts[:, i]),
-        domain=domain,
-        bounded=True,
-        bound=1.0,
-        lipschitz=1.0,
-    )
+    return _catalog_field(f"cos:{i}", (i,), dim, domain, lambda pts: np.cos(pts[:, i]), 1.0, 1.0)
 
 
 def prod_field(i: int, j: int, dim: int, domain, radius: float = 1.0) -> ScalarField:
-    if not (0 <= i < dim and 0 <= j < dim):
-        raise FieldDomainError(f"coordinates ({i},{j}) out of range for dimension {dim}")
     finite = math.isfinite(radius)
-    return ScalarField(
-        label=f"prod:{i},{j}",
-        dim=dim,
-        rule=lambda pts: pts[:, i] * pts[:, j],
-        domain=domain,
-        bounded=finite,
-        bound=radius * radius if finite else None,
-        lipschitz=2.0 * radius if finite else None,
+    return _catalog_field(
+        f"prod:{i},{j}", (i, j), dim, domain, lambda pts: pts[:, i] * pts[:, j],
+        radius * radius if finite else None, 2.0 * radius if finite else None,
     )
 
 
 def poly_field(i: int, coeffs: Sequence[float], dim: int, domain, radius: float = 1.0) -> ScalarField:
     """c0 + c1*x_i + c2*x_i^2 + ... in the single coordinate x_i."""
-    if not (0 <= i < dim):
-        raise FieldDomainError(f"coordinate {i} out of range for dimension {dim}")
     coeffs = tuple(float(c) for c in coeffs)
     if not coeffs:
         raise FieldDomainError("polynomial needs at least one coefficient")
@@ -141,10 +113,7 @@ def poly_field(i: int, coeffs: Sequence[float], dim: int, domain, radius: float 
     bound = sum(abs(c) * radius**k for k, c in enumerate(coeffs)) if finite else None
     lip = sum(k * abs(c) * radius ** (k - 1) for k, c in enumerate(coeffs) if k) if finite else None
     label = "poly:" + str(i) + ":" + ",".join(f"{c:g}" for c in coeffs)
-    return ScalarField(
-        label=label, dim=dim, rule=rule, domain=domain,
-        bounded=finite, bound=bound, lipschitz=lip,
-    )
+    return _catalog_field(label, (i,), dim, domain, rule, bound, lip)
 
 
 def linear_combination(terms: Sequence[tuple], label: Optional[str] = None) -> ScalarField:
@@ -206,8 +175,6 @@ def extension_operator(
     f: ScalarField,
     *,
     tolerance: Tolerance = Tolerance(),
-    check_samples: int = 128,
-    check_seed: int = 0,
 ) -> ScalarField:
     """Compose: x -> f(phi(x)), extending f from the retract to phi's domain.
 
@@ -220,8 +187,7 @@ def extension_operator(
         raise FieldDomainError(
             f"field lives in dimension {f.dim}, map retract in {phi.codomain.dim}"
         )
-    rng = np.random.default_rng(check_seed)
-    probe = phi.codomain.sample(rng, check_samples)
+    probe = phi.codomain.sample(np.random.default_rng(0), 128)
     if not np.all(np.asarray(f.domain.contains(probe, tolerance.membership_tol))):
         raise FieldDomainError("field domain does not cover the map's retract (sampled)")
 
@@ -234,8 +200,6 @@ def extension_operator(
         f_witness = f.witness
 
         def refined_at(n):
-            from .core import FiniteUnion, piece
-
             base_piece = piece(phi.witness, n)
             return FiniteUnion(
                 tuple(
@@ -244,7 +208,7 @@ def extension_operator(
                 )
             )
 
-        witness = PieceFamily(refined_at, declared_monotone=True, label="composed-refined")
+        witness = PieceFamily(refined_at, label="composed-refined")
 
     return ScalarField(
         label=f"T[{phi.construction_id}]({f.label})",

@@ -10,13 +10,12 @@ reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .core import (
-    FullSpace,
     Interval,
     NormBand,
     NormKind,
@@ -25,16 +24,11 @@ from .core import (
     Tolerance,
     as_points,
     as_vector,
+    gaussian_directions,
     norm,
     piece,
 )
-from .constructions import (
-    ClosedRegion,
-    Codomain,
-    HalfOpenUnitInterval,
-    OpenUnitBall,
-    PiecewiseMap,
-)
+from .constructions import Codomain, OpenUnitBall, PiecewiseMap
 from .fields import ScalarField, const_field, extension_operator, linear_combination
 
 
@@ -54,8 +48,13 @@ class Sampler:
     [lo, hi]), ``sphere`` (normalized gaussian), ``interval`` (uniform in
     [lo, hi) of R^1), ``grid-circle`` (equispaced angles on the Euclidean
     unit circle), ``grid-interval`` (linspace), ``set`` (descriptor-driven).
-    Shape and radius draws use separate sub-streams of the seed so that the
-    first n points of a draw of m > n equal the draw of n (nested sampling).
+
+    ``ball``, ``sphere`` and ``interval`` nest: direction and radius draws
+    use separate sub-streams of the seed, so the first n points of a draw
+    of m > n equal the draw of n.  The grids and ``set`` do not: a grid of
+    m points is not an extension of a grid of n, and a descriptor draws
+    every part (member choice, directions, radii) from one stream, so what
+    follows the first part depends on the count.
     """
 
     seed: int
@@ -71,16 +70,10 @@ class Sampler:
         if n < 1:
             raise ValueError("sample count must be >= 1")
         if self.strategy == "sphere":
-            g = _rng(self.seed, 11).normal(size=(n, self.dim))
-            r = norm(g, self.kind)
-            r = np.where(r == 0.0, 1.0, r)
-            return g / r[:, None]
+            return gaussian_directions(_rng(self.seed, 11), n, self.dim, self.kind)
         if self.strategy == "ball":
-            g = _rng(self.seed, 11).normal(size=(n, self.dim))
-            r = norm(g, self.kind)
-            r = np.where(r == 0.0, 1.0, r)
-            radii = _rng(self.seed, 13).uniform(self.lo, self.hi, size=n)
-            return (g / r[:, None]) * radii[:, None]
+            dirs = gaussian_directions(_rng(self.seed, 11), n, self.dim, self.kind)
+            return dirs * _rng(self.seed, 13).uniform(self.lo, self.hi, size=n)[:, None]
         if self.strategy == "interval":
             return _rng(self.seed, 11).uniform(self.lo, self.hi, size=(n, 1))
         if self.strategy == "grid-circle":
@@ -96,16 +89,16 @@ class Sampler:
 
 
 def codomain_sampler(codomain: Codomain, seed: int) -> Sampler:
-    if isinstance(codomain, HalfOpenUnitInterval):
-        return Sampler(seed, "interval", dim=1, lo=0.0, hi=1.0)
+    """Sampler of a retract: a nesting strategy for an interval, the open
+    unit ball and the unit sphere, else its closure's own draw (``set``)."""
+    d = codomain.closure
+    if isinstance(d, Interval):
+        return Sampler(seed, "interval", dim=1, lo=d.lo, hi=d.hi)
     if isinstance(codomain, OpenUnitBall):
-        return Sampler(seed, "ball", dim=codomain.dim, kind=codomain.kind, lo=0.0, hi=1.0)
-    if isinstance(codomain, ClosedRegion):
-        d = codomain.descriptor
-        if isinstance(d, NormBand) and d.lo == d.hi == 1.0:
-            return Sampler(seed, "sphere", dim=d.dim, kind=d.kind)
-        return Sampler(seed, "set", dim=d.dim, descriptor=d)
-    raise ValueError(f"no sampler for codomain {codomain!r}")
+        return Sampler(seed, "ball", dim=d.dim, kind=d.kind, lo=0.0, hi=1.0)
+    if isinstance(d, NormBand) and d.lo == d.hi == 1.0:
+        return Sampler(seed, "sphere", dim=d.dim, kind=d.kind)
+    return Sampler(seed, "set", dim=d.dim, descriptor=d)
 
 
 def domain_sampler(m: PiecewiseMap, seed: int, radius: float = 5.0) -> Sampler:
@@ -234,6 +227,19 @@ def check_cover(
     )
 
 
+def _pairs_within(desc, kind, rng, pairs, delta, cap=8.0, max_dist=math.inf):
+    """Seeded point pairs inside ``desc``: x drawn from it, y = x plus a
+    gaussian step of scale delta/2, kept when y stays inside and
+    1e-14 <= ||x - y|| <= max_dist.  Returns x, y and their distances."""
+    x = desc.sample(rng, pairs, cap)
+    y = x + rng.normal(size=x.shape) * (delta / 2.0)
+    keep = np.asarray(desc.contains(y, 0.0))
+    x, y = x[keep], y[keep]
+    dist = norm(x - y, kind)
+    ok = (dist >= 1e-14) & (dist <= max_dist)
+    return x[ok], y[ok], dist[ok]
+
+
 def check_piece_continuity(
     m: PiecewiseMap,
     n: int,
@@ -250,22 +256,14 @@ def check_piece_continuity(
     lip = m.piece_lipschitz(n)
     if lip is None:
         return CheckReport(name, INCONCLUSIVE, 0, 0.0, 0.0)
+    bound = float(lip) * tol_factor
     desc = piece(m.witness, n)
-    rng = _rng(seed, 19)
-    x = desc.sample(rng, pairs)
-    if len(x) == 0:
-        return CheckReport(name, INCONCLUSIVE, 0, 0.0, float(lip) * tol_factor)
-    y = x + rng.normal(size=x.shape) * (delta / 2.0)
-    keep = np.asarray(desc.contains(y, 0.0))
-    x, y = x[keep], y[keep]
-    dist = norm(x - y, m.kind)
-    ok = (dist >= 1e-14) & (dist <= delta)
-    x, y, dist = x[ok], y[ok], dist[ok]
-    if len(x) < min_pairs:
-        return CheckReport(name, INCONCLUSIVE, int(len(x)), 0.0, float(lip) * tol_factor)
+    x, y, dist = _pairs_within(desc, m.kind, _rng(seed, 19), pairs, delta, max_dist=delta)
+    if len(x) < max(min_pairs, 1):
+        return CheckReport(name, INCONCLUSIVE, int(len(x)), 0.0, bound)
     ratio = norm(m.apply(x) - m.apply(y), m.kind) / dist
-    offenders = _worst_points(x, np.where(ratio > lip * tol_factor, ratio, 0.0))
-    return _mk_report(name, len(x), float(np.max(ratio)), float(lip) * tol_factor, offenders)
+    offenders = _worst_points(x, np.where(ratio > bound, ratio, 0.0))
+    return _mk_report(name, len(x), float(np.max(ratio)), bound, offenders)
 
 
 def lipschitz_oracle(
@@ -280,16 +278,7 @@ def lipschitz_oracle(
     witness piece (by index) or an explicit closed set.  Declared per-piece
     constants must dominate this value.  Degenerate pairs are skipped."""
     desc = piece(m.witness, which_piece) if isinstance(which_piece, (int, np.integer)) else which_piece
-    rng = _rng(seed, 23)
-    x = desc.sample(rng, pairs, cap)
-    if len(x) == 0:
-        raise ValueError("piece produced no sample points")
-    y = x + rng.normal(size=x.shape) * (delta / 2.0)
-    keep = np.asarray(desc.contains(y, 0.0))
-    x, y = x[keep], y[keep]
-    dist = norm(x - y, m.kind)
-    ok = dist >= 1e-14
-    x, y, dist = x[ok], y[ok], dist[ok]
+    x, y, dist = _pairs_within(desc, m.kind, _rng(seed, 23), pairs, delta, cap)
     if len(x) == 0:
         raise ValueError("no usable pairs inside the piece")
     ratio = norm(m.apply(x) - m.apply(y), m.kind) / dist
@@ -319,7 +308,6 @@ def check_norm_identity_open_ball(
     if strict_bad.any():
         failures = max(failures, float(np.max(rn[strict_bad])))
         offenders.extend(pts[strict_bad][:10])
-        return _mk_report("open-ball-norm-identity", len(pts), failures, tol, offenders)
     return _mk_report("open-ball-norm-identity", len(pts), failures, tol, offenders)
 
 
@@ -505,9 +493,8 @@ def corrupt_shrinking_witness(m: PiecewiseMap, start: int = 8) -> PiecewiseMap:
     base = m.witness
     fam = PieceFamily(
         lambda k: base.piece_at(max(start - k, 0)),
-        declared_monotone=True,  # the lie this control exists to expose
         label=base.label + "+shrinking",
-    )
+    )  # a PieceFamily claims to increase: the lie this control exists to expose
     return m.replace(witness=fam, construction_id=m.construction_id + "+shrinking-witness")
 
 
@@ -555,9 +542,9 @@ def run_suite(
     tolerance: Tolerance = Tolerance(),
     fields: Sequence[ScalarField] = (),
 ) -> list:
-    """All applicable checks for a construction, in fixed order."""
-    include_origin = m.construction_id.startswith(("sphere", "extend", "const-extend", "open-ball"))
-    extra = [np.zeros(m.dim)] if include_origin else None
+    """All applicable checks for a map, in fixed order.  The cover check
+    also tests the map's special points; a map onto the open unit ball (the
+    open-ball retraction) also gets the open-ball norm identity."""
     reports = [
         check_retraction_identity(m, n=samples, tol=tolerance.identity_tol, seed=seed),
         check_cover(
@@ -566,12 +553,12 @@ def run_suite(
             max_index=max_piece_index,
             seed=seed + 1,
             tolerance=tolerance,
-            extra_points=extra,
+            extra_points=m.special_points,
         ),
     ]
     for k in range(1, max_piece_index + 1):
         reports.append(check_piece_continuity(m, k, pairs=pairs, delta=delta, seed=seed + 2 + k))
-    if m.construction_id.startswith("open-ball"):
+    if isinstance(m.codomain, OpenUnitBall):
         reports.append(
             check_norm_identity_open_ball(m, n=samples, tol=tolerance.identity_tol, seed=seed + 50)
         )

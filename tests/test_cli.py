@@ -72,6 +72,18 @@ class TestVerifyCommand:
         names = [c["check"] for c in json.loads(p.stdout)["checks"]]
         assert "operator-isometry" in names
 
+    @pytest.mark.parametrize("fields", ["prod:0,1", "poly:0:1,2", "coord:0,prod:0,1,poly:0:1,2,sin:1"])
+    def test_fields_with_commas_inside_an_expression(self, fields):
+        # prod and poly use commas themselves; a comma splits only before a
+        # catalog head.
+        p = run_cli(
+            "verify", "--construction", "sphere", "--samples", "400", "--seed", "2",
+            "--fields", fields, "--format", "json",
+        )
+        assert p.returncode == 0, p.stderr
+        names = [c["check"] for c in json.loads(p.stdout)["checks"]]
+        assert "operator-isometry" in names
+
     @pytest.mark.parametrize(
         "flag,bound", [("--samples", 10**7), ("--pairs", 10**7), ("--max-piece-index", 10**4)]
     )

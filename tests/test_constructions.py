@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,7 @@ class TestGlue:
                 constant_family(a),
                 constant_family(Interval(2.0, 3.0)),
                 Clamp1D(5.0, 6.0),  # lands in [5, 6], far from A
+                predicted_index=lambda pts, tol: np.zeros(len(pts), dtype=np.int64),
             )
 
     def test_rejects_g_undefined_on_complement(self):
@@ -180,6 +182,7 @@ class TestGlue:
                 constant_family(NormBand(P2, 1.0, 1.0, 2)),
                 constant_family(Singleton((0.0, 0.0))),
                 RadialProjection(P2),  # undefined at the origin
+                predicted_index=lambda pts, tol: np.zeros(len(pts), dtype=np.int64),
             )
 
     def test_predicted_index_contains(self):
@@ -188,6 +191,32 @@ class TestGlue:
         pred = self.m.predicted_index(xs)
         for x, k in zip(xs, pred):
             assert piece(self.m.witness, int(k)).contains(x, 1e-9)
+
+    @pytest.mark.parametrize("t", [-1e-20, -5e-324, -1e300, 1e300])
+    def test_predicted_index_saturates_without_warning(self, t):
+        # ceil(1/(-t) - 2) used to overflow the int64 cast for -1.1e-19 < t < 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            idx = self.m.predicted_index([[t]])
+            assert 0 <= idx[0] <= 2**62
+            if abs(t) < 1.0:
+                assert check_cover(self.m, n=10, extra_points=[[t]]).passed
+
+
+class TestRadialIndexSaturation:
+    @pytest.mark.parametrize("r", [1e-20, 1e-150])
+    @pytest.mark.parametrize("build", [
+        lambda: sphere_retraction(3, P2),
+        lambda: canonical_extend(3),
+        lambda: radial_projection_map(3, P2),
+    ])
+    def test_tiny_norm_gets_a_capped_index_without_warning(self, build, r):
+        m = build()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            idx = m.predicted_index([[r, 0.0, 0.0]])
+            assert idx[0] == 2**62
+            assert check_cover(m, n=10, extra_points=[[r, 0.0, 0.0]]).passed
 
 
 class TestSphere:
@@ -355,6 +384,7 @@ class TestExtensions:
                 Constant((1.0, 0.0)),
                 Nowhere(),
                 constant_family(Singleton((0.0, 0.0))),
+                predicted_index=lambda pts, tol: np.zeros(len(pts), dtype=np.int64),
             )
 
     def test_retraction_identity_preserved(self):

@@ -59,6 +59,9 @@ class TestSampler:
         small_s = Sampler(7, "sphere", dim=4).draw(50)
         big_s = Sampler(7, "sphere", dim=4).draw(500)
         assert np.array_equal(big_s[:50], small_s)
+        small_i = Sampler(7, "interval", lo=-2.0, hi=3.0).draw(30)
+        big_i = Sampler(7, "interval", lo=-2.0, hi=3.0).draw(300)
+        assert np.array_equal(big_i[:30], small_i)
 
     def test_sphere_strategy_unit_norm(self):
         pts = Sampler(1, "sphere", dim=3, kind=NormKind(1.0)).draw(500)
