@@ -8,6 +8,7 @@ restriction is continuous (with a declared Lipschitz bound where known).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -70,6 +71,13 @@ class Codomain(Region):
     def closure_pieces(self) -> PieceFamily:
         """Closed sets exhausting the retract; the closure itself if closed."""
         return constant_family(self.closure, label="constant")
+
+    @functools.cached_property
+    def probe(self) -> np.ndarray:
+        """128 seeded points of the retract, drawn on first use; read-only."""
+        pts = self.sample(np.random.default_rng(0), 128)
+        pts.flags.writeable = False
+        return pts
 
 
 @dataclass(frozen=True)
@@ -456,6 +464,11 @@ def extend_retraction(
 
     def rule(pts):
         in_u = np.asarray(u_region.contains(pts, 0.0))
+        if in_u.all():
+            # Sampled inputs almost always lie in U: no gather or scatter.
+            # The identity inner hands its input back, so copy it then.
+            out = inner.apply(pts)
+            return out.copy() if np.may_share_memory(out, pts) else out
         out = np.empty_like(pts)
         if in_u.any():
             out[in_u] = inner.apply(pts[in_u])

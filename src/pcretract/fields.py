@@ -187,8 +187,7 @@ def extension_operator(
         raise FieldDomainError(
             f"field lives in dimension {f.dim}, map retract in {phi.codomain.dim}"
         )
-    probe = phi.codomain.sample(np.random.default_rng(0), 128)
-    if not np.all(np.asarray(f.domain.contains(probe, tolerance.membership_tol))):
+    if not np.all(np.asarray(f.domain.contains(phi.codomain.probe, tolerance.membership_tol))):
         raise FieldDomainError("field domain does not cover the map's retract (sampled)")
 
     def rule(pts):

@@ -9,6 +9,7 @@ reports.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -16,6 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (
+    DimensionMismatch,
     Interval,
     NormBand,
     NormKind,
@@ -316,20 +318,53 @@ def _frozen(pts: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _single_slot_memo(phi: PiecewiseMap) -> PiecewiseMap:
-    """phi whose rule returns the cached image, read-only, when it is given
-    the same array object as on its last call.  Callers must pass arrays
-    that nobody writes to, or the cached image goes stale."""
-    base = phi.rule
-    last_pts, last_image = None, None
+def _drawn(sampler: Sampler, n: int, dim: int) -> np.ndarray:
+    """n points of the sampler, validated once and read-only."""
+    return _frozen(as_points(sampler.draw(n), dim))
 
-    def rule(pts):
-        nonlocal last_pts, last_image
-        if pts is not last_pts:
-            last_pts, last_image = pts, _frozen(base(pts))
-        return last_image
 
-    return phi.replace(rule=rule)
+def _memoized(rule: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """rule, remembering the read-only image of each read-only input array
+    by identity: the same array object gets the same image object back.
+    The memo holds the arrays it has seen, so no id is reused while it
+    lives; a writable array could change between calls and is passed
+    straight to rule."""
+    seen = {}
+
+    def memo_rule(pts):
+        if pts.flags.writeable:
+            return rule(pts)
+        hit = seen.get(id(pts))
+        if hit is None:
+            hit = seen[id(pts)] = (pts, _frozen(rule(pts)))
+        return hit[1]
+
+    return memo_rule
+
+
+def _memo_field(f: ScalarField) -> ScalarField:
+    return dataclasses.replace(f, rule=_memoized(f.rule))
+
+
+def _on_dim(f: ScalarField, dim: int) -> ScalarField:
+    """f, once checked to take points of dimension dim, as apply would."""
+    if f.dim != dim:
+        raise DimensionMismatch(f"expected dimension {f.dim}, got {dim}")
+    return f
+
+
+def _not_nan(check: str, value) -> float:
+    """float(value), raising when it is NaN: the max and min that fold a
+    check's violations would silently drop it."""
+    value = float(value)
+    if math.isnan(value):
+        raise ValueError(f"{check} is undefined: its compared values include NaN")
+    return value
+
+
+def _sup_abs(*parts: np.ndarray) -> float:
+    """max |v| over the arrays together (NaN if any value is NaN)."""
+    return float(np.max([np.max(np.abs(p)) for p in parts]))
 
 
 def check_operator_properties(
@@ -347,19 +382,40 @@ def check_operator_properties(
     """Linearity, positivity, extension and sup-norm isometry reports for the
     composition operator f -> f∘phi over the given catalog fields.
 
-    phi is evaluated once per point set (four sets: the linearity/positivity
-    domain draws, the retract draws, and the two isometry sets), however many
-    fields there are: ``operator`` receives phi with a single-slot memo on
-    its rule.  The point sets and phi's images are read-only, so a field
-    rule that writes into its input raises instead of corrupting them.
-    ``operator`` is called once per field, combination and shifted field.
+    The check draws four point sets: n domain points (linearity and
+    positivity), n retract points (extension), and iso_n of each for the
+    isometry.  Each set is validated once when drawn and made read-only, and
+    the check calls rules on it directly rather than through ``apply``; it
+    tests instead that every field and every operator result takes points of
+    phi's dimension.
+
+    phi and every field (the given ones and the shifted fields of the
+    positivity check) carry a memo for the length of the call: each
+    read-only array they are given maps, by identity, to its read-only
+    image.  So phi runs once per point set, on 2n + 2*iso_n points, and each
+    field once per distinct array it sees, however many combinations and
+    extensions reuse it.  A field rule that writes into its input raises
+    instead of corrupting a set or an image.  ``operator`` is called once
+    per field, combination and shifted field.
+
+    The isometry compares sup |Tf| over the domain draws and the retract
+    draws with sup |f| over phi's image of the domain draws and the retract
+    draws; each supremum is the max of its two parts, which is exact.  A
+    NaN in any compared value raises ValueError naming the check.
     """
     if not fields:
         raise ValueError("need at least one field")
-    phi = _single_slot_memo(phi)
-    x_pts = _frozen(as_points(domain_sampler(phi, seed).draw(n), phi.dim))
-    a_pts = _frozen(as_points(codomain_sampler(phi.codomain, seed + 1).draw(n), phi.dim))
-    ext = [operator(phi, f) for f in fields]
+    phi = phi.replace(rule=_memoized(phi.rule))
+    fields = [_memo_field(f) for f in fields]
+
+    def extended(f):
+        return _on_dim(operator(phi, f), phi.dim)
+
+    x_pts = _drawn(domain_sampler(phi, seed), n, phi.dim)
+    a_pts = _drawn(codomain_sampler(phi.codomain, seed + 1), n, phi.dim)
+    ext = [extended(f) for f in fields]
+    for f in fields:
+        _on_dim(f, phi.dim)
     reports = []
 
     # Linearity: T(alpha*f + beta*g) against alpha*Tf + beta*Tg pointwise.
@@ -367,26 +423,29 @@ def check_operator_properties(
     pairs = list(zip(fields, ext))
     for (f, tf), (g, tg) in zip(pairs, pairs[1:] + pairs[:1]):
         comb = linear_combination([(alpha, f), (beta, g)])
-        lhs = operator(phi, comb).apply(x_pts)
-        rhs = alpha * tf.apply(x_pts) + beta * tg.apply(x_pts)
+        lhs = extended(comb).rule(x_pts)
+        rhs = alpha * tf.rule(x_pts) + beta * tg.rule(x_pts)
         scale = np.maximum(1.0, np.abs(rhs))
-        lin_v = max(lin_v, float(np.max(np.abs(lhs - rhs) / scale)))
+        lin_v = max(lin_v, _not_nan("operator-linearity", np.max(np.abs(lhs - rhs) / scale)))
     reports.append(_mk_report("operator-linearity", len(x_pts), lin_v, tolerance.identity_tol))
 
     # Positivity: fields shifted to be nonnegative on the retract must have
     # nonnegative extensions; composition cannot create negativity.
     pos_v = 0.0
     inconclusive = False
-    phi_x = phi.apply(x_pts)
+    phi_x = phi.rule(x_pts)
     for f in fields:
         if not f.bounded:
             continue
-        h = linear_combination([(1.0, f), (1.0, const_field(f.bound, f.dim, f.domain))])
-        premise = min(float(np.min(h.apply(a_pts))), float(np.min(h.apply(phi_x))))
+        h = _memo_field(linear_combination([(1.0, f), (1.0, const_field(f.bound, f.dim, f.domain))]))
+        premise = min(
+            _not_nan("operator-positivity", np.min(h.rule(a_pts))),
+            _not_nan("operator-positivity", np.min(h.rule(phi_x))),
+        )
         if premise < 0.0:
             inconclusive = True
             continue
-        conclusion = float(np.min(operator(phi, h).apply(x_pts)))
+        conclusion = _not_nan("operator-positivity", np.min(extended(h).rule(x_pts)))
         pos_v = max(pos_v, max(0.0, -conclusion))
     rep = _mk_report("operator-positivity", len(x_pts), pos_v, 0.0)
     if inconclusive and rep.status == PASS:
@@ -397,26 +456,25 @@ def check_operator_properties(
     ext_v = 0.0
     ext_off = []
     for f, tf in pairs:
-        dev = np.abs(tf.apply(a_pts) - f.apply(a_pts))
-        ext_v = max(ext_v, float(np.max(dev)))
+        dev = np.abs(tf.rule(a_pts) - f.rule(a_pts))
+        ext_v = max(ext_v, _not_nan("operator-extension", np.max(dev)))
         ext_off.extend(_worst_points(a_pts, np.where(dev > tolerance.identity_tol, dev, 0.0)))
     reports.append(_mk_report("operator-extension", len(a_pts), ext_v, tolerance.identity_tol, ext_off))
 
-    # Isometry on bounded fields: matched seeded sets.  The retract-side set
-    # is the phi-image of the domain draws plus retract draws; since phi
+    # Isometry on bounded fields: matched seeded sets.  The retract side is
+    # the phi-image of the domain draws plus the retract draws; since phi
     # fixes the retract, the two sample suprema must agree.
     iso_v = 0.0
-    xs = _frozen(as_points(domain_sampler(phi, seed + 2).draw(iso_n), phi.dim))
-    as_ = as_points(codomain_sampler(phi.codomain, seed + 3).draw(iso_n), phi.dim)
-    x_set = _frozen(np.concatenate([xs, as_]))
-    a_set = _frozen(np.concatenate([phi.apply(xs), as_]))
+    xs = _drawn(domain_sampler(phi, seed + 2), iso_n, phi.dim)
+    as_ = _drawn(codomain_sampler(phi.codomain, seed + 3), iso_n, phi.dim)
+    phi_xs = phi.rule(xs)
     for f, tf in pairs:
         if not f.bounded:
             continue
-        sup_x = float(np.max(np.abs(tf.apply(x_set))))
-        sup_a = float(np.max(np.abs(f.apply(a_set))))
-        iso_v = max(iso_v, abs(sup_x - sup_a))
-    reports.append(_mk_report("operator-isometry", len(x_set), iso_v, iso_tol))
+        sup_x = _sup_abs(tf.rule(xs), tf.rule(as_))
+        sup_a = _sup_abs(f.rule(phi_xs), f.rule(as_))
+        iso_v = max(iso_v, _not_nan("operator-isometry", abs(sup_x - sup_a)))
+    reports.append(_mk_report("operator-isometry", len(xs) + len(as_), iso_v, iso_tol))
     return reports
 
 

@@ -84,6 +84,19 @@ class TestVerifyCommand:
         names = [c["check"] for c in json.loads(p.stdout)["checks"]]
         assert "operator-isometry" in names
 
+    def test_nan_operator_values_are_a_usage_error(self):
+        # Linearity computes inf - inf on these fields; a NaN used to be
+        # dropped and the run printed ALL PASS.
+        p = run_cli(
+            "verify", "--construction", "sphere", "--dim", "3", "--samples", "300",
+            "--seed", "7", "--fields", "const:1e308,const:-1e308",
+        )
+        assert p.returncode == 2
+        assert p.stdout == b""
+        errors = [line for line in p.stderr.splitlines() if line.startswith(b"error:")]
+        assert errors == [b"error: operator-linearity is undefined: its compared values include NaN"]
+        assert b"Traceback" not in p.stderr
+
     @pytest.mark.parametrize(
         "flag,bound", [("--samples", 10**7), ("--pairs", 10**7), ("--max-piece-index", 10**4)]
     )

@@ -394,6 +394,41 @@ class TestExtensions:
         u /= np.linalg.norm(u, axis=1)[:, None]
         assert np.max(norm(ext.apply(u) - u, P2)) <= 1e-12
 
+    @staticmethod
+    def _batch(name, layout, rows, rng):
+        """rows points of the construction's domain: all in U, all outside
+        it, or in U with outside rows at random positions."""
+        if name == "glue":  # U = [0, 1]
+            pts = rng.uniform(0.0, 1.0, size=(rows, 1))
+            pts[rng.random(rows) < 0.2] = 1.0
+            off = rng.uniform(1.0, 4.0, size=(rows, 1)) * rng.choice([-1.0, 1.0], size=(rows, 1))
+            off = np.where(off > 0.0, off, off + 1.0)  # (-3, 0) ∪ (1, 4)
+        else:  # U = R^3 without the origin
+            pts = rng.normal(size=(rows, 3)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 1))
+            off = np.zeros((rows, 3))
+        if layout == "outside":
+            return off
+        if layout == "mixed":
+            hit = rng.random(rows) < 0.3
+            hit[rng.integers(rows)] = True
+            pts[hit] = off[hit]
+        return pts
+
+    @given(
+        st.sampled_from(["extend", "const-extend", "glue"]),
+        st.sampled_from(["inside", "outside", "mixed"]),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_rows_and_owns_its_memory(self, name, layout, rows, seed):
+        m = build_construction(name, 3, P2)
+        pts = self._batch(name, layout, rows, np.random.default_rng(seed))
+        out = m.apply(pts)
+        by_row = np.stack([m.apply(p[None, :])[0] for p in pts])
+        assert out.tobytes() == by_row.tobytes()
+        assert not np.shares_memory(out, pts)
+
 
 class TestRegistry:
     @pytest.mark.parametrize(

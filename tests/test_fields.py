@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from pcretract.core import NormKind, norm, piece
-from pcretract.constructions import sphere_retraction
+from pcretract.core import NormBand, NormKind, norm, piece
+from pcretract.constructions import ClosedRegion, sphere_retraction
 from pcretract.fields import (
     FieldDomainError,
     UnboundedFieldError,
@@ -120,6 +121,35 @@ class TestExtensionOperator:
         s = refined.sample(rng, 200)
         if len(s):
             assert np.all(piece(sphere.witness, 2).contains(s, 1e-9))
+
+
+@dataclasses.dataclass(frozen=True)
+class CountingCircle(ClosedRegion):
+    """The unit circle, counting its draws in ``draws``."""
+
+    draws: list = dataclasses.field(default_factory=list, compare=False)
+
+    def sample(self, rng, n, cap=8.0):
+        self.draws.append(n)
+        return super().sample(rng, n, cap)
+
+
+class TestRetractProbe:
+    def test_drawn_once_per_codomain(self, sphere):
+        circle = CountingCircle(NormBand(P2, 1.0, 1.0, 2))
+        phi = sphere.replace(codomain=circle)
+        fields = [parse_field(e, 2, circle, 1.0) for e in ("const:1", "coord:0", "sin:1")]
+        for _ in range(5):
+            for f in fields:
+                extension_operator(phi, f)
+        assert circle.draws == [128]
+        assert not circle.probe.flags.writeable
+
+    def test_field_domain_still_tested_per_field(self, sphere, circle):
+        extension_operator(sphere, coord_field(0, 2, circle))
+        annulus = ClosedRegion(NormBand(P2, 2.0, 3.0, 2))
+        with pytest.raises(FieldDomainError, match="does not cover"):
+            extension_operator(sphere, coord_field(0, 2, annulus))
 
 
 class TestSupNorm:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -259,20 +260,41 @@ class TestOperatorEvaluationCount:
 
     def test_phi_evaluated_once_per_point_set(self, phi):
         calls = []
-        counted = phi.replace(rule=lambda pts, r=phi.rule: calls.append(1) or r(pts))
+        counted = phi.replace(rule=lambda pts, r=phi.rule: calls.append(len(pts)) or r(pts))
         built = []
         def operator(p, f):
             built.append(f.label)
             return extension_operator(p, f)
         reps = check_operator_properties(counted, self.fields(phi), n=2000, iso_n=3000, seed=4,
                                          operator=operator)
-        # x_pts, a_pts, the isometry domain draws and the isometry set.
+        # x_pts, a_pts, and the isometry domain and retract draws.
         assert len(calls) == 4
+        assert sum(calls) == 2 * 2000 + 2 * 3000
         # One extension per field, per linear combination, per shifted field.
         assert len(built) == 15
         plain = check_operator_properties(phi, self.fields(phi), n=2000, iso_n=3000, seed=4)
         assert [r.to_json_dict() for r in reps] == [r.to_json_dict() for r in plain]
         assert all(r.status == PASS for r in reps)
+
+    def test_each_field_evaluated_once_per_input_array(self, phi):
+        seen = {}
+
+        def counted(f):
+            def rule(pts, r=f.rule):
+                seen.setdefault(f.label, []).append(pts)
+                return r(pts)
+            return dataclasses.replace(f, rule=rule)
+
+        fields = self.fields(phi)
+        reps = check_operator_properties(phi, [counted(f) for f in fields], n=2000, iso_n=3000, seed=4)
+        plain = check_operator_properties(phi, fields, n=2000, iso_n=3000, seed=4)
+        assert [r.to_json_dict() for r in reps] == [r.to_json_dict() for r in plain]
+        for f in fields:
+            arrays = seen[f.label]
+            assert len({id(a) for a in arrays}) == len(arrays), f.label
+            # phi's image of each of the four sets, the retract draws of the
+            # extension check and those of the isometry check.
+            assert len(arrays) == 6, f.label
 
     @staticmethod
     def scribbler(phi):
@@ -300,6 +322,50 @@ class TestOperatorEvaluationCount:
                                       operator=lambda p, f: f)
         after = check_operator_properties(phi, self.fields(phi), n=500, iso_n=500, seed=2)
         assert [r.to_json_dict() for r in after] == [r.to_json_dict() for r in before]
+
+
+class TestOperatorNaN:
+    """A NaN among the compared values raises, naming the check, instead of
+    being dropped by the max that folds the violations."""
+
+    FIELDS = TestOperatorEvaluationCount.FIELDS
+
+    @staticmethod
+    def nan_operator(where):
+        """extension_operator whose values are NaN wherever
+        ``where(field, points)`` is true."""
+        def operator(p, f):
+            tf = extension_operator(p, f)
+
+            def rule(pts, r=tf.rule):
+                out = r(pts)
+                return np.where(where(f, pts), np.nan, out)
+            return dataclasses.replace(tf, rule=rule)
+        return operator
+
+    @pytest.mark.parametrize("check,where", [
+        ("operator-linearity", lambda f, pts: True),
+        # The shifted fields of the positivity check are labelled 1*f+1*c.
+        ("operator-positivity", lambda f, pts: f.label.startswith("1*")),
+        # Only the retract draws lie on the unit sphere.
+        ("operator-extension", lambda f, pts: np.abs(norm(pts, P2) - 1.0) <= 1e-12),
+        # Only the isometry sets have 300 points.
+        ("operator-isometry", lambda f, pts: len(pts) == 300),
+    ])
+    def test_nan_extension_raises(self, check, where):
+        phi = build_construction("sphere", 3, P2)
+        fields = [parse_field(e, 3, phi.codomain, 1.0) for e in self.FIELDS]
+        with pytest.raises(ValueError, match=f"^{check} is undefined"):
+            check_operator_properties(phi, fields, n=200, iso_n=300, seed=1,
+                                      operator=self.nan_operator(where))
+
+    def test_overflowing_catalog_fields_raise(self):
+        # 2 * 1e308 - 3 * -1e308 overflows to inf on both sides: inf - inf.
+        phi = build_construction("sphere", 3, P2)
+        fields = [parse_field(e, 3, phi.codomain, 1.0) for e in ("const:1e308", "const:-1e308")]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^operator-linearity is undefined"):
+                check_operator_properties(phi, fields, n=200, iso_n=300, seed=1)
 
 
 class TestBorsukDemo:
