@@ -236,12 +236,16 @@ class Interval(SetDescriptor):
         return {"variant": "interval", "lo": self.lo, "hi": self.hi}
 
 
+def _unit_rows(g: np.ndarray, kind: NormKind) -> np.ndarray:
+    """Each row of g divided by its norm; a zero row stays 0."""
+    r = norm(g, kind)
+    return g / np.where(r == 0.0, 1.0, r)[:, None]
+
+
 def gaussian_directions(rng: np.random.Generator, n: int, dim: int, kind: NormKind) -> np.ndarray:
     """n unit vectors under ``kind``: gaussian draws divided by their norm.
     One ``rng.normal`` call; a zero draw, astronomically unlikely, stays 0."""
-    g = rng.normal(size=(n, dim))
-    r = norm(g, kind)
-    return g / np.where(r == 0.0, 1.0, r)[:, None]
+    return _unit_rows(rng.normal(size=(n, dim)), kind)
 
 
 def _json_num(v: float):
@@ -435,11 +439,18 @@ class DiagonalBands(SetDescriptor):
             lo = which.astype(float)
             hi = lo + self.width
             return (lo + (hi - lo) * rng.random(n))[:, None]
-        # A band draws normals then radii, so its draws cannot be batched.
+        # A band draws normals then radii, so the draws stay one member at a
+        # time; normalizing and scaling are row-wise, so they run once.
         ns, counts = np.unique(which, return_counts=True)
-        return _stack(
-            [self.member(int(k)).sample(rng, int(c), cap) for k, c in zip(ns, counts)], self.ndim
-        )
+        g = np.empty((n, self.ndim))
+        radii = np.empty(n)
+        end = 0
+        for k, c in zip(ns, counts):
+            lo = float(k)  # member k's radii, as in member(k)
+            g[end:end + c] = rng.normal(size=(c, self.ndim))
+            radii[end:end + c] = rng.uniform(lo, lo + self.width, size=c)
+            end += c
+        return _unit_rows(g, self.kind) * radii[:, None]
 
     def to_json(self):
         if self.m - self.start < EXPANDED_JSON_CAP:
