@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -134,6 +135,9 @@ def cmd_verify(args) -> int:
     _check_range("--samples", args.samples, MAX_SAMPLES)
     _check_range("--pairs", args.pairs, MAX_SAMPLES)
     _check_range("--max-piece-index", args.max_piece_index, MAX_PIECE_INDEX)
+    for flag, value in (("--membership-tol", args.membership_tol), ("--identity-tol", args.identity_tol)):
+        if not 0.0 < value < math.inf:  # an infinite tolerance passes every check
+            raise ConstructionError(f"{flag} must be a finite number > 0, got {value}")
     m = _build_map(args)
     tol = Tolerance(membership_tol=args.membership_tol, identity_tol=args.identity_tol)
     fields = []

@@ -32,6 +32,7 @@ from .core import (
     Tolerance,
     as_points,
     as_vector,
+    by_columns,
     constant_family,
     diagonal_membership,
     fold_columns,
@@ -138,7 +139,7 @@ class PuncturedSpace(Region):
         return _off_origin(pts)
 
     def sample(self, rng, n, cap=8.0):
-        pts = rng.normal(size=(n, self.ndim)) * 2.0
+        pts = rng.standard_normal(size=(n, self.ndim)) * 2.0
         return pts[_off_origin(pts)]
 
 
@@ -205,7 +206,7 @@ class RadialProjection(ContinuousMapRule):
         r = norm(pts, self.kind)
         if np.any(r == 0.0):
             raise ConstructionError("radial projection evaluated at the origin")
-        return pts / r[:, None]
+        return by_columns(pts, (np.divide, r[:, None]))
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +440,13 @@ def extend_retraction(
 ) -> PiecewiseMap:
     """Extend a retraction on U to all of X by the continuous map g off U.
 
-    ``u_region`` decides membership in U (a region, or any object with a
-    ``contains(points, tol)`` predicate); ``complement_pieces`` is the closed
+    ``u_region`` is the region U; ``complement_pieces`` is the closed
     decomposition of X \\ U supplied by the caller, since the descriptor
     grammar cannot express complements.  Witness piece n is
     inner.witness(n) ∪ complement_pieces(n).  The factory sample-checks that
     the retract lies in U (up to membership slack) and that g is defined on
-    the complement pieces and maps them into the retract.
+    the complement pieces and maps them into the retract.  The rule gets
+    validated points, so it tests U and runs the inner rule directly.
     """
     dim = inner.dim
     mtol = tolerance.membership_tol
@@ -463,15 +464,15 @@ def extend_retraction(
             raise ConstructionError(f"g maps sampled complement piece {n} outside the retract")
 
     def rule(pts):
-        in_u = np.asarray(u_region.contains(pts, 0.0))
+        in_u = u_region._contains(pts, 0.0)
         if in_u.all():
             # Sampled inputs almost always lie in U: no gather or scatter.
             # The identity inner hands its input back, so copy it then.
-            out = inner.apply(pts)
+            out = inner.rule(pts)
             return out.copy() if np.may_share_memory(out, pts) else out
         out = np.empty_like(pts)
         if in_u.any():
-            out[in_u] = inner.apply(pts[in_u])
+            out[in_u] = inner.rule(pts[in_u])
         if (~in_u).any():
             out[~in_u] = g.apply(pts[~in_u])
         return out
@@ -612,8 +613,7 @@ def sphere_retraction(
     def rule(pts):
         r = norm(pts, kind)
         zero = r == 0.0
-        safe = np.where(zero, 1.0, r)
-        out = pts / safe[:, None]
+        out = by_columns(pts, (np.divide, np.where(zero, 1.0, r)[:, None]))
         if zero.any():
             out[zero] = np.asarray(t)
         return out
@@ -665,7 +665,7 @@ def open_ball_retraction(
         zero = r == 0.0
         safe = np.where(zero, 1.0, r)
         factor = 1.0 - np.floor(r) / safe
-        out = factor[:, None] * pts
+        out = by_columns(pts, (np.multiply, factor[:, None]))
         if zero.any():
             out[zero] = 0.0
         return out

@@ -104,6 +104,28 @@ def fold_columns(a: np.ndarray, f: Callable, op: np.ufunc) -> np.ndarray:
     return r
 
 
+def by_columns(a: np.ndarray, *steps) -> np.ndarray:
+    """A new (n, d) array: a with each ``(ufunc, operand)`` step applied in
+    turn, as ``a = ufunc(a, operand)``.  An operand is an (n, 1) array, one
+    value per row, or a (d,) array, one value per column.
+
+    Below COLUMN_LOOP_WIDTH columns this runs column by column, since
+    numpy's loop over a broadcast short row handles d elements at a time.
+    The steps act elementwise, so both ways give the same bits.
+    """
+    if a.shape[1] >= COLUMN_LOOP_WIDTH:
+        for op, b in steps:
+            a = op(a, b)
+        return a
+    out = np.empty(a.shape)
+    for j in range(a.shape[1]):
+        col, src = out[:, j], a[:, j]
+        for op, b in steps:
+            op(src, b[:, 0] if b.ndim == 2 else b[j], out=col)
+            src = col
+    return out
+
+
 def norm(x, kind: NormKind = EUCLIDEAN) -> Union[float, np.ndarray]:
     """p-norm or max-norm of a point or an (n, d) batch.
 
@@ -150,8 +172,11 @@ class Tolerance:
     identity_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (self.membership_tol > 0 and self.identity_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        for name in ("membership_tol", "identity_tol"):
+            value = getattr(self, name)
+            # An infinite tolerance would pass every check it bounds.
+            if not 0.0 < value < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be a finite number > 0, got {value}")
 
 
 def _mtol(tol) -> float:
@@ -236,16 +261,22 @@ class Interval(SetDescriptor):
         return {"variant": "interval", "lo": self.lo, "hi": self.hi}
 
 
-def _unit_rows(g: np.ndarray, kind: NormKind) -> np.ndarray:
-    """Each row of g divided by its norm; a zero row stays 0."""
+def _unit_rows(g: np.ndarray, kind: NormKind, radii: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each row of g divided by its norm, then times radii[i] when given, in
+    one column pass; a zero row stays 0."""
     r = norm(g, kind)
-    return g / np.where(r == 0.0, 1.0, r)[:, None]
+    steps = [(np.divide, np.where(r == 0.0, 1.0, r)[:, None])]
+    if radii is not None:
+        steps.append((np.multiply, radii[:, None]))
+    return by_columns(g, *steps)
 
 
 def gaussian_directions(rng: np.random.Generator, n: int, dim: int, kind: NormKind) -> np.ndarray:
     """n unit vectors under ``kind``: gaussian draws divided by their norm.
-    One ``rng.normal`` call; a zero draw, astronomically unlikely, stays 0."""
-    return _unit_rows(rng.normal(size=(n, dim)), kind)
+    One ``rng.standard_normal`` call, which gives the bits of
+    ``rng.normal(size=(n, dim))`` without its ``0 + 1 * z`` pass; a zero
+    draw, astronomically unlikely, stays 0."""
+    return _unit_rows(rng.standard_normal(size=(n, dim)), kind)
 
 
 def _json_num(v: float):
@@ -272,10 +303,9 @@ class NormBand(SetDescriptor):
         return (r >= self.lo - tol) & (r <= self.hi + tol)
 
     def sample(self, rng, n, cap=8.0):
-        dirs = gaussian_directions(rng, n, self.ndim, self.kind)
+        g = rng.standard_normal(size=(n, self.ndim))
         hi = self.hi if math.isfinite(self.hi) else max(self.lo, 1.0) + cap
-        radii = rng.uniform(self.lo, hi, size=n)
-        return dirs * radii[:, None]
+        return _unit_rows(g, self.kind, rng.uniform(self.lo, hi, size=n))
 
     def to_json(self):
         return {
@@ -302,7 +332,8 @@ class Singleton(SetDescriptor):
         return len(self.point)
 
     def _contains(self, pts, tol):
-        return fold_columns(pts - np.asarray(self.point), np.abs, np.maximum) <= tol
+        offset = by_columns(pts, (np.subtract, np.asarray(self.point)))
+        return fold_columns(offset, np.abs, np.maximum) <= tol
 
     def sample(self, rng, n, cap=8.0):
         return np.tile(np.asarray(self.point, dtype=float), (n, 1))
@@ -433,24 +464,25 @@ class DiagonalBands(SetDescriptor):
 
     def sample(self, rng, n, cap=8.0):
         # Same generator stream as expand().sample: member choice first, then
-        # each drawn member's points in member order.
+        # each drawn member's points in member order.  A band member draws
+        # its normals then its uniforms, so those draws go member by member
+        # into slices of one buffer, cut where the sorted choice changes.
+        # uniform(lo, hi) is lo + (hi - lo) * u, so all radii (or
+        # coordinates), then the rows' normalizing and scaling, take one
+        # pass each.
         which = np.sort(rng.integers(0, self.m - self.start + 1, size=n)) + self.start
+        u = np.empty(n)
         if self.kind is None:
-            lo = which.astype(float)
-            hi = lo + self.width
-            return (lo + (hi - lo) * rng.random(n))[:, None]
-        # A band draws normals then radii, so the draws stay one member at a
-        # time; normalizing and scaling are row-wise, so they run once.
-        ns, counts = np.unique(which, return_counts=True)
-        g = np.empty((n, self.ndim))
-        radii = np.empty(n)
-        end = 0
-        for k, c in zip(ns, counts):
-            lo = float(k)  # member k's radii, as in member(k)
-            g[end:end + c] = rng.normal(size=(c, self.ndim))
-            radii[end:end + c] = rng.uniform(lo, lo + self.width, size=c)
-            end += c
-        return _unit_rows(g, self.kind) * radii[:, None]
+            rng.random(out=u)
+        else:
+            g = np.empty((n, self.ndim))
+            cuts = [0, *(np.flatnonzero(np.diff(which)) + 1).tolist(), n]
+            for a, b in zip(cuts, cuts[1:]):
+                rng.standard_normal(out=g[a:b])
+                rng.random(out=u[a:b])
+        lo = which.astype(float)  # member k's bounds, as in member(k)
+        radii = lo + ((lo + self.width) - lo) * u
+        return radii[:, None] if self.kind is None else _unit_rows(g, self.kind, radii)
 
     def to_json(self):
         if self.m - self.start < EXPANDED_JSON_CAP:
@@ -477,10 +509,10 @@ class Translate(SetDescriptor):
         return self.base.dim
 
     def _contains(self, pts, tol):
-        return self.base._contains(pts - np.asarray(self.offset), tol)
+        return self.base._contains(by_columns(pts, (np.subtract, np.asarray(self.offset))), tol)
 
     def sample(self, rng, n, cap=8.0):
-        return self.base.sample(rng, n, cap) + np.asarray(self.offset)
+        return by_columns(self.base.sample(rng, n, cap), (np.add, np.asarray(self.offset)))
 
     def to_json(self):
         return {"variant": "translate", "base": self.base.to_json(), "offset": list(self.offset)}
@@ -530,7 +562,7 @@ class FullSpace(Region):
         return np.ones(len(pts), dtype=bool)
 
     def sample(self, rng, n, cap=8.0):
-        return rng.normal(size=(n, self.ndim)) * (cap / 4.0)
+        return rng.standard_normal(size=(n, self.ndim)) * (cap / 4.0)
 
     def to_json(self):
         return {"variant": "full_space", "dim": self.ndim}
@@ -603,7 +635,7 @@ def constant_family(descriptor: SetDescriptor, label: str = "") -> PieceFamily:
     return PieceFamily(
         lambda n: descriptor,
         label=label,
-        membership=lambda pts, idx, tol: descriptor.contains(pts, tol),
+        membership=lambda pts, idx, tol: descriptor._contains(pts, tol),
     )
 
 

@@ -24,6 +24,7 @@ from .core import (
     PieceFamily,
     SetDescriptor,
     Tolerance,
+    _unit_rows,
     as_points,
     as_vector,
     gaussian_directions,
@@ -74,8 +75,8 @@ class Sampler:
         if self.strategy == "sphere":
             return gaussian_directions(_rng(self.seed, 11), n, self.dim, self.kind)
         if self.strategy == "ball":
-            dirs = gaussian_directions(_rng(self.seed, 11), n, self.dim, self.kind)
-            return dirs * _rng(self.seed, 13).uniform(self.lo, self.hi, size=n)[:, None]
+            g = _rng(self.seed, 11).standard_normal(size=(n, self.dim))
+            return _unit_rows(g, self.kind, _rng(self.seed, 13).uniform(self.lo, self.hi, size=n))
         if self.strategy == "interval":
             return _rng(self.seed, 11).uniform(self.lo, self.hi, size=(n, 1))
         if self.strategy == "grid-circle":
@@ -176,12 +177,13 @@ def check_retraction_identity(
     tol: float = 1e-12,
     seed: int = 0,
 ) -> CheckReport:
-    """max over retract samples of ||r(a) - a||; a retraction fixes them all."""
+    """max over retract samples of ||r(a) - a||; a retraction fixes them all.
+    The draw is validated once and the rule runs on it directly."""
     sampler = sampler or codomain_sampler(m.codomain, seed)
     pts = as_points(sampler.draw(n), m.dim)
     if len(pts) == 0:
         raise ValueError("codomain sampler produced no points")
-    dev = norm(m.apply(pts) - pts, m.kind)
+    dev = norm(m.rule(pts) - pts, m.kind)
     offenders = _worst_points(pts, np.where(dev > tol, dev, 0.0))
     return _mk_report("retraction-identity", len(pts), float(np.max(dev)), tol, offenders)
 
@@ -222,7 +224,9 @@ def check_cover(
 ) -> CheckReport:
     """Every domain sample lies in its predicted witness piece, and sampled
     points of piece(n) lie in piece(n+1) for n < max_index.  The pieces are
-    drawn in order from one generator and tested a batch at a time."""
+    drawn in order from one generator and tested a batch at a time.  Each
+    drawn set is validated once; the predicted index and the witness test
+    then run on it directly."""
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
     sampler = sampler or domain_sampler(m, seed)
@@ -233,9 +237,9 @@ def check_cover(
 
     # Offenders: uncovered points, then points outside their predicted piece
     # by index and input position, then monotonicity misses by k.
-    idx = m.predicted_index(pts, tol)
+    idx = m.predicted_index_fn(pts, tol)
     covered = idx >= 0
-    inside = m.witness.contains_at(pts[covered], idx[covered], tol)
+    inside = m.witness._contains_at(pts[covered], idx[covered], tol)
     missed = np.flatnonzero(covered)[~inside]
     missed = missed[np.argsort(idx[missed], kind="stable")]
     offenders = [pts[~covered][:10], pts[missed][:10]]
@@ -247,7 +251,7 @@ def check_cover(
         draws = [piece(m.witness, ks[i]).sample(rng, piece_samples) for i in group]
         s = as_points(np.concatenate(draws), m.dim)
         grown = np.repeat([ks[i] + 1 for i in group], [len(d) for d in draws])
-        inside = m.witness.contains_at(s, grown, tol)
+        inside = m.witness._contains_at(s, grown, tol)
         offenders.append(s[~inside][:10])
         failures += int(np.sum(~inside))
 
@@ -287,7 +291,7 @@ def _pair_ratios(m, draws, within, pairs, delta, cap=8.0, max_dist=math.inf, min
             raise DimensionMismatch(f"expected dimension {m.dim}, got {x.shape[1]}")
         stop = end + len(x)
         xs[end:stop] = x
-        ys[end:stop] = rng.normal(size=x.shape)
+        rng.standard_normal(out=ys[end:stop])
         which[end:stop] = i
         end = stop
     x, y, which = as_points(xs[:end], m.dim), ys[:end], which[:end]
@@ -395,7 +399,7 @@ def check_norm_identity_open_ball(
     sampler = sampler or Sampler(seed, "ball", dim=m.dim, kind=m.kind, lo=0.0, hi=radius)
     pts = as_points(sampler.draw(n), m.dim)
     r = norm(pts, m.kind)
-    rn = norm(m.apply(pts), m.kind)
+    rn = norm(m.rule(pts), m.kind)
     dev = np.abs(rn - (r - np.floor(r)))
     eligible = np.abs(r - np.round(r)) >= integer_gap
     strict_bad = eligible & (rn >= 1.0)

@@ -105,6 +105,14 @@ class TestVerifyCommand:
         assert p.returncode == 2
         assert flag.encode() in p.stderr
 
+    @pytest.mark.parametrize("flag", ["--membership-tol", "--identity-tol"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1e-9"])
+    def test_tolerance_flags_finite_and_positive(self, flag, value):
+        p = run_cli("verify", "--construction", "sphere", "--samples", "100", f"{flag}={value}")
+        assert p.returncode == 2
+        assert p.stderr.startswith(b"error: " + flag.encode())
+        assert p.stdout == b""
+
     @pytest.mark.parametrize("command", ["verify", "witness"])
     @pytest.mark.parametrize("construction", ["fractional", "glue"])
     @pytest.mark.parametrize(

@@ -382,6 +382,13 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(identity_tol=-1e-9)
 
+    @pytest.mark.parametrize("field", ["membership_tol", "identity_tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, field, value):
+        # An infinite tolerance would make every check it bounds pass.
+        with pytest.raises(ValueError, match=field):
+            Tolerance(**{field: value})
+
 
 class TestFullSpace:
     def test_contains_everything(self):

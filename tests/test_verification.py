@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pcretract import constructions, core, verification
 from pcretract.core import NormBand, NormKind, Tolerance, norm, piece
 from pcretract.constructions import (
     build_construction,
@@ -98,6 +99,40 @@ class TestIdentityCheck:
         assert r.status == FAIL
         assert r.max_violation == pytest.approx(0.5, abs=1e-12)
         assert len(r.witness_points) > 0
+
+    def test_halved_cannot_pass_under_an_infinite_tolerance(self, sphere):
+        # Tolerance(identity_tol=inf) used to let run_suite pass this
+        # control's retraction identity with a violation of 0.5.
+        with pytest.raises(ValueError, match="identity_tol"):
+            run_suite(corrupt_halved(sphere), samples=200, tolerance=Tolerance(identity_tol=math.inf))
+
+
+class TestValidatedOnce:
+    """The identity and cover checks validate each set they draw once and
+    then call the rule, the predicted index and the witness directly."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+
+        def counting(x, dim=None, real=core.as_points):
+            calls.append(np.shape(x))
+            return real(x, dim)
+
+        for module in (core, constructions, verification):
+            monkeypatch.setattr(module, "as_points", counting)
+        return calls
+
+    @pytest.mark.parametrize("cid", ["extend", "glue", "open-ball"])
+    def test_identity_and_cover(self, cid, validations):
+        m = build_construction(cid, 1 if cid == "glue" else 3, P2)
+        validations.clear()  # the factory's own sample checks
+        check_retraction_identity(m, n=500, seed=1)
+        assert len(validations) == 1
+        validations.clear()
+        check_cover(m, n=500, max_index=3, piece_samples=100, extra_points=m.special_points or None)
+        # The draw, the special points if any, and one monotonicity batch.
+        assert len(validations) == (3 if m.special_points else 2)
 
 
 class TestCoverCheck:
