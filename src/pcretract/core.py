@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -216,7 +216,11 @@ class Region:
         """Seeded points of the set, as an (m, d) array with m <= n.
 
         ``cap`` bounds the radius used for unbounded bands.  Sampling aims at
-        coverage for property checks, not at measure uniformity.
+        coverage for property checks, not at measure uniformity.  The calls
+        a draw makes on ``rng`` are part of its contract: sample_pieces,
+        which draws several sets at once (DiagonalBands of one kind and
+        dimension as one batch), must leave every generator where this
+        method leaves it.
         """
         raise NotImplementedError
 
@@ -336,7 +340,9 @@ class Singleton(SetDescriptor):
         return fold_columns(offset, np.abs, np.maximum) <= tol
 
     def sample(self, rng, n, cap=8.0):
-        return np.tile(np.asarray(self.point, dtype=float), (n, 1))
+        out = np.empty((n, self.dim))
+        out[:] = self.point
+        return out
 
     def to_json(self):
         return {"variant": "singleton", "point": list(self.point)}
@@ -375,12 +381,8 @@ class FiniteUnion(SetDescriptor):
         return out
 
     def sample(self, rng, n, cap=8.0):
-        which = rng.integers(0, len(self.members), size=n)
-        chunks = []
-        for i, m in enumerate(self.members):
-            k = int(np.sum(which == i))
-            if k:
-                chunks.append(m.sample(rng, k, cap))
+        counts = np.bincount(rng.integers(0, len(self.members), size=n), minlength=len(self.members))
+        chunks = [m.sample(rng, k, cap) for m, k in zip(self.members, counts.tolist()) if k]
         return _stack(chunks, self.dim)
 
     def to_json(self):
@@ -463,26 +465,9 @@ class DiagonalBands(SetDescriptor):
         return diagonal_membership(t, self.start, self.m, tol)
 
     def sample(self, rng, n, cap=8.0):
-        # Same generator stream as expand().sample: member choice first, then
-        # each drawn member's points in member order.  A band member draws
-        # its normals then its uniforms, so those draws go member by member
-        # into slices of one buffer, cut where the sorted choice changes.
-        # uniform(lo, hi) is lo + (hi - lo) * u, so all radii (or
-        # coordinates), then the rows' normalizing and scaling, take one
-        # pass each.
-        which = np.sort(rng.integers(0, self.m - self.start + 1, size=n)) + self.start
-        u = np.empty(n)
-        if self.kind is None:
-            rng.random(out=u)
-        else:
-            g = np.empty((n, self.ndim))
-            cuts = [0, *(np.flatnonzero(np.diff(which)) + 1).tolist(), n]
-            for a, b in zip(cuts, cuts[1:]):
-                rng.standard_normal(out=g[a:b])
-                rng.random(out=u[a:b])
-        lo = which.astype(float)  # member k's bounds, as in member(k)
-        radii = lo + ((lo + self.width) - lo) * u
-        return radii[:, None] if self.kind is None else _unit_rows(g, self.kind, radii)
+        # The one-piece batch of sample_pieces: the generator calls and bits
+        # of expand().sample (see _draw_bands).
+        return _draw_bands([(self, rng)], n)
 
     def to_json(self):
         if self.m - self.start < EXPANDED_JSON_CAP:
@@ -490,6 +475,73 @@ class DiagonalBands(SetDescriptor):
         along = {"coordinate": 0} if self.kind is None else {"norm": self.kind.label()}
         return {"variant": "diagonal_bands", **along,
                 "start": self.start, "m": self.m, "dim": self.ndim}
+
+
+def _drawn_members(choice: np.ndarray, span: int):
+    """The distinct values of ``choice`` (integers in [0, span)), ascending,
+    and how often each occurs.  One bincount when span is not much larger
+    than the draw; a sort when it is, so a far piece costs no span-sized
+    array."""
+    if span > 8 * len(choice) + 64:
+        return np.unique(choice, return_counts=True)
+    counts = np.bincount(choice)
+    members = np.flatnonzero(counts)
+    return members, counts[members]
+
+
+def _draw_bands(draws: Sequence[tuple], n: int) -> np.ndarray:
+    """n points of each (DiagonalBands, generator) pair, all of one kind and
+    dimension, in one (len(draws) * n, d) array.
+
+    Each piece calls its generator as ``expand().sample`` does: the member
+    choice, then for each drawn member in member order its uniforms (along
+    the coordinate) or its normals then its uniforms (along a norm).  Those
+    draws fill the piece's rows of one buffer, member by member, so they
+    land sorted by member.  Member k's uniform(lo, hi) is lo + (hi - lo) * u
+    with lo = float(k) and hi = lo + width, as in member(k); the radii (or
+    coordinates) of the whole batch take one pass, and its rows' normalizing
+    and scaling another.
+    """
+    kind, d = draws[0][0].kind, draws[0][0].ndim
+    total = len(draws) * n
+    u, lo, width = np.empty(total), np.empty(total), np.empty(total)
+    g = None if kind is None else np.empty((total, d))
+    for i, (band, rng) in enumerate(draws):
+        a, b = i * n, (i + 1) * n
+        span = band.m - band.start + 1
+        members, counts = _drawn_members(rng.integers(0, span, size=n), span)
+        lo[a:b] = np.repeat(members + band.start, counts)
+        width[a:b] = band.width
+        if kind is None:
+            rng.random(out=u[a:b])
+        else:
+            for c in counts.tolist():
+                rng.standard_normal(out=g[a:a + c])
+                rng.random(out=u[a:a + c])
+                a += c
+    radii = lo + ((lo + width) - lo) * u
+    return radii[:, None] if kind is None else _unit_rows(g, kind, radii)
+
+
+def sample_pieces(draws: Sequence[tuple], n: int, cap: float = 8.0) -> tuple:
+    """Up to n points of each (piece, generator) pair of ``draws``, drawn in
+    order: one (rows, d) array and the number of rows each piece gave.
+
+    Every piece makes on its generator exactly the calls of
+    ``piece.sample(rng, n, cap)`` and gives the same rows, bit for bit, so a
+    generator shared by several pieces ends where drawing them one after
+    another leaves it.  When every piece is a DiagonalBands of one kind and
+    dimension, the batch is drawn by one routine (the one
+    ``DiagonalBands.sample`` uses), which computes the radii and scales the
+    rows once for all pieces; any other list is drawn piece by piece.
+    """
+    if not draws:
+        raise ValueError("need at least one piece to draw")
+    first = draws[0][0]
+    if all(isinstance(p, DiagonalBands) and p.kind == first.kind and p.ndim == first.ndim for p, _ in draws):
+        return _draw_bands(draws, n), np.full(len(draws), n)
+    parts = [p.sample(rng, n, cap) for p, rng in draws]
+    return np.concatenate(parts), np.array([len(x) for x in parts])
 
 
 @dataclass(frozen=True)
@@ -583,6 +635,12 @@ class PieceFamily:
     in parameters that can be computed per point, such as band radii; it
     must repeat the pieces' own float operations, so that it gives the same
     booleans as ``piece(idx[i]).contains``.
+
+    The checks draw several pieces at once through :func:`sample_pieces`.
+    Pieces that are all DiagonalBands of one kind and dimension (the
+    ``fractional`` and ``open-ball`` witnesses) draw as one batch, with the
+    generator calls and bits of drawing each piece alone; any other pieces
+    draw one at a time through their own ``sample``.
     """
 
     piece_at: Callable[[int], SetDescriptor]

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import FiniteUnion, PieceFamily, Tolerance, as_points, as_vector, piece
+from .core import DimensionMismatch, FiniteUnion, PieceFamily, Tolerance, as_points, as_vector, piece
 from .constructions import PiecewiseMap, PreimageWithin
 
 
@@ -187,7 +187,12 @@ def extension_operator(
         raise FieldDomainError(
             f"field lives in dimension {f.dim}, map retract in {phi.codomain.dim}"
         )
-    if not np.all(np.asarray(f.domain.contains(phi.codomain.probe, tolerance.membership_tol))):
+    # The probe is a read-only draw of the retract, so only its dimension
+    # is checked before the domain tests it.
+    probe = phi.codomain.probe
+    if f.domain.dim != probe.shape[1]:
+        raise DimensionMismatch(f"expected dimension {f.domain.dim}, got {probe.shape[1]}")
+    if not np.all(f.domain._contains(probe, tolerance.membership_tol)):
         raise FieldDomainError("field domain does not cover the map's retract (sampled)")
 
     def rule(pts):

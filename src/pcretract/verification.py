@@ -30,6 +30,7 @@ from .core import (
     gaussian_directions,
     norm,
     piece,
+    sample_pieces,
 )
 from .constructions import Codomain, OpenUnitBall, PiecewiseMap
 from .fields import ScalarField, const_field, extension_operator, linear_combination
@@ -229,6 +230,8 @@ def check_cover(
     then run on it directly."""
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
+    if piece_samples < 0:
+        raise ValueError(f"piece_samples must be >= 0, got {piece_samples}")
     sampler = sampler or domain_sampler(m, seed)
     pts = as_points(sampler.draw(n), m.dim)
     if extra_points is not None and len(extra_points):
@@ -248,9 +251,9 @@ def check_cover(
     rng = _rng(seed, 17)
     ks = range(1, max_index)
     for group in _batches([piece_samples] * len(ks)):
-        draws = [piece(m.witness, ks[i]).sample(rng, piece_samples) for i in group]
-        s = as_points(np.concatenate(draws), m.dim)
-        grown = np.repeat([ks[i] + 1 for i in group], [len(d) for d in draws])
+        drawn, sizes = sample_pieces([(piece(m.witness, ks[i]), rng) for i in group], piece_samples)
+        s = as_points(drawn, m.dim)
+        grown = np.repeat([ks[i] + 1 for i in group], sizes)
         inside = m.witness._contains_at(s, grown, tol)
         offenders.append(s[~inside][:10])
         failures += int(np.sum(~inside))
@@ -274,27 +277,22 @@ def _pair_ratios(m, draws, within, pairs, delta, cap=8.0, max_dist=math.inf, min
     ``within(y, which)`` (``which`` gives each row's position in draws) and
     1e-14 <= ||x - y|| <= max_dist.
 
-    Every draw fills its rows of one buffer from its own generator; the
-    membership test, the distances, the map and the ratios then run once
-    over all rows.  They are row-wise float operations, so each draw gets the
-    bits it would get alone.  Returns (kept pairs, x, ratios) per draw; a
-    draw with fewer than max(min_pairs, 1) kept pairs gets x and ratios
+    The generators must be distinct objects, one per draw.  All x are drawn
+    first, in one sample_pieces call, then each generator draws its piece's
+    steps; a generator that served two draws would give the second piece's
+    x the first piece's steps.  The x are validated once, as one batch, and
+    the membership test, the distances, the map and the ratios then run once
+    over all rows.  They are row-wise float operations, so each draw gets
+    the bits it would get alone.  Returns (kept pairs, x, ratios) per draw;
+    a draw with fewer than max(min_pairs, 1) kept pairs gets x and ratios
     None, and the map is never evaluated on its points.
     """
-    xs = np.empty((len(draws) * pairs, m.dim))
-    ys = np.empty_like(xs)
-    which = np.empty(len(xs), dtype=np.intp)
-    end = 0
-    for i, (desc, rng) in enumerate(draws):
-        x = desc.sample(rng, pairs, cap)
-        if x.shape[1] != m.dim:
-            raise DimensionMismatch(f"expected dimension {m.dim}, got {x.shape[1]}")
-        stop = end + len(x)
-        xs[end:stop] = x
-        rng.standard_normal(out=ys[end:stop])
-        which[end:stop] = i
-        end = stop
-    x, y, which = as_points(xs[:end], m.dim), ys[:end], which[:end]
+    x, sizes = sample_pieces(draws, pairs, cap)
+    x = as_points(x, m.dim)
+    y = np.empty_like(x)
+    for (_, rng), rows in zip(draws, np.split(y, np.cumsum(sizes)[:-1])):
+        rng.standard_normal(out=rows)
+    which = np.repeat(np.arange(len(draws)), sizes)
     y *= delta / 2.0
     y += x
     dist = norm(x - y, m.kind)
@@ -303,7 +301,6 @@ def _pair_ratios(m, draws, within, pairs, delta, cap=8.0, max_dist=math.inf, min
     used = np.where(kept >= max(min_pairs, 1), kept, 0)
     keep &= (used > 0)[which]
     x, y, dist = np.compress(keep, x, axis=0), np.compress(keep, y, axis=0), dist[keep]
-    del xs, ys  # the kept rows are copies; free the batch before the map runs
     ratio = norm(m.rule(x) - m.rule(y), m.kind) / dist if len(x) else dist
     return [
         (int(k), x[e - u:e], ratio[e - u:e]) if u else (int(k), None, None)
@@ -329,7 +326,7 @@ def _piece_continuity_reports(m, ks, seeds, pairs, delta, tol_factor=1.0 + 1e-9,
         draws = [(piece(m.witness, k), _rng(seed, 19)) for k, seed, _ in batch]
 
         def within(y, which):
-            return m.witness.contains_at(y, idx[which], 0.0)
+            return m.witness._contains_at(y, idx[which], 0.0)
 
         results = _pair_ratios(m, draws, within, pairs, delta, max_dist=delta, min_pairs=min_pairs)
         for (k, _, bound), (kept, x, ratio) in zip(batch, results):
@@ -707,6 +704,8 @@ def run_suite(
     report equals that of check_piece_continuity(m, k, seed=seed + 2 + k)
     and batching cannot change it."""
     _check_pair_args(pairs, delta)
+    if max_piece_index < 1:
+        raise ValueError(f"max_piece_index must be >= 1, got {max_piece_index}")
     reports = [
         check_retraction_identity(m, n=samples, tol=tolerance.identity_tol, seed=seed),
         check_cover(

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcretract import verification
+from pcretract import core, verification
 from pcretract.constructions import CONSTRUCTION_IDS, build_construction, sphere_retraction
 from pcretract.core import DiagonalBands, FiniteUnion, NormBand, NormKind, PieceFamily, Singleton, norm, piece
 from pcretract.verification import (
@@ -263,3 +263,25 @@ class TestPairArguments:
     def test_bad_delta(self, m, call, delta):
         with pytest.raises(ValueError, match="delta must be a finite number > 0"):
             self.CALLS[call](m, pairs=100, delta=delta)
+
+    def test_negative_piece_samples(self, m):
+        with pytest.raises(ValueError, match="piece_samples must be >= 0, got -1"):
+            check_cover(m, n=50, piece_samples=-1)
+
+    @pytest.mark.parametrize("max_piece_index", [0, -3])
+    def test_max_piece_index_below_one(self, m, max_piece_index):
+        with pytest.raises(ValueError, match=f"max_piece_index must be >= 1, got {max_piece_index}"):
+            run_suite(m, samples=50, max_piece_index=max_piece_index)
+
+
+class TestOneValidationPerBatch:
+    @pytest.mark.parametrize("construction, dim", [("open-ball", 3), ("fractional", 1), ("sphere", 3)])
+    @pytest.mark.parametrize("count", [1, 4, 5, 10])
+    def test_each_batch_is_validated_once(self, construction, dim, count):
+        m = build_construction(construction, dim, P2)
+        per_batch = verification.BATCH_ROWS // 2000  # pieces of 2,000 pairs
+        ks = range(1, count + 1)
+        checked = mock.Mock(wraps=core.as_points)
+        with mock.patch.object(verification, "as_points", checked), mock.patch.object(core, "as_points", checked):
+            verification._piece_continuity_reports(m, ks, ks, 2000, 1e-3)
+        assert checked.call_count == math.ceil(count / per_batch)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from pcretract.core import NormBand, NormKind, norm, piece
+from pcretract import core
+from pcretract.core import DimensionMismatch, NormBand, NormKind, norm, piece
 from pcretract.constructions import ClosedRegion, sphere_retraction
 from pcretract.fields import (
     FieldDomainError,
@@ -150,6 +151,19 @@ class TestRetractProbe:
         annulus = ClosedRegion(NormBand(P2, 2.0, 3.0, 2))
         with pytest.raises(FieldDomainError, match="does not cover"):
             extension_operator(sphere, coord_field(0, 2, annulus))
+
+    def test_domain_of_another_dimension(self, sphere):
+        ball3 = ClosedRegion(NormBand(P2, 0.0, 2.0, 3))
+        with pytest.raises(DimensionMismatch, match="expected dimension 3, got 2"):
+            extension_operator(sphere, coord_field(0, 2, ball3))
+
+    def test_probe_not_revalidated(self, sphere, circle):
+        f = coord_field(0, 2, circle)
+        extension_operator(sphere, f)  # draws the probe
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "as_points", lambda *a, **k: pytest.fail("probe re-validated"))
+            for _ in range(3):
+                extension_operator(sphere, f)
 
 
 class TestSupNorm:

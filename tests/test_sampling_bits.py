@@ -2,13 +2,16 @@
 
 The ``ref_*`` functions are the earlier allocate-and-broadcast code:
 ``rng.normal`` and ``rng.uniform`` draws of fresh arrays, one draw pair per
-member of a diagonal piece found with ``np.unique``, and row scaling by
-``[:, None]`` broadcasts.  Norms come from ``np.linalg.norm``, which
-``core.norm`` equals bit for bit (see test_core).  Every sampler, rule and
-membership test that now fills buffers or scales column by column must
-return the same array, signs of zeros included, for row widths on both
-sides of COLUMN_LOOP_WIDTH.  The gaussian step of the continuity pairs is
-checked against its reference in test_batched_continuity.
+member of a diagonal piece found with ``np.unique``, a union's member
+counts by ``np.sum(which == i)``, singletons by ``np.tile``, and row
+scaling by ``[:, None]`` broadcasts.  Norms come from ``np.linalg.norm``,
+which ``core.norm`` equals bit for bit (see test_core).  Every sampler,
+rule and membership test that now fills buffers or scales column by column
+must return the same array, signs of zeros included, for row widths on
+both sides of COLUMN_LOOP_WIDTH, and ``sample_pieces`` must equal these
+references drawn one piece at a time, generator states included.  The
+gaussian step of the continuity pairs is checked against its reference in
+test_batched_continuity.
 """
 
 import math
@@ -35,6 +38,7 @@ from pcretract.core import (
     NormKind,
     Singleton,
     Translate,
+    sample_pieces,
 )
 from pcretract.verification import Sampler
 
@@ -76,7 +80,9 @@ def ref_sample(desc, rng, n, cap=8.0):
         return np.concatenate(chunks) if chunks else np.empty((0, desc.dim))
     if isinstance(desc, Translate):
         return ref_sample(desc.base, rng, n, cap) + np.asarray(desc.offset)
-    return desc.sample(rng, n, cap)  # Interval, Singleton: draws unchanged
+    if isinstance(desc, Singleton):
+        return np.tile(np.asarray(desc.point, dtype=float), (n, 1))
+    return desc.sample(rng, n, cap)  # Interval: draws unchanged
 
 
 def ref_draw(s, n):
@@ -137,6 +143,7 @@ def descriptors(draw):
         DiagonalBands(None, -m, m, 1),
         DiagonalBands(None, draw(st.integers(-m, m)), m, 1),
         FiniteUnion((Singleton((0.0,) * d), band)),
+        FiniteUnion((band, Singleton(offset), Translate(band, offset))),
         Translate(band, offset),
         Translate(Interval(-1.0, 2.0), offset[:1]),
     ]))
@@ -147,10 +154,12 @@ class TestDescriptorSamples:
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_same_bits_as_reference(self, desc, n, cap, seed):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         with np.errstate(over="ignore"):  # p:400 norms of large draws overflow, on both sides
-            got = desc.sample(np.random.default_rng(seed), n, cap)
-            want = ref_sample(desc, np.random.default_rng(seed), n, cap)
+            got = desc.sample(got_rng, n, cap)
+            want = ref_sample(desc, want_rng, n, cap)
         assert_same_bits(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_many_members(self):
         for desc in (DiagonalBands(NormKind(1.5), 0, 200, 3), DiagonalBands(None, -200, 200, 1)):
@@ -167,6 +176,69 @@ class TestDescriptorSamples:
         got = PuncturedSpace(d).sample(np.random.default_rng(seed), n)
         want = np.random.default_rng(seed).normal(size=(n, d)) * 2.0
         assert_same_bits(got, want[np.any(want != 0.0, axis=1)])
+
+
+def _diagonal_pieces(kind, d, ms):
+    """The witness pieces of ``fractional`` (kind None) or ``open-ball``."""
+    return [DiagonalBands(None, -m, m, 1) if kind is None else DiagonalBands(kind, 0, m, d) for m in ms]
+
+
+class TestSamplePieces:
+    """sample_pieces against ref_sample drawn piece by piece."""
+
+    @staticmethod
+    def _check(pieces, n, seeds, shared):
+        def rngs():
+            if shared:
+                rng = np.random.default_rng(seeds[0])
+                return [rng] * len(pieces)
+            return [np.random.default_rng(s) for s in seeds[:len(pieces)]]
+
+        got_rngs, want_rngs = rngs(), rngs()
+        with np.errstate(over="ignore"):
+            got, sizes = sample_pieces(list(zip(pieces, got_rngs)), n)
+            want = [ref_sample(p, rng, n) for p, rng in zip(pieces, want_rngs)]
+        assert sizes.tolist() == [len(w) for w in want]
+        assert_same_bits(got, np.concatenate(want))
+        for g, w in zip(got_rngs, want_rngs):
+            assert g.bit_generator.state == w.bit_generator.state
+
+    @given(family=st.sampled_from(["fractional", "open-ball"]), kind=st.sampled_from(KINDS),
+           d=st.sampled_from(DIMS), ms=st.lists(st.integers(0, 200) | st.just(0), min_size=1, max_size=12),
+           n=st.sampled_from(COUNTS), shared=st.booleans(),
+           seeds=st.lists(st.integers(0, 2**32 - 1), min_size=12, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_and_states_as_one_piece_at_a_time(self, family, kind, d, ms, n, shared, seeds):
+        if family == "fractional":
+            kind, d = None, 1
+        self._check(_diagonal_pieces(kind, d, ms), n, seeds, shared)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("kind", [None, NormKind(1.5)])
+    def test_repeated_and_far_pieces(self, kind, shared):
+        # Repeats, piece 0, and pieces whose members far outnumber the draw
+        # (drawn members found by sorting instead of counting).
+        ms = [0, 3, 3, 0, 200, 10**6, 2**52 - 1, 3]
+        for n in COUNTS:
+            self._check(_diagonal_pieces(kind, 3, ms), n, list(range(len(ms))), shared)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_other_pieces_draw_one_at_a_time(self, shared):
+        d = 3
+        band = NormBand(NormKind(2.0), 0.5, 2.0, d)
+        mixes = [
+            [DiagonalBands(NormKind(2.0), 0, 4, d), band],  # not all diagonal
+            [DiagonalBands(NormKind(2.0), 0, 4, d), DiagonalBands(NormKind(1.0), 0, 4, d)],  # two kinds
+            [FiniteUnion((Singleton((0.0,) * d), band)), Translate(band, (1.0, 2.0, 3.0))],
+            [PuncturedSpace(d), PuncturedSpace(d)],  # may draw fewer than n rows
+        ]
+        for pieces in mixes:
+            for n in COUNTS:
+                self._check(pieces, n, [5, 6], shared)
+
+    def test_no_pieces(self):
+        with pytest.raises(ValueError, match="at least one piece"):
+            sample_pieces([], 10)
 
 
 class TestSamplerDraws:
