@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .core import EUCLIDEAN, NormKind, Tolerance, piece
+from .core import DEFAULT_TOLERANCE, EUCLIDEAN, NormKind, Tolerance, piece
 from .constructions import (
     CONSTRUCTION_IDS,
     ConstructionError,
@@ -38,9 +38,12 @@ MAX_PIECE_INDEX = 10**4
 def _env_seed() -> int:
     raw = os.environ.get(SEED_ENV, "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ValueError(f"{SEED_ENV} must be >= 0, got {seed}")
+    return seed
 
 
 def _fmt(x: float) -> str:
@@ -63,28 +66,26 @@ def build_parser() -> argparse.ArgumentParser:
                         help="'p:<value>' or 'max'; fractional and glue take only p:2")
         sp.add_argument("--seed", type=int, default=None,
                         help=f"defaults to ${SEED_ENV}, else 0")
+        sp.add_argument("--paper-witness", action="store_true",
+                        help="sphere only: use the un-augmented band witness, which misses the origin")
+        sp.add_argument("--allow-low-dim", action="store_true",
+                        help="open-ball only: permit dimension 1 (exploration)")
 
     v = sub.add_parser("verify", help="run the full check suite for a construction")
     common(v)
     v.add_argument("--samples", type=int, default=10_000)
     v.add_argument("--max-piece-index", type=int, default=10)
     v.add_argument("--pairs", type=int, default=2_000)
-    v.add_argument("--membership-tol", type=float, default=1e-9)
-    v.add_argument("--identity-tol", type=float, default=1e-12)
+    v.add_argument("--membership-tol", type=float, default=DEFAULT_TOLERANCE.membership_tol)
+    v.add_argument("--identity-tol", type=float, default=DEFAULT_TOLERANCE.identity_tol)
     v.add_argument("--fields", default="",
                    help="comma-separated field expressions, e.g. coord:0,prod:0,1,poly:0:1,2")
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--output", default=None, help="also write the report to this path")
-    v.add_argument("--paper-witness", action="store_true",
-                   help="sphere only: use the un-augmented band witness, which misses the origin")
-    v.add_argument("--allow-low-dim", action="store_true",
-                   help="open-ball only: permit dimension 1 (exploration)")
 
     w = sub.add_parser("witness", help="print a witness piece as descriptor JSON")
     common(w)
     w.add_argument("--n", type=int, required=True)
-    w.add_argument("--paper-witness", action="store_true")
-    w.add_argument("--allow-low-dim", action="store_true")
 
     d = sub.add_parser("demo", help="discontinuity-at-the-origin evidence table")
     d.add_argument("--dim", type=int, default=2)
@@ -116,8 +117,8 @@ def _build_map(args):
         args.construction,
         dim,
         kind,
-        paper_witness=getattr(args, "paper_witness", False),
-        allow_low_dim=getattr(args, "allow_low_dim", False),
+        paper_witness=args.paper_witness,
+        allow_low_dim=args.allow_low_dim,
     )
 
 
@@ -222,8 +223,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", 0) is None:
+        seed = getattr(args, "seed", 0)  # demo draws nothing and has no seed
+        if seed is None:
             args.seed = _env_seed()
+        elif seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {seed}")
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "witness":

@@ -11,11 +11,12 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from .core import (
+    DEFAULT_TOLERANCE,
     DIAGONAL_INDEX_LIMIT,
     DiagonalBands,
     DimensionMismatch,
@@ -29,7 +30,6 @@ from .core import (
     Region,
     SetDescriptor,
     Singleton,
-    Tolerance,
     as_points,
     as_vector,
     by_columns,
@@ -49,8 +49,7 @@ class ConstructionError(ValueError):
 # ---------------------------------------------------------------------------
 # Codomain regions.  Retracts may be non-closed ([0,1), the open unit ball);
 # they are carried as their closure, which decides membership (with boundary
-# slack) and sampling, plus the increasing family of closed sets exhausting
-# them.
+# slack) and sampling.
 
 
 class Codomain(Region):
@@ -65,13 +64,8 @@ class Codomain(Region):
     def _contains(self, pts, tol):
         return self.closure._contains(pts, tol)
 
-    def sample(self, rng, n, cap=8.0):
-        return self.closure.sample(rng, n, cap)
-
-    @property
-    def closure_pieces(self) -> PieceFamily:
-        """Closed sets exhausting the retract; the closure itself if closed."""
-        return constant_family(self.closure, label="constant")
+    def sample(self, rng, n):
+        return self.closure.sample(rng, n)
 
     @functools.cached_property
     def probe(self) -> np.ndarray:
@@ -92,23 +86,16 @@ class ClosedRegion(Codomain):
 
 @dataclass(frozen=True)
 class HalfOpenUnitInterval(Codomain):
-    """[0, 1) in R, exhausted by the closed intervals [0, 1 - 1/(k+1)]."""
+    """[0, 1) in R, carried as its closure [0, 1]."""
 
     @property
     def closure(self) -> SetDescriptor:
         return Interval(0.0, 1.0)
 
-    @property
-    def closure_pieces(self) -> PieceFamily:
-        return PieceFamily(
-            lambda k: Interval(0.0, 1.0 - 1.0 / (k + 1)),
-            label="unit-interval-f-sigma",
-        )
-
 
 @dataclass(frozen=True)
 class OpenUnitBall(Codomain):
-    """{||x|| < 1}, exhausted by the closed bands {||x|| <= 1 - 1/(k+1)}."""
+    """{||x|| < 1}, carried as its closure {||x|| <= 1}."""
 
     kind: NormKind
     ndim: int
@@ -116,13 +103,6 @@ class OpenUnitBall(Codomain):
     @property
     def closure(self) -> SetDescriptor:
         return NormBand(self.kind, 0.0, 1.0, self.ndim)
-
-    @property
-    def closure_pieces(self) -> PieceFamily:
-        return PieceFamily(
-            lambda k: NormBand(self.kind, 0.0, 1.0 - 1.0 / (k + 1), self.ndim),
-            label="open-ball-f-sigma",
-        )
 
 
 def unit_sphere(kind: NormKind, dim: int) -> ClosedRegion:
@@ -138,7 +118,7 @@ class PuncturedSpace(Region):
     def _contains(self, pts, tol):
         return _off_origin(pts)
 
-    def sample(self, rng, n, cap=8.0):
+    def sample(self, rng, n):
         pts = rng.standard_normal(size=(n, self.ndim)) * 2.0
         return pts[_off_origin(pts)]
 
@@ -154,8 +134,6 @@ def _off_origin(pts: np.ndarray) -> np.ndarray:
 
 
 class ContinuousMapRule:
-    lipschitz: Optional[float] = None
-
     def defined_at(self, pts: np.ndarray) -> np.ndarray:
         """Where the map is defined (and continuous); everywhere by default."""
         return np.ones(len(pts), dtype=bool)
@@ -172,8 +150,6 @@ class Constant(ContinuousMapRule):
         object.__setattr__(self, "value", tuple(float(c) for c in self.value))
         as_vector(self.value)
 
-    lipschitz = 0.0
-
     def apply(self, pts):
         return np.tile(np.asarray(self.value, dtype=float), (len(pts), 1))
 
@@ -186,8 +162,6 @@ class Clamp1D(ContinuousMapRule):
     def __post_init__(self):
         if self.lo > self.hi:
             raise ConstructionError("clamp requires lo <= hi")
-
-    lipschitz = 1.0
 
     def apply(self, pts):
         return np.clip(pts, self.lo, self.hi)
@@ -245,7 +219,7 @@ class PiecewiseMap:
     def __call__(self, x) -> np.ndarray:
         return self.apply(as_vector(x)[None, :])[0]
 
-    def predicted_index(self, pts, tol: float = 1e-9) -> np.ndarray:
+    def predicted_index(self, pts, tol: float = DEFAULT_TOLERANCE.membership_tol) -> np.ndarray:
         return self.predicted_index_fn(as_points(pts, self.dim), tol)
 
     def replace(self, **changes) -> "PiecewiseMap":
@@ -272,9 +246,9 @@ class PreimageWithin(SetDescriptor):
             out[out] = np.asarray(self.base.contains(imgs, tol))
         return out
 
-    def sample(self, rng, n, cap=8.0):
-        pts = self.piece.sample(rng, 4 * n, cap)
-        keep = np.asarray(self.base.contains(self.mapping.apply(pts), 1e-9))
+    def sample(self, rng, n):
+        pts = self.piece.sample(rng, 4 * n)
+        keep = np.asarray(self.base.contains(self.mapping.apply(pts), DEFAULT_TOLERANCE.membership_tol))
         return pts[keep][:n]
 
     def to_json(self):
@@ -407,7 +381,6 @@ def glue_retraction(
     predicted_index: Callable,
     construction_id: str = "glue",
     piece_lipschitz: Optional[Callable[[int], Optional[float]]] = None,
-    tolerance: Tolerance = Tolerance(),
 ) -> PiecewiseMap:
     """Identity on the retract A, the continuous catalog map g off it: the
     extension of the identity on U = A (see extend_retraction).
@@ -423,7 +396,6 @@ def glue_retraction(
         predicted_index=predicted_index,
         construction_id=construction_id,
         piece_lipschitz=piece_lipschitz,
-        tolerance=tolerance,
     )
 
 
@@ -436,7 +408,6 @@ def extend_retraction(
     predicted_index: Callable,
     construction_id: str = "extend",
     piece_lipschitz: Optional[Callable[[int], Optional[float]]] = None,
-    tolerance: Tolerance = Tolerance(),
 ) -> PiecewiseMap:
     """Extend a retraction on U to all of X by the continuous map g off U.
 
@@ -449,7 +420,7 @@ def extend_retraction(
     validated points, so it tests U and runs the inner rule directly.
     """
     dim = inner.dim
-    mtol = tolerance.membership_tol
+    mtol = DEFAULT_TOLERANCE.membership_tol
     rng = np.random.default_rng(0)
     a_samples = inner.codomain.sample(rng, 128)
     if not np.all(np.asarray(u_region.contains(a_samples, mtol))):
@@ -495,19 +466,14 @@ def constant_extension(
     a0,
     u_region,
     complement_pieces: PieceFamily,
-    *,
-    tolerance: Tolerance = Tolerance(),
     **kwargs,
 ) -> PiecewiseMap:
     """Extend by the constant map x -> a0 off U; a0 must lie in the retract."""
     a0 = as_vector(a0)
-    if not inner.codomain.contains(a0, tolerance.membership_tol):
+    if not inner.codomain.contains(a0):
         raise ConstructionError("a0 must belong to the retract")
     kwargs.setdefault("construction_id", "const-extend")
-    return extend_retraction(
-        inner, Constant(tuple(a0)), u_region, complement_pieces,
-        tolerance=tolerance, **kwargs,
-    )
+    return extend_retraction(inner, Constant(tuple(a0)), u_region, complement_pieces, **kwargs)
 
 
 def _origin(dim: int) -> tuple:
@@ -590,7 +556,6 @@ def sphere_retraction(
     *,
     ambient: str = "space",
     paper_witness: bool = False,
-    tolerance: Tolerance = Tolerance(),
 ) -> PiecewiseMap:
     """Retraction of R^d (or of the closed unit ball) onto the unit sphere:
     x -> x/||x|| away from the origin, the fixed unit vector t at it.
@@ -607,7 +572,7 @@ def sphere_retraction(
     t = as_vector(_unit_e1(dim) if t is None else t)
     if len(t) != dim:
         raise DimensionMismatch("t must live in the ambient dimension")
-    if abs(norm(t, kind) - 1.0) > tolerance.identity_tol:
+    if abs(norm(t, kind) - 1.0) > DEFAULT_TOLERANCE.identity_tol:
         raise ConstructionError("t must lie on the unit sphere")
 
     def rule(pts):

@@ -179,10 +179,11 @@ class Tolerance:
                 raise ValueError(f"{name} must be a finite number > 0, got {value}")
 
 
-def _mtol(tol) -> float:
-    if isinstance(tol, Tolerance):
-        return tol.membership_tol
-    return float(tol)
+# Every default tolerance, in the package and the CLI, reads this one instance.
+DEFAULT_TOLERANCE = Tolerance()
+# Unbounded sets are drawn near the unit ball, where the retracts live: a band
+# with hi = inf up to max(lo, 1) + SAMPLE_CAP, R^d with scale SAMPLE_CAP / 4.
+SAMPLE_CAP = 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -202,25 +203,25 @@ class Region:
         """Ambient dimension d; by default the ``ndim`` field."""
         return self.ndim
 
-    def contains(self, x, tol=1e-9):
+    def contains(self, x, tol=DEFAULT_TOLERANCE.membership_tol):
         """Membership test; a bool for a single point, a boolean array for
         an (n, d) batch."""
         single = np.asarray(x, dtype=float).ndim == 1
-        out = self._contains(as_points(x, self.dim), _mtol(tol))
+        out = self._contains(as_points(x, self.dim), float(tol))
         return bool(out[0]) if single else out
 
     def _contains(self, pts: np.ndarray, tol: float) -> np.ndarray:
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, n: int, cap: float = 8.0) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Seeded points of the set, as an (m, d) array with m <= n.
 
-        ``cap`` bounds the radius used for unbounded bands.  Sampling aims at
-        coverage for property checks, not at measure uniformity.  The calls
-        a draw makes on ``rng`` are part of its contract: sample_pieces,
-        which draws several sets at once (DiagonalBands of one kind and
-        dimension as one batch), must leave every generator where this
-        method leaves it.
+        An unbounded set is drawn at the scale SAMPLE_CAP sets.  Sampling
+        aims at coverage for property checks, not at measure uniformity.
+        The calls a draw makes on ``rng`` are part of its contract:
+        sample_pieces, which draws several sets at once (DiagonalBands of
+        one kind and dimension as one batch), must leave every generator
+        where this method leaves it.
         """
         raise NotImplementedError
 
@@ -258,7 +259,7 @@ class Interval(SetDescriptor):
         t = pts[:, 0]
         return (t >= self.lo - tol) & (t <= self.hi + tol)
 
-    def sample(self, rng, n, cap=8.0):
+    def sample(self, rng, n):
         return rng.uniform(self.lo, self.hi, size=(n, 1))
 
     def to_json(self):
@@ -306,9 +307,9 @@ class NormBand(SetDescriptor):
         r = norm(pts, self.kind)
         return (r >= self.lo - tol) & (r <= self.hi + tol)
 
-    def sample(self, rng, n, cap=8.0):
+    def sample(self, rng, n):
         g = rng.standard_normal(size=(n, self.ndim))
-        hi = self.hi if math.isfinite(self.hi) else max(self.lo, 1.0) + cap
+        hi = self.hi if math.isfinite(self.hi) else max(self.lo, 1.0) + SAMPLE_CAP
         return _unit_rows(g, self.kind, rng.uniform(self.lo, hi, size=n))
 
     def to_json(self):
@@ -339,7 +340,7 @@ class Singleton(SetDescriptor):
         offset = by_columns(pts, (np.subtract, np.asarray(self.point)))
         return fold_columns(offset, np.abs, np.maximum) <= tol
 
-    def sample(self, rng, n, cap=8.0):
+    def sample(self, rng, n):
         out = np.empty((n, self.dim))
         out[:] = self.point
         return out
@@ -380,9 +381,9 @@ class FiniteUnion(SetDescriptor):
             out[rest] = m._contains(pts[rest], tol)
         return out
 
-    def sample(self, rng, n, cap=8.0):
+    def sample(self, rng, n):
         counts = np.bincount(rng.integers(0, len(self.members), size=n), minlength=len(self.members))
-        chunks = [m.sample(rng, k, cap) for m, k in zip(self.members, counts.tolist()) if k]
+        chunks = [m.sample(rng, k) for m, k in zip(self.members, counts.tolist()) if k]
         return _stack(chunks, self.dim)
 
     def to_json(self):
@@ -464,7 +465,7 @@ class DiagonalBands(SetDescriptor):
         t = pts[:, 0] if self.kind is None else norm(pts, self.kind)
         return diagonal_membership(t, self.start, self.m, tol)
 
-    def sample(self, rng, n, cap=8.0):
+    def sample(self, rng, n):
         # The one-piece batch of sample_pieces: the generator calls and bits
         # of expand().sample (see _draw_bands).
         return _draw_bands([(self, rng)], n)
@@ -523,12 +524,12 @@ def _draw_bands(draws: Sequence[tuple], n: int) -> np.ndarray:
     return radii[:, None] if kind is None else _unit_rows(g, kind, radii)
 
 
-def sample_pieces(draws: Sequence[tuple], n: int, cap: float = 8.0) -> tuple:
+def sample_pieces(draws: Sequence[tuple], n: int) -> tuple:
     """Up to n points of each (piece, generator) pair of ``draws``, drawn in
     order: one (rows, d) array and the number of rows each piece gave.
 
     Every piece makes on its generator exactly the calls of
-    ``piece.sample(rng, n, cap)`` and gives the same rows, bit for bit, so a
+    ``piece.sample(rng, n)`` and gives the same rows, bit for bit, so a
     generator shared by several pieces ends where drawing them one after
     another leaves it.  When every piece is a DiagonalBands of one kind and
     dimension, the batch is drawn by one routine (the one
@@ -540,7 +541,7 @@ def sample_pieces(draws: Sequence[tuple], n: int, cap: float = 8.0) -> tuple:
     first = draws[0][0]
     if all(isinstance(p, DiagonalBands) and p.kind == first.kind and p.ndim == first.ndim for p, _ in draws):
         return _draw_bands(draws, n), np.full(len(draws), n)
-    parts = [p.sample(rng, n, cap) for p, rng in draws]
+    parts = [p.sample(rng, n) for p, rng in draws]
     return np.concatenate(parts), np.array([len(x) for x in parts])
 
 
@@ -563,8 +564,8 @@ class Translate(SetDescriptor):
     def _contains(self, pts, tol):
         return self.base._contains(by_columns(pts, (np.subtract, np.asarray(self.offset))), tol)
 
-    def sample(self, rng, n, cap=8.0):
-        return by_columns(self.base.sample(rng, n, cap), (np.add, np.asarray(self.offset)))
+    def sample(self, rng, n):
+        return by_columns(self.base.sample(rng, n), (np.add, np.asarray(self.offset)))
 
     def to_json(self):
         return {"variant": "translate", "base": self.base.to_json(), "offset": list(self.offset)}
@@ -595,11 +596,6 @@ def descriptor_from_json(obj: dict) -> SetDescriptor:
     raise ValueError(f"unknown descriptor variant {variant!r}")
 
 
-def contains(descriptor: SetDescriptor, x, tol=Tolerance()) -> bool:
-    """Membership of a point in a described set, with boundary slack."""
-    return descriptor.contains(as_vector(x), _mtol(tol))
-
-
 @dataclass(frozen=True)
 class FullSpace(Region):
     """All of R^d, as the domain marker of a total map."""
@@ -613,8 +609,8 @@ class FullSpace(Region):
     def _contains(self, pts, tol):
         return np.ones(len(pts), dtype=bool)
 
-    def sample(self, rng, n, cap=8.0):
-        return rng.standard_normal(size=(n, self.ndim)) * (cap / 4.0)
+    def sample(self, rng, n):
+        return rng.standard_normal(size=(n, self.ndim)) * (SAMPLE_CAP / 4.0)
 
     def to_json(self):
         return {"variant": "full_space", "dim": self.ndim}
@@ -647,7 +643,7 @@ class PieceFamily:
     label: str = ""
     membership: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
 
-    def contains_at(self, pts, idx, tol=1e-9) -> np.ndarray:
+    def contains_at(self, pts, idx, tol=DEFAULT_TOLERANCE.membership_tol) -> np.ndarray:
         """Whether each point pts[i] of an (n, d) batch lies in piece(idx[i]).
 
         Without a closed form, the points are grouped by index with one
@@ -660,7 +656,7 @@ class PieceFamily:
             raise ValueError("need one piece index per point")
         if np.any(idx < 0):
             raise ValueError("piece index must be >= 0")
-        return self._contains_at(pts, idx, _mtol(tol))
+        return self._contains_at(pts, idx, float(tol))
 
     def _contains_at(self, pts: np.ndarray, idx: np.ndarray, tol: float) -> np.ndarray:
         if self.membership is not None:

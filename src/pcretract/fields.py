@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DimensionMismatch, FiniteUnion, PieceFamily, Tolerance, as_points, as_vector, piece
+from .core import DEFAULT_TOLERANCE, DimensionMismatch, FiniteUnion, PieceFamily, as_points, as_vector, piece
 from .constructions import PiecewiseMap, PreimageWithin
 
 
@@ -31,18 +31,22 @@ class FieldDomainError(ValueError):
 class ScalarField:
     """Real-valued function on a described domain.
 
-    ``witness`` is populated only for fields produced by the extension
-    operator; catalog fields are globally continuous and carry none.
+    ``bound`` is a declared bound on |f| (None = unbounded).  ``witness`` is
+    populated only for fields produced by the extension operator; catalog
+    fields are globally continuous and carry none.
     """
 
     label: str
     dim: int
     rule: Callable[[np.ndarray], np.ndarray]
     domain: object  # SetDescriptor | Codomain | FullSpace
-    bounded: bool
     bound: Optional[float] = None
     lipschitz: Optional[float] = None
     witness: Optional[PieceFamily] = None
+
+    @property
+    def bounded(self) -> bool:
+        return self.bound is not None
 
     def apply(self, pts) -> np.ndarray:
         return self.rule(as_points(pts, self.dim))
@@ -62,7 +66,6 @@ def _catalog_field(label: str, coords: tuple, dim: int, domain, rule, bound, lip
         dim=dim,
         rule=rule,
         domain=domain,
-        bounded=bound is not None,
         bound=bound,
         lipschitz=lipschitz,
     )
@@ -132,16 +135,14 @@ def linear_combination(terms: Sequence[tuple], label: Optional[str] = None) -> S
             out = out + a * f.rule(pts)
         return out
 
-    bounded = all(f.bounded for _, f in terms)
-    bound = sum(abs(a) * f.bound for a, f in terms) if bounded else None
+    bound = sum(abs(a) * f.bound for a, f in terms) if all(f.bounded for _, f in terms) else None
     lips = [f.lipschitz for _, f in terms]
     lip = sum(abs(a) * l for (a, _), l in zip(terms, lips)) if all(
         l is not None for l in lips
     ) else None
     return ScalarField(
         label=label or "+".join(f"{a:g}*{f.label}" for a, f in terms),
-        dim=dim, rule=rule, domain=domain,
-        bounded=bounded, bound=bound, lipschitz=lip,
+        dim=dim, rule=rule, domain=domain, bound=bound, lipschitz=lip,
     )
 
 
@@ -170,12 +171,7 @@ def parse_field(expr: str, dim: int, domain, radius: float = 1.0) -> ScalarField
     raise FieldDomainError(f"unrecognized field expression {expr!r}")
 
 
-def extension_operator(
-    phi: PiecewiseMap,
-    f: ScalarField,
-    *,
-    tolerance: Tolerance = Tolerance(),
-) -> ScalarField:
+def extension_operator(phi: PiecewiseMap, f: ScalarField) -> ScalarField:
     """Compose: x -> f(phi(x)), extending f from the retract to phi's domain.
 
     The composed field inherits phi's witness when f is continuous (no
@@ -192,7 +188,7 @@ def extension_operator(
     probe = phi.codomain.probe
     if f.domain.dim != probe.shape[1]:
         raise DimensionMismatch(f"expected dimension {f.domain.dim}, got {probe.shape[1]}")
-    if not np.all(f.domain._contains(probe, tolerance.membership_tol)):
+    if not np.all(f.domain._contains(probe, DEFAULT_TOLERANCE.membership_tol)):
         raise FieldDomainError("field domain does not cover the map's retract (sampled)")
 
     def rule(pts):
@@ -219,7 +215,6 @@ def extension_operator(
         dim=phi.dim,
         rule=rule,
         domain=phi.domain,
-        bounded=f.bounded,
         bound=f.bound,
         lipschitz=None,
         witness=witness,

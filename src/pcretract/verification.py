@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (
+    DEFAULT_TOLERANCE,
     DimensionMismatch,
     Interval,
     NormBand,
@@ -41,6 +42,8 @@ from .fields import ScalarField, const_field, extension_operator, linear_combina
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream)]))
 
 
@@ -105,13 +108,18 @@ def codomain_sampler(codomain: Codomain, seed: int) -> Sampler:
     return Sampler(seed, "set", dim=d.dim, descriptor=d)
 
 
-def domain_sampler(m: PiecewiseMap, seed: int, radius: float = 5.0) -> Sampler:
-    """Default sampler for a map's domain."""
+# Unbounded domains are drawn up to this norm, across the integers where diagonal pieces change.
+DOMAIN_RADIUS = 5.0
+
+
+def domain_sampler(m: PiecewiseMap, seed: int) -> Sampler:
+    """Default sampler for a map's domain: within DOMAIN_RADIUS, or the
+    domain's own band."""
     if m.dim == 1:
-        return Sampler(seed, "interval", dim=1, lo=-radius, hi=radius)
+        return Sampler(seed, "interval", dim=1, lo=-DOMAIN_RADIUS, hi=DOMAIN_RADIUS)
     if isinstance(m.domain, NormBand):
         return Sampler(seed, "ball", dim=m.dim, kind=m.kind, lo=m.domain.lo, hi=m.domain.hi)
-    return Sampler(seed, "ball", dim=m.dim, kind=m.kind, lo=0.0, hi=radius)
+    return Sampler(seed, "ball", dim=m.dim, kind=m.kind, lo=0.0, hi=DOMAIN_RADIUS)
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +181,13 @@ def _worst_points(pts: np.ndarray, dev: np.ndarray, k: int = 10) -> np.ndarray:
 
 def check_retraction_identity(
     m: PiecewiseMap,
-    sampler: Optional[Sampler] = None,
     n: int = 10_000,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOLERANCE.identity_tol,
     seed: int = 0,
 ) -> CheckReport:
     """max over retract samples of ||r(a) - a||; a retraction fixes them all.
     The draw is validated once and the rule runs on it directly."""
-    sampler = sampler or codomain_sampler(m.codomain, seed)
-    pts = as_points(sampler.draw(n), m.dim)
+    pts = as_points(codomain_sampler(m.codomain, seed).draw(n), m.dim)
     if len(pts) == 0:
         raise ValueError("codomain sampler produced no points")
     dev = norm(m.rule(pts) - pts, m.kind)
@@ -215,11 +221,10 @@ def _batches(sizes: Sequence[int]):
 
 def check_cover(
     m: PiecewiseMap,
-    sampler: Optional[Sampler] = None,
     n: int = 10_000,
     max_index: int = 10,
     seed: int = 0,
-    tolerance: Tolerance = Tolerance(),
+    tolerance: Tolerance = DEFAULT_TOLERANCE,
     piece_samples: int = 1_000,
     extra_points: Optional[Sequence] = None,
 ) -> CheckReport:
@@ -232,8 +237,7 @@ def check_cover(
         raise ValueError("max_index must be >= 1")
     if piece_samples < 0:
         raise ValueError(f"piece_samples must be >= 0, got {piece_samples}")
-    sampler = sampler or domain_sampler(m, seed)
-    pts = as_points(sampler.draw(n), m.dim)
+    pts = as_points(domain_sampler(m, seed).draw(n), m.dim)
     if extra_points is not None and len(extra_points):
         pts = np.concatenate([as_points(np.asarray(extra_points, float), m.dim), pts])
     tol = tolerance.membership_tol
@@ -270,7 +274,7 @@ def _check_pair_args(pairs: int, delta: float) -> None:
         raise ValueError(f"delta must be a finite number > 0, got {delta}")
 
 
-def _pair_ratios(m, draws, within, pairs, delta, cap=8.0, max_dist=math.inf, min_pairs=1):
+def _pair_ratios(m, draws, within, pairs, delta, max_dist=math.inf, min_pairs=1):
     """Empirical Lipschitz ratios of m over seeded point pairs, for each
     (piece, generator) in ``draws``: x is drawn from the piece, y = x plus a
     gaussian step of scale delta/2, and a pair is kept when
@@ -287,7 +291,7 @@ def _pair_ratios(m, draws, within, pairs, delta, cap=8.0, max_dist=math.inf, min
     a draw with fewer than max(min_pairs, 1) kept pairs gets x and ratios
     None, and the map is never evaluated on its points.
     """
-    x, sizes = sample_pieces(draws, pairs, cap)
+    x, sizes = sample_pieces(draws, pairs)
     x = as_points(x, m.dim)
     y = np.empty_like(x)
     for (_, rng), rows in zip(draws, np.split(y, np.cumsum(sizes)[:-1])):
@@ -308,7 +312,13 @@ def _pair_ratios(m, draws, within, pairs, delta, cap=8.0, max_dist=math.inf, min
     ]
 
 
-def _piece_continuity_reports(m, ks, seeds, pairs, delta, tol_factor=1.0 + 1e-9, min_pairs=50) -> list:
+# Ratios carry the rounding of the map and the distances, so a declared L is met up to L * CONTINUITY_SLACK.
+CONTINUITY_SLACK = 1.0 + 1e-9
+# With fewer kept pairs a continuity check is inconclusive: too few ratios to judge a piece.
+MIN_CONTINUITY_PAIRS = 50
+
+
+def _piece_continuity_reports(m, ks, seeds, pairs, delta) -> list:
     """check_piece_continuity of m at each piece ks[i] with seed seeds[i],
     with the pieces' pairs drawn, tested and mapped a batch at a time."""
     _check_pair_args(pairs, delta)
@@ -319,7 +329,7 @@ def _piece_continuity_reports(m, ks, seeds, pairs, delta, tol_factor=1.0 + 1e-9,
         if lip is None:
             reports[k] = CheckReport(f"piece-continuity-{k}", INCONCLUSIVE, 0, 0.0, 0.0)
         else:
-            todo.append((k, seed, float(lip) * tol_factor))
+            todo.append((k, seed, float(lip) * CONTINUITY_SLACK))
     for group in _batches([pairs] * len(todo)):
         batch = [todo[i] for i in group]
         idx = np.array([k for k, _, _ in batch], dtype=np.int64)
@@ -328,7 +338,7 @@ def _piece_continuity_reports(m, ks, seeds, pairs, delta, tol_factor=1.0 + 1e-9,
         def within(y, which):
             return m.witness._contains_at(y, idx[which], 0.0)
 
-        results = _pair_ratios(m, draws, within, pairs, delta, max_dist=delta, min_pairs=min_pairs)
+        results = _pair_ratios(m, draws, within, pairs, delta, max_dist=delta, min_pairs=MIN_CONTINUITY_PAIRS)
         for (k, _, bound), (kept, x, ratio) in zip(batch, results):
             name = f"piece-continuity-{k}"
             if x is None:
@@ -344,19 +354,18 @@ def check_piece_continuity(
     n: int,
     pairs: int = 2_000,
     delta: float = 1e-3,
-    tol_factor: float = 1.0 + 1e-9,
     seed: int = 0,
-    min_pairs: int = 50,
 ) -> CheckReport:
     """Empirical Lipschitz check of the restriction to witness piece n:
     draws point pairs within the piece at distance <= delta and compares the
-    worst ratio against the declared constant times tol_factor.
+    worst ratio against the declared constant times CONTINUITY_SLACK; with
+    fewer than MIN_CONTINUITY_PAIRS kept pairs the report is inconclusive.
 
     The pairs come from the piece's own generator, seeded by ``seed`` alone,
     so checking several pieces in one batch (as run_suite does) gives each
     the report this call gives.  ``pairs`` must be >= 0 and ``delta`` finite
     and > 0."""
-    return _piece_continuity_reports(m, [int(n)], [seed], pairs, delta, tol_factor, min_pairs)[0]
+    return _piece_continuity_reports(m, [int(n)], [seed], pairs, delta)[0]
 
 
 def lipschitz_oracle(
@@ -365,7 +374,6 @@ def lipschitz_oracle(
     pairs: int = 1_000_000,
     seed: int = 0,
     delta: float = 1e-3,
-    cap: float = 8.0,
 ) -> float:
     """Empirical max of ||m(x)-m(y)|| / ||x-y|| over seeded pairs inside a
     witness piece (by index) or an explicit closed set.  Declared per-piece
@@ -376,29 +384,31 @@ def lipschitz_oracle(
     def within(y, which):
         return np.asarray(desc.contains(y, 0.0))
 
-    [(_, x, ratio)] = _pair_ratios(m, [(desc, _rng(seed, 23))], within, pairs, delta, cap)
+    [(_, x, ratio)] = _pair_ratios(m, [(desc, _rng(seed, 23))], within, pairs, delta)
     if x is None:
         raise ValueError("no usable pairs inside the piece")
     return float(np.max(ratio))
 
 
+# Nearer an integer, ||x|| - entier(||x||) may round to 1, so ||m(x)|| < 1 is not asked there.
+INTEGER_GAP = 1e-9
+
+
 def check_norm_identity_open_ball(
     m: PiecewiseMap,
-    sampler: Optional[Sampler] = None,
     n: int = 100_000,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOLERANCE.identity_tol,
     seed: int = 0,
-    radius: float = 5.0,
-    integer_gap: float = 1e-9,
 ) -> CheckReport:
     """||m(x)|| equals ||x|| - entier(||x||) up to tol, and stays strictly
-    below 1 whenever ||x|| is at least integer_gap away from an integer."""
-    sampler = sampler or Sampler(seed, "ball", dim=m.dim, kind=m.kind, lo=0.0, hi=radius)
+    below 1 whenever ||x|| is at least INTEGER_GAP away from an integer.
+    The points are drawn from the ball of radius DOMAIN_RADIUS."""
+    sampler = Sampler(seed, "ball", dim=m.dim, kind=m.kind, lo=0.0, hi=DOMAIN_RADIUS)
     pts = as_points(sampler.draw(n), m.dim)
     r = norm(pts, m.kind)
     rn = norm(m.rule(pts), m.kind)
     dev = np.abs(rn - (r - np.floor(r)))
-    eligible = np.abs(r - np.round(r)) >= integer_gap
+    eligible = np.abs(r - np.round(r)) >= INTEGER_GAP
     strict_bad = eligible & (rn >= 1.0)
     failures = float(np.max(dev))
     offenders = list(_worst_points(pts, np.where(dev > tol, dev, 0.0)))
@@ -462,16 +472,19 @@ def _sup_abs(*parts: np.ndarray) -> float:
     return float(np.max([np.max(np.abs(p)) for p in parts]))
 
 
+# Linearity coefficients: distinct, of both signs and not 1, so a lost scale or sign shows.
+LINEARITY_ALPHA, LINEARITY_BETA = 2.0, -3.0
+# phi fixes the retract only up to rounding, so sup |Tf| and sup |f| may differ in the last bits.
+ISOMETRY_TOL = 1e-9
+
+
 def check_operator_properties(
     phi: PiecewiseMap,
     fields: Sequence[ScalarField],
     n: int = 10_000,
     iso_n: int = 100_000,
     seed: int = 0,
-    tolerance: Tolerance = Tolerance(),
-    iso_tol: float = 1e-9,
-    alpha: float = 2.0,
-    beta: float = -3.0,
+    tolerance: Tolerance = DEFAULT_TOLERANCE,
     operator: Callable[[PiecewiseMap, ScalarField], ScalarField] = extension_operator,
 ) -> list:
     """Linearity, positivity, extension and sup-norm isometry reports for the
@@ -514,6 +527,7 @@ def check_operator_properties(
     reports = []
 
     # Linearity: T(alpha*f + beta*g) against alpha*Tf + beta*Tg pointwise.
+    alpha, beta = LINEARITY_ALPHA, LINEARITY_BETA
     lin_v = 0.0
     pairs = list(zip(fields, ext))
     for (f, tf), (g, tg) in zip(pairs, pairs[1:] + pairs[:1]):
@@ -569,7 +583,7 @@ def check_operator_properties(
         sup_x = _sup_abs(tf.rule(xs), tf.rule(as_))
         sup_a = _sup_abs(f.rule(phi_xs), f.rule(as_))
         iso_v = max(iso_v, _not_nan("operator-isometry", abs(sup_x - sup_a)))
-    reports.append(_mk_report("operator-isometry", len(xs) + len(as_), iso_v, iso_tol))
+    reports.append(_mk_report("operator-isometry", len(xs) + len(as_), iso_v, ISOMETRY_TOL))
     return reports
 
 
@@ -588,7 +602,6 @@ def borsuk_discontinuity_demo(
     u,
     v,
     depth: int = 12,
-    tolerance: Tolerance = Tolerance(),
 ) -> list:
     """Evidence that the sphere retraction is not continuous at the origin:
     inputs along two unit directions collapse toward the origin while their
@@ -597,11 +610,10 @@ def borsuk_discontinuity_demo(
         raise ValueError("depth must be >= 1")
     u = as_vector(u)
     v = as_vector(v)
-    if abs(norm(u, m.kind) - 1.0) > tolerance.identity_tol or abs(
-        norm(v, m.kind) - 1.0
-    ) > tolerance.identity_tol:
+    tol = DEFAULT_TOLERANCE.identity_tol
+    if abs(norm(u, m.kind) - 1.0) > tol or abs(norm(v, m.kind) - 1.0) > tol:
         raise ValueError("demo directions must be unit vectors")
-    if np.max(np.abs(u - v)) <= tolerance.identity_tol:
+    if np.max(np.abs(u - v)) <= tol:
         raise ValueError("demo directions must differ")
     rows = []
     for k in range(1, depth + 1):
@@ -642,19 +654,25 @@ def corrupt_identity_rule(m: PiecewiseMap) -> PiecewiseMap:
     return m.replace(rule=lambda pts: pts.copy(), construction_id=m.construction_id + "+identity-rule")
 
 
-def corrupt_shrinking_witness(m: PiecewiseMap, start: int = 8) -> PiecewiseMap:
+# Shrinking piece k is the map's piece max(8 - k, 0): it shrinks within the cover check's 1..10.
+SHRINK_START = 8
+# The understated control declares 1% of each bound, below the sampled ratios of every construction.
+UNDERSTATED_FACTOR = 0.01
+
+
+def corrupt_shrinking_witness(m: PiecewiseMap) -> PiecewiseMap:
     base = m.witness
     fam = PieceFamily(
-        lambda k: base.piece_at(max(start - k, 0)),
+        lambda k: base.piece_at(max(SHRINK_START - k, 0)),
         label=base.label + "+shrinking",
     )  # a PieceFamily claims to increase: the lie this control exists to expose
     return m.replace(witness=fam, construction_id=m.construction_id + "+shrinking-witness")
 
 
-def corrupt_understated_lipschitz(m: PiecewiseMap, factor: float = 0.01) -> PiecewiseMap:
+def corrupt_understated_lipschitz(m: PiecewiseMap) -> PiecewiseMap:
     base = m.piece_lipschitz
     return m.replace(
-        piece_lipschitz=lambda k: None if base(k) is None else base(k) * factor,
+        piece_lipschitz=lambda k: None if base(k) is None else base(k) * UNDERSTATED_FACTOR,
         construction_id=m.construction_id + "+understated-lipschitz",
     )
 
@@ -666,7 +684,6 @@ def negated_operator(phi: PiecewiseMap, f: ScalarField) -> ScalarField:
         dim=g.dim,
         rule=lambda pts, r=g.rule: -r(pts),
         domain=g.domain,
-        bounded=g.bounded,
         bound=g.bound,
         lipschitz=g.lipschitz,
         witness=g.witness,
@@ -692,7 +709,7 @@ def run_suite(
     max_piece_index: int = 10,
     pairs: int = 2_000,
     delta: float = 1e-3,
-    tolerance: Tolerance = Tolerance(),
+    tolerance: Tolerance = DEFAULT_TOLERANCE,
     fields: Sequence[ScalarField] = (),
 ) -> list:
     """All applicable checks for a map, in fixed order.  The cover check

@@ -104,7 +104,7 @@ def test_criterion_2_cover_and_monotonicity(capsys):
 def test_criterion_3_open_ball_norm_identity(capsys):
     with criterion(capsys, 3, "open-ball norm identity"), budget(2.0):
         m = build_construction("open-ball", 2, P2)
-        r = check_norm_identity_open_ball(m, n=100_000, tol=1e-12, seed=3, radius=5.0)
+        r = check_norm_identity_open_ball(m, n=100_000, tol=1e-12, seed=3)
         assert r.status == PASS
         assert r.max_violation <= 1e-12
 

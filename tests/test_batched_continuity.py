@@ -44,9 +44,9 @@ def _expanded(desc):
     return desc.expand() if isinstance(desc, DiagonalBands) else desc
 
 
-def reference_pairs(desc, kind, rng, pairs, delta, cap=8.0, max_dist=math.inf):
+def reference_pairs(desc, kind, rng, pairs, delta, max_dist=math.inf):
     desc = _expanded(desc)
-    x = desc.sample(rng, pairs, cap)
+    x = desc.sample(rng, pairs)
     y = x + rng.normal(size=x.shape) * (delta / 2.0)
     keep = np.asarray(desc.contains(y, 0.0))
     x, y = x[keep], y[keep]

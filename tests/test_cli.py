@@ -181,6 +181,14 @@ class TestWitnessCommand:
         p = run_cli("witness", "--construction", "sphere", "--n", "-1")
         assert p.returncode == 2
 
+    @pytest.mark.parametrize("command", ["verify", "witness"])
+    def test_help_describes_witness_flags(self, command):
+        p = run_cli(command, "--help")
+        assert p.returncode == 0
+        text = " ".join(p.stdout.decode().split())
+        assert "--paper-witness sphere only: use the un-augmented band witness, which misses the origin" in text
+        assert "--allow-low-dim open-ball only: permit dimension 1 (exploration)" in text
+
 
 class TestDemoCommand:
     def test_default_directions(self):
@@ -225,4 +233,19 @@ class TestSeedEnvOverride:
         p = run_cli("verify", "--construction", "sphere", "--samples", "300", env=env)
         assert p.returncode == 2
         assert b"PCRETRACT_SEED" in p.stderr
+        assert p.stdout == b""
+
+    def test_negative_env_seed_names_the_variable(self):
+        import os
+
+        env = dict(os.environ, PCRETRACT_SEED="-4")
+        p = run_cli("verify", "--construction", "sphere", "--samples", "300", env=env)
+        assert p.returncode == 2
+        assert p.stderr == b"error: PCRETRACT_SEED must be >= 0, got -4\n"
+        assert p.stdout == b""
+
+    def test_negative_seed_flag_names_the_flag(self):
+        p = run_cli("verify", "--construction", "sphere", "--samples", "300", "--seed", "-1")
+        assert p.returncode == 2
+        assert p.stderr == b"error: --seed must be >= 0, got -1\n"
         assert p.stdout == b""

@@ -75,8 +75,6 @@ class TestFractional:
 
     def test_codomain_is_half_open_interval(self):
         assert isinstance(self.m.codomain, HalfOpenUnitInterval)
-        k3 = piece(self.m.codomain.closure_pieces, 3)
-        assert k3 == Interval(0.0, 0.75)
 
     def test_predicted_index_matches_brute_force(self):
         rng = np.random.default_rng(5)

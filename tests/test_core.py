@@ -20,7 +20,6 @@ from pcretract.core import (
     Translate,
     as_vector,
     constant_family,
-    contains,
     descriptor_from_json,
     entier,
     norm,
@@ -398,4 +397,4 @@ class TestFullSpace:
             fs.contains([1.0])
 
     def test_contains_helper(self):
-        assert contains(Interval(0, 1), [0.5])
+        assert Interval(0, 1).contains([0.5])

@@ -9,6 +9,7 @@ from pcretract.core import DimensionMismatch, NormBand, NormKind, norm, piece
 from pcretract.constructions import ClosedRegion, sphere_retraction
 from pcretract.fields import (
     FieldDomainError,
+    ScalarField,
     UnboundedFieldError,
     coord_field,
     const_field,
@@ -130,9 +131,9 @@ class CountingCircle(ClosedRegion):
 
     draws: list = dataclasses.field(default_factory=list, compare=False)
 
-    def sample(self, rng, n, cap=8.0):
+    def sample(self, rng, n):
         self.draws.append(n)
-        return super().sample(rng, n, cap)
+        return super().sample(rng, n)
 
 
 class TestRetractProbe:
@@ -191,6 +192,23 @@ class TestSupNorm:
         s = Sampler(21, "sphere", dim=2)
         vals = [sup_norm_estimate(f, s, n) for n in (10, 100, 1000, 10_000)]
         assert vals == sorted(vals)
+
+    def test_bounded_is_having_a_bound(self, circle):
+        rule = lambda pts: pts[:, 0].copy()  # noqa: E731
+        assert not ScalarField("f", 2, rule, circle, bound=None).bounded
+        assert not ScalarField("f", 2, rule, circle).bounded
+        assert ScalarField("f", 2, rule, circle, bound=1.0).bounded
+
+    @pytest.mark.parametrize("radius", [1.0, math.inf])
+    def test_derived_fields_bounded_iff_bound(self, sphere, circle, radius):
+        fields = [parse_field(e, 2, circle, radius)
+                  for e in ("const:2", "coord:0", "sin:1", "cos:0", "prod:0,1", "poly:1:1,2")]
+        fields.append(linear_combination([(2.0, fields[1]), (-3.0, fields[4])]))
+        fields.append(linear_combination([(1.0, fields[0]), (1.0, fields[3])]))
+        fields += [extension_operator(sphere, f) for f in list(fields)]
+        assert all(f.bounded == (f.bound is not None) for f in fields)
+        # Unbounded catalog fields exist only on an unbounded domain.
+        assert any(not f.bounded for f in fields) == math.isinf(radius)
 
     def test_refuses_unbounded(self, sphere):
         f = coord_field(0, 2, sphere.domain, radius=math.inf)

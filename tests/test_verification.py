@@ -343,7 +343,7 @@ class TestOperatorEvaluationCount:
                 pts[:, 0] = 0.0
             return pts[:, 0].copy()
 
-        return ScalarField("scribble", 3, scribble, phi.codomain, bounded=True, bound=1.0)
+        return ScalarField("scribble", 3, scribble, phi.codomain, bound=1.0)
 
     def test_field_writing_into_input_raises(self, phi):
         before = check_operator_properties(phi, self.fields(phi), n=500, iso_n=500, seed=2)
@@ -450,6 +450,10 @@ class TestSuiteAndReports:
             "shrinking-witness",
             "understated-lipschitz",
         }
+
+    def test_negative_seed_is_named(self, sphere):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -2$"):
+            run_suite(sphere, seed=-2, samples=50)
 
     def test_default_samplers(self, sphere):
         assert domain_sampler(sphere, 0).strategy == "ball"
