@@ -1,9 +1,9 @@
 """Command-line interface: verify suites, witness inspection, discontinuity demo.
 
-Exit codes: 0 = all checks passed, 1 = at least one check failed,
-2 = usage or configuration error.  Identical invocations (same flags, same
-seed) produce byte-identical output; numeric text output uses 17 significant
-digits.
+Exit codes: 0 = all checks passed, 1 = at least one check failed (or the
+reader of stdout closed the pipe), 2 = usage or configuration error.
+Identical invocations (same flags, same seed) produce byte-identical
+output; numeric text output uses 17 significant digits.
 """
 
 from __future__ import annotations
@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="default 2; fractional and glue take only 1")
         sp.add_argument("--norm", default="p:2",
                         help="'p:<value>' or 'max'; fractional and glue take only p:2")
-        sp.add_argument("--seed", type=int, default=None,
-                        help=f"defaults to ${SEED_ENV}, else 0")
         sp.add_argument("--paper-witness", action="store_true",
                         help="sphere only: use the un-augmented band witness, which misses the origin")
         sp.add_argument("--allow-low-dim", action="store_true",
@@ -73,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the full check suite for a construction")
     common(v)
+    v.add_argument("--seed", type=int, default=None, help=f"defaults to ${SEED_ENV}, else 0")
     v.add_argument("--samples", type=int, default=10_000)
     v.add_argument("--max-piece-index", type=int, default=10)
     v.add_argument("--pairs", type=int, default=2_000)
@@ -98,9 +97,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Constructions defined on R with the Euclidean norm only.
 LINE_CONSTRUCTIONS = ("fractional", "glue")
+# Flags that only one construction reads, by argparse destination.
+ONE_CONSTRUCTION_FLAGS = {"paper_witness": "sphere", "allow_low_dim": "open-ball"}
 
 
 def _build_map(args):
+    for dest, owner in ONE_CONSTRUCTION_FLAGS.items():
+        if getattr(args, dest) and args.construction != owner:
+            flag = "--" + dest.replace("_", "-")
+            raise ConstructionError(f"{flag} applies only to {owner}, not {args.construction}")
     kind = NormKind.parse(args.norm)
     dim = 2 if args.dim is None else args.dim
     if dim < 1:
@@ -223,21 +228,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        seed = getattr(args, "seed", 0)  # demo draws nothing and has no seed
+        seed = getattr(args, "seed", 0)  # only verify draws, so only it has a seed
         if seed is None:
             args.seed = _env_seed()
         elif seed < 0:
             raise ValueError(f"--seed must be >= 0, got {seed}")
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "witness":
-            return cmd_witness(args)
-        if args.command == "demo":
-            return cmd_demo(args)
+        command = {"verify": cmd_verify, "witness": cmd_witness, "demo": cmd_demo}[args.command]
+        code = command(args)
+        sys.stdout.flush()
+        return code
     except (ConstructionError, FieldDomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head`).  As the Python docs' "Note on
+        # SIGPIPE" advises, point stdout at devnull so the exit flush stays
+        # quiet, and exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -116,15 +116,7 @@ class PuncturedSpace(Region):
     ndim: int
 
     def _contains(self, pts, tol):
-        return _off_origin(pts)
-
-    def sample(self, rng, n):
-        pts = rng.standard_normal(size=(n, self.ndim)) * 2.0
-        return pts[_off_origin(pts)]
-
-
-def _off_origin(pts: np.ndarray) -> np.ndarray:
-    return fold_columns(pts, lambda c: c != 0.0, np.logical_or)
+        return fold_columns(pts, lambda c: c != 0.0, np.logical_or)
 
 
 # ---------------------------------------------------------------------------
@@ -224,40 +216,6 @@ class PiecewiseMap:
 
     def replace(self, **changes) -> "PiecewiseMap":
         return dataclasses.replace(self, **changes)
-
-
-@dataclass(frozen=True, eq=False)
-class PreimageWithin(SetDescriptor):
-    """piece ∩ mapping^{-1}(base): closed, because the mapping restricted to
-    the (closed) piece is continuous and base is closed."""
-
-    piece: SetDescriptor
-    mapping: PiecewiseMap
-    base: SetDescriptor
-
-    @property
-    def dim(self) -> int:
-        return self.piece.dim
-
-    def _contains(self, pts, tol):
-        out = np.asarray(self.piece.contains(pts, tol))
-        if out.any():
-            imgs = self.mapping.apply(pts[out])
-            out[out] = np.asarray(self.base.contains(imgs, tol))
-        return out
-
-    def sample(self, rng, n):
-        pts = self.piece.sample(rng, 4 * n)
-        keep = np.asarray(self.base.contains(self.mapping.apply(pts), DEFAULT_TOLERANCE.membership_tol))
-        return pts[keep][:n]
-
-    def to_json(self):
-        return {
-            "variant": "preimage_within",
-            "piece": self.piece.to_json(),
-            "map": self.mapping.construction_id,
-            "base": self.base.to_json(),
-        }
 
 
 def _fractional_part(values: np.ndarray) -> np.ndarray:
@@ -427,8 +385,6 @@ def extend_retraction(
         raise ConstructionError("the retract is not contained in U on sampled points")
     for n in range(4):
         s = piece(complement_pieces, n).sample(rng, 128)
-        if len(s) == 0:
-            continue
         if not np.all(g.defined_at(s)):
             raise ConstructionError(f"g is undefined on sampled complement piece {n}")
         if not np.all(np.asarray(inner.codomain.contains(g.apply(s), mtol))):

@@ -3,8 +3,7 @@
 Every set constructible through this module is closed by construction: the
 descriptor grammar only offers closed primitives (closed intervals, closed
 norm bands, singletons) and closure-preserving combinators (finite unions,
-diagonal band unions, translates).  There is deliberately no runtime
-closedness check.
+diagonal band unions).  There is deliberately no runtime closedness check.
 """
 
 from __future__ import annotations
@@ -182,7 +181,7 @@ class Tolerance:
 # Every default tolerance, in the package and the CLI, reads this one instance.
 DEFAULT_TOLERANCE = Tolerance()
 # Unbounded sets are drawn near the unit ball, where the retracts live: a band
-# with hi = inf up to max(lo, 1) + SAMPLE_CAP, R^d with scale SAMPLE_CAP / 4.
+# with hi = inf up to max(lo, 1) + SAMPLE_CAP.
 SAMPLE_CAP = 8.0
 
 
@@ -191,11 +190,13 @@ SAMPLE_CAP = 8.0
 
 
 class Region:
-    """Subset of R^d with a membership test and a seeded sampler.
+    """Subset of R^d with a membership test and, for a closed set or a
+    retract, a seeded sampler.
 
-    Subclasses implement ``dim``, ``_contains`` on an (n, d) batch and
-    ``sample``; ``contains`` is the one public wrapper.  ``tol`` is boundary
-    slack, so floating-point boundary points do not spuriously fall outside.
+    Subclasses implement ``dim``, ``_contains`` on an (n, d) batch and,
+    where the set is drawn, ``sample``; ``contains`` is the one public
+    wrapper.  ``tol`` is boundary slack, so floating-point boundary points
+    do not spuriously fall outside.
     """
 
     @property
@@ -214,7 +215,8 @@ class Region:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Seeded points of the set, as an (m, d) array with m <= n.
+        """n seeded points of the set, as an (n, d) array: every draw gives
+        exactly n rows, so a batch of pieces splits into blocks of n.
 
         An unbounded set is drawn at the scale SAMPLE_CAP sets.  Sampling
         aims at coverage for property checks, not at measure uniformity.
@@ -524,9 +526,9 @@ def _draw_bands(draws: Sequence[tuple], n: int) -> np.ndarray:
     return radii[:, None] if kind is None else _unit_rows(g, kind, radii)
 
 
-def sample_pieces(draws: Sequence[tuple], n: int) -> tuple:
-    """Up to n points of each (piece, generator) pair of ``draws``, drawn in
-    order: one (rows, d) array and the number of rows each piece gave.
+def sample_pieces(draws: Sequence[tuple], n: int) -> np.ndarray:
+    """n points of each (piece, generator) pair of ``draws``, drawn in
+    order, as one (len(draws) * n, d) array.
 
     Every piece makes on its generator exactly the calls of
     ``piece.sample(rng, n)`` and gives the same rows, bit for bit, so a
@@ -540,35 +542,8 @@ def sample_pieces(draws: Sequence[tuple], n: int) -> tuple:
         raise ValueError("need at least one piece to draw")
     first = draws[0][0]
     if all(isinstance(p, DiagonalBands) and p.kind == first.kind and p.ndim == first.ndim for p, _ in draws):
-        return _draw_bands(draws, n), np.full(len(draws), n)
-    parts = [p.sample(rng, n) for p, rng in draws]
-    return np.concatenate(parts), np.array([len(x) for x in parts])
-
-
-@dataclass(frozen=True)
-class Translate(SetDescriptor):
-    """base + offset; a translate of a closed set is closed."""
-
-    base: SetDescriptor
-    offset: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "offset", tuple(float(c) for c in self.offset))
-        if len(self.offset) != self.base.dim:
-            raise DimensionMismatch("offset dimension must match the base set")
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def _contains(self, pts, tol):
-        return self.base._contains(by_columns(pts, (np.subtract, np.asarray(self.offset))), tol)
-
-    def sample(self, rng, n):
-        return by_columns(self.base.sample(rng, n), (np.add, np.asarray(self.offset)))
-
-    def to_json(self):
-        return {"variant": "translate", "base": self.base.to_json(), "offset": list(self.offset)}
+        return _draw_bands(draws, n)
+    return np.concatenate([p.sample(rng, n) for p, rng in draws])
 
 
 def descriptor_from_json(obj: dict) -> SetDescriptor:
@@ -591,14 +566,13 @@ def descriptor_from_json(obj: dict) -> SetDescriptor:
     if variant == "diagonal_bands":
         kind = None if "coordinate" in obj else NormKind.parse(obj["norm"])
         return DiagonalBands(kind, obj["start"], obj["m"], obj["dim"])
-    if variant == "translate":
-        return Translate(descriptor_from_json(obj["base"]), tuple(obj["offset"]))
     raise ValueError(f"unknown descriptor variant {variant!r}")
 
 
 @dataclass(frozen=True)
 class FullSpace(Region):
-    """All of R^d, as the domain marker of a total map."""
+    """All of R^d, as the domain marker of a total map; the checks draw
+    domains through ``verification.domain_sampler``, not from here."""
 
     ndim: int
 
@@ -608,12 +582,6 @@ class FullSpace(Region):
 
     def _contains(self, pts, tol):
         return np.ones(len(pts), dtype=bool)
-
-    def sample(self, rng, n):
-        return rng.standard_normal(size=(n, self.ndim)) * (SAMPLE_CAP / 4.0)
-
-    def to_json(self):
-        return {"variant": "full_space", "dim": self.ndim}
 
 
 # ---------------------------------------------------------------------------
@@ -668,13 +636,6 @@ class PieceFamily:
         for k, sel in zip(keys[starts], np.split(order, starts[1:])):
             out[sel] = self.piece_at(int(k)).contains(pts[sel], tol)
         return out
-
-    def to_json(self, upto: int = 3) -> dict:
-        return {
-            "label": self.label,
-            "declared_monotone": True,
-            "pieces": [piece(self, n).to_json() for n in range(upto + 1)],
-        }
 
 
 def piece(family: PieceFamily, n: int) -> SetDescriptor:

@@ -15,8 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCE, DimensionMismatch, FiniteUnion, PieceFamily, as_points, as_vector, piece
-from .constructions import PiecewiseMap, PreimageWithin
+from .core import DEFAULT_TOLERANCE, DimensionMismatch, PieceFamily, as_points, as_vector
+from .constructions import PiecewiseMap
 
 
 class UnboundedFieldError(ValueError):
@@ -174,11 +174,13 @@ def parse_field(expr: str, dim: int, domain, radius: float = 1.0) -> ScalarField
 def extension_operator(phi: PiecewiseMap, f: ScalarField) -> ScalarField:
     """Compose: x -> f(phi(x)), extending f from the retract to phi's domain.
 
-    The composed field inherits phi's witness when f is continuous (no
-    witness of its own); when f carries a finite witness, each phi-piece is
-    refined by the preimages of f's pieces, which are closed within the
-    phi-piece because the restriction of phi to it is continuous.
+    f must be continuous, as every catalog field and combination of them
+    is; the composed field then carries phi's witness.  A field that carries
+    a witness of its own (the output of this operator) raises
+    FieldDomainError.
     """
+    if f.witness is not None:
+        raise FieldDomainError(f"field {f.label} carries its own witness; only continuous fields extend")
     if f.dim != phi.codomain.dim:
         raise FieldDomainError(
             f"field lives in dimension {f.dim}, map retract in {phi.codomain.dim}"
@@ -194,22 +196,6 @@ def extension_operator(phi: PiecewiseMap, f: ScalarField) -> ScalarField:
     def rule(pts):
         return f.rule(phi.rule(pts))
 
-    if f.witness is None:
-        witness = phi.witness
-    else:
-        f_witness = f.witness
-
-        def refined_at(n):
-            base_piece = piece(phi.witness, n)
-            return FiniteUnion(
-                tuple(
-                    PreimageWithin(base_piece, phi, piece(f_witness, k))
-                    for k in range(n + 1)
-                )
-            )
-
-        witness = PieceFamily(refined_at, label="composed-refined")
-
     return ScalarField(
         label=f"T[{phi.construction_id}]({f.label})",
         dim=phi.dim,
@@ -217,7 +203,7 @@ def extension_operator(phi: PiecewiseMap, f: ScalarField) -> ScalarField:
         domain=phi.domain,
         bound=f.bound,
         lipschitz=None,
-        witness=witness,
+        witness=phi.witness,
     )
 
 

@@ -188,8 +188,6 @@ def check_retraction_identity(
     """max over retract samples of ||r(a) - a||; a retraction fixes them all.
     The draw is validated once and the rule runs on it directly."""
     pts = as_points(codomain_sampler(m.codomain, seed).draw(n), m.dim)
-    if len(pts) == 0:
-        raise ValueError("codomain sampler produced no points")
     dev = norm(m.rule(pts) - pts, m.kind)
     offenders = _worst_points(pts, np.where(dev > tol, dev, 0.0))
     return _mk_report("retraction-identity", len(pts), float(np.max(dev)), tol, offenders)
@@ -205,18 +203,12 @@ def check_retraction_identity(
 BATCH_ROWS = 8_192
 
 
-def _batches(sizes: Sequence[int]):
-    """Consecutive groups of positions in ``sizes`` whose sizes sum to at most
-    BATCH_ROWS, or a single position whose size alone exceeds it."""
-    group, rows = [], 0
-    for i, size in enumerate(sizes):
-        if group and rows + size > BATCH_ROWS:
-            yield group
-            group, rows = [], 0
-        group.append(i)
-        rows += size
-    if group:
-        yield group
+def _batches(items: Sequence, n: int) -> list:
+    """``items`` (pieces of n rows each) cut into consecutive batches of
+    BATCH_ROWS // n pieces: at most BATCH_ROWS rows, or one piece alone when
+    n exceeds it (BATCH_ROWS pieces when n is 0)."""
+    step = max(1, BATCH_ROWS // max(n, 1))
+    return [items[i:i + step] for i in range(0, len(items), step)]
 
 
 def check_cover(
@@ -253,11 +245,9 @@ def check_cover(
     failures = len(pts) - int(np.sum(inside))
 
     rng = _rng(seed, 17)
-    ks = range(1, max_index)
-    for group in _batches([piece_samples] * len(ks)):
-        drawn, sizes = sample_pieces([(piece(m.witness, ks[i]), rng) for i in group], piece_samples)
-        s = as_points(drawn, m.dim)
-        grown = np.repeat([ks[i] + 1 for i in group], sizes)
+    for ks in _batches(range(1, max_index), piece_samples):
+        s = as_points(sample_pieces([(piece(m.witness, k), rng) for k in ks], piece_samples), m.dim)
+        grown = np.repeat(np.asarray(ks) + 1, piece_samples)
         inside = m.witness._contains_at(s, grown, tol)
         offenders.append(s[~inside][:10])
         failures += int(np.sum(~inside))
@@ -282,8 +272,8 @@ def _pair_ratios(m, draws, within, pairs, delta, max_dist=math.inf, min_pairs=1)
     1e-14 <= ||x - y|| <= max_dist.
 
     The generators must be distinct objects, one per draw.  All x are drawn
-    first, in one sample_pieces call, then each generator draws its piece's
-    steps; a generator that served two draws would give the second piece's
+    first, in one sample_pieces call (a block of ``pairs`` rows per draw),
+    then each generator draws its block's steps; a generator that served two draws would give the second piece's
     x the first piece's steps.  The x are validated once, as one batch, and
     the membership test, the distances, the map and the ratios then run once
     over all rows.  They are row-wise float operations, so each draw gets
@@ -291,12 +281,11 @@ def _pair_ratios(m, draws, within, pairs, delta, max_dist=math.inf, min_pairs=1)
     a draw with fewer than max(min_pairs, 1) kept pairs gets x and ratios
     None, and the map is never evaluated on its points.
     """
-    x, sizes = sample_pieces(draws, pairs)
-    x = as_points(x, m.dim)
+    x = as_points(sample_pieces(draws, pairs), m.dim)
     y = np.empty_like(x)
-    for (_, rng), rows in zip(draws, np.split(y, np.cumsum(sizes)[:-1])):
+    for (_, rng), rows in zip(draws, np.split(y, len(draws))):
         rng.standard_normal(out=rows)
-    which = np.repeat(np.arange(len(draws)), sizes)
+    which = np.repeat(np.arange(len(draws)), pairs)
     y *= delta / 2.0
     y += x
     dist = norm(x - y, m.kind)
@@ -330,8 +319,7 @@ def _piece_continuity_reports(m, ks, seeds, pairs, delta) -> list:
             reports[k] = CheckReport(f"piece-continuity-{k}", INCONCLUSIVE, 0, 0.0, 0.0)
         else:
             todo.append((k, seed, float(lip) * CONTINUITY_SLACK))
-    for group in _batches([pairs] * len(todo)):
-        batch = [todo[i] for i in group]
+    for batch in _batches(todo, pairs):
         idx = np.array([k for k, _, _ in batch], dtype=np.int64)
         draws = [(piece(m.witness, k), _rng(seed, 19)) for k, seed, _ in batch]
 

@@ -175,11 +175,15 @@ class TestRuleCalls:
 class TestBatches:
     def test_groups_fill_up_to_the_cap(self):
         with mock.patch.object(verification, "BATCH_ROWS", 10):
-            groups = list(verification._batches([4, 4, 4, 11, 3, 7, 0, 2]))
-        assert groups == [[0, 1], [2], [3], [4, 5, 6], [7]]
+            assert verification._batches(list(range(7)), 3) == [[0, 1, 2], [3, 4, 5], [6]]
+            assert verification._batches(list(range(3)), 5) == [[0, 1], [2]]
+            # A piece larger than a batch, or of no rows, still makes progress.
+            assert verification._batches(list(range(3)), 11) == [[0], [1], [2]]
+            assert verification._batches(list(range(3)), 0) == [[0, 1, 2]]
+            assert verification._batches(range(1, 5), 4) == [range(1, 3), range(3, 5)]
 
     def test_empty(self):
-        assert list(verification._batches([])) == []
+        assert verification._batches([], 2000) == []
 
 
 def _peak(f):

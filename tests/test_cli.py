@@ -181,6 +181,38 @@ class TestWitnessCommand:
         p = run_cli("witness", "--construction", "sphere", "--n", "-1")
         assert p.returncode == 2
 
+    def test_seed_is_not_a_witness_flag(self):
+        # witness draws nothing, so a seed would be silently ignored.
+        p = run_cli("witness", "--construction", "glue", "--n", "1", "--seed", "5")
+        assert p.returncode == 2
+        assert b"--seed" in p.stderr
+        assert p.stdout == b""
+
+    @pytest.mark.parametrize("command", ["verify", "witness"])
+    @pytest.mark.parametrize("flag,construction", [
+        ("--paper-witness", "open-ball"),
+        ("--paper-witness", "glue"),
+        ("--allow-low-dim", "sphere"),
+        ("--allow-low-dim", "fractional"),
+    ])
+    def test_flag_of_another_construction_is_usage_error(self, command, flag, construction):
+        p = run_cli(command, "--construction", construction, "--n" if command == "witness" else "--samples",
+                    "1", flag)
+        assert p.returncode == 2
+        assert flag.encode() in p.stderr
+        assert p.stdout == b""
+
+    def test_closed_stdout_ends_quietly(self):
+        # About 90 kB of JSON, more than a pipe holds, so the command is still
+        # writing when the reader closes the pipe after one line.
+        proc = subprocess.Popen(CLI + ["witness", "--construction", "fractional", "--n", "500"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
     @pytest.mark.parametrize("command", ["verify", "witness"])
     def test_help_describes_witness_flags(self, command):
         p = run_cli(command, "--help")

@@ -39,7 +39,6 @@ from pcretract.constructions import (
     radial_projection_map,
     sphere_retraction,
 )
-from pcretract.fields import coord_field, extension_operator
 from pcretract.verification import CORRUPTIONS, check_cover, corrupt_shrinking_witness, run_suite
 
 P2 = NormKind(2.0)
@@ -466,12 +465,6 @@ def _glue_edges(k, rng):
     return [-(k + 1.0), -1.0 / (k + 2), 0.0, 1.0, 1.0 + 1.0 / (k + 2), k + 2.0]
 
 
-def _composed_refined():
-    sphere = sphere_retraction(2, P2)
-    tf = extension_operator(sphere, coord_field(0, 2, sphere.codomain))
-    return extension_operator(sphere, tf).witness
-
-
 # name -> (family builder, dimension, norm of the probe directions, edges, largest index)
 CONTAINS_AT_FAMILIES = {
     "fractional": (lambda: fractional_part_retraction().witness, 1, P2,
@@ -496,7 +489,6 @@ CONTAINS_AT_FAMILIES = {
     "glue": (lambda: canonical_glue().witness, 1, P2, _glue_edges, 2**62),
     "shrinking-witness": (lambda: corrupt_shrinking_witness(sphere_retraction(3, P2)).witness,
                           3, P2, _radial_edges, 2**62),
-    "composed-refined": (_composed_refined, 2, P2, _radial_edges, 12),
 }
 
 
