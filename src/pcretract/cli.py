@@ -9,6 +9,7 @@ output; numeric text output uses 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -20,6 +21,7 @@ import numpy as np
 from .core import DEFAULT_TOLERANCE, EUCLIDEAN, NormKind, Tolerance, piece
 from .constructions import (
     CONSTRUCTION_IDS,
+    INDEX_CAP,
     ConstructionError,
     build_construction,
     sphere_retraction,
@@ -150,74 +152,68 @@ def cmd_verify(args) -> int:
     if args.fields:
         for expr in _FIELD_SEPARATOR.split(args.fields):
             fields.append(parse_field(expr, m.codomain.dim, m.codomain, radius=1.0))
-    reports = run_suite(
-        m,
-        seed=args.seed,
-        samples=args.samples,
-        max_piece_index=args.max_piece_index,
-        pairs=args.pairs,
-        tolerance=tol,
-        fields=fields,
-    )
-    all_pass = all(r.status != "fail" for r in reports)
-    doc = {
-        "construction": args.construction,
-        "dim": m.dim,
-        "norm": m.kind.label(),
-        "seed": args.seed,
-        "samples": args.samples,
-        "all_pass": all_pass,
-        "checks": [r.to_json_dict() for r in reports],
-    }
-    if args.format == "json":
-        text = json.dumps(doc, indent=2)
-    else:
-        lines = [f"construction={args.construction} dim={m.dim} norm={m.kind.label()} "
-                 f"seed={args.seed} samples={args.samples}"]
-        for r in reports:
-            lines.append(
-                f"[{r.status.upper():>12}] {r.check_name}: "
-                f"max_violation={_fmt(r.max_violation)} tolerance={_fmt(r.tolerance)} "
-                f"samples={r.samples_used}"
-            )
-        lines.append("result: " + ("ALL PASS" if all_pass else "FAILURES"))
-        text = "\n".join(lines)
-    print(text)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    # Opened before the suite runs, so an unwritable path costs no run.
+    try:
+        out = open(args.output, "w", encoding="utf-8") if args.output else contextlib.nullcontext()
+    except OSError as exc:
+        raise ConstructionError(f"--output: cannot write {args.output}: {exc.strerror}") from None
+    with out:
+        reports = run_suite(
+            m,
+            seed=args.seed,
+            samples=args.samples,
+            max_piece_index=args.max_piece_index,
+            pairs=args.pairs,
+            tolerance=tol,
+            fields=fields,
+        )
+        all_pass = all(r.status != "fail" for r in reports)
+        doc = {
+            "construction": args.construction,
+            "dim": m.dim,
+            "norm": m.kind.label(),
+            "seed": args.seed,
+            "samples": args.samples,
+            "all_pass": all_pass,
+            "checks": [r.to_json_dict() for r in reports],
+        }
+        if args.format == "json":
+            text = json.dumps(doc, indent=2)
+        else:
+            lines = [f"construction={args.construction} dim={m.dim} norm={m.kind.label()} "
+                     f"seed={args.seed} samples={args.samples}"]
+            for r in reports:
+                lines.append(
+                    f"[{r.status.upper():>12}] {r.check_name}: "
+                    f"max_violation={_fmt(r.max_violation)} tolerance={_fmt(r.tolerance)} "
+                    f"samples={r.samples_used}"
+                )
+            lines.append("result: " + ("ALL PASS" if all_pass else "FAILURES"))
+            text = "\n".join(lines)
+        print(text)
+        if args.output:
+            out.write(text + "\n")
     return 0 if all_pass else 1
 
 
 def cmd_witness(args) -> int:
-    if args.n < 0:
-        raise ConstructionError("witness index must be >= 0")
+    # Past INDEX_CAP every predicted index saturates, and float(n) can overflow.
+    if not 0 <= args.n <= INDEX_CAP:
+        raise ConstructionError(f"--n must be between 0 and {int(INDEX_CAP)}, got {args.n}")
     m = _build_map(args)
     print(json.dumps(piece(m.witness, args.n).to_json(), indent=2))
     return 0
 
 
 def cmd_demo(args) -> int:
-    if args.depth < 1:
-        raise ConstructionError("depth must be >= 1")
     if args.dim < 2 and (args.u is None or args.v is None):
         raise ConstructionError("default directions need dimension >= 2")
     kind = NormKind.parse(args.norm)
     m = sphere_retraction(args.dim, kind)
-    if args.u is not None:
-        u = _parse_vector(args.u)
-    else:
-        u = np.zeros(args.dim)
-        u[0] = 1.0
-    if args.v is not None:
-        v = _parse_vector(args.v)
-    else:
-        v = np.zeros(args.dim)
-        v[1] = 1.0
-    try:
-        rows = borsuk_discontinuity_demo(m, u, v, depth=args.depth)
-    except ValueError as exc:
-        raise ConstructionError(str(exc)) from exc
+    # By default the unit vectors e1 and e2.
+    u = _parse_vector(args.u) if args.u is not None else np.eye(1, args.dim, 0)[0]
+    v = _parse_vector(args.v) if args.v is not None else np.eye(1, args.dim, 1)[0]
+    rows = borsuk_discontinuity_demo(m, u, v, depth=args.depth)
     print(f"{'k':>3}  {'scale':>24}  {'input_gap':>24}  {'output_gap':>24}")
     for r in rows:
         print(f"{r.k:>3}  {_fmt(r.scale):>24}  {_fmt(r.input_gap):>24}  {_fmt(r.output_gap):>24}")

@@ -266,7 +266,7 @@ def _diagonal_index(t: np.ndarray, tol: float, signed: bool) -> np.ndarray:
     return m.astype(np.int64)
 
 
-def _diagonal_family(kind: Optional[NormKind], dim: int, label: str) -> PieceFamily:
+def _diagonal_family(kind: Optional[NormKind], dim: int) -> PieceFamily:
     """Pieces DiagonalBands(kind, start, m, dim): members |n| <= m along the
     coordinate (``kind`` None), 0 <= n <= m along the norm."""
     signed = kind is None
@@ -281,7 +281,7 @@ def _diagonal_family(kind: Optional[NormKind], dim: int, label: str) -> PieceFam
         t = pts[:, 0] if signed else norm(pts, kind)
         return diagonal_membership(t, -m if signed else 0, m, tol)
 
-    return PieceFamily(piece_at, label=label, membership=membership)
+    return PieceFamily(piece_at, membership)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def fractional_part_retraction() -> PiecewiseMap:
         domain=FullSpace(1),
         codomain=HalfOpenUnitInterval(),
         rule=rule,
-        witness=_diagonal_family(None, 1, "fractional-diagonal"),
+        witness=_diagonal_family(None, 1),
         piece_lipschitz=lambda m: 1.0,
         predicted_index_fn=predicted,
     )
@@ -411,7 +411,7 @@ def extend_retraction(
         domain=FullSpace(dim),
         codomain=inner.codomain,
         rule=rule,
-        witness=union_family(inner.witness, complement_pieces, label=f"{construction_id}-extended"),
+        witness=union_family(inner.witness, complement_pieces),
         piece_lipschitz=piece_lipschitz or (lambda n: None),
         predicted_index_fn=predicted_index,
     )
@@ -470,7 +470,7 @@ def _radial_index(kind: NormKind, at_origin: int):
     return predicted
 
 
-def _radial_bands(kind: NormKind, dim: int, hi: float, label: str, with_origin: bool) -> PieceFamily:
+def _radial_bands(kind: NormKind, dim: int, hi: float, with_origin: bool) -> PieceFamily:
     """Pieces {1/max(n, 1) <= ||x|| <= hi}, each with the origin added when
     ``with_origin``."""
     origin = Singleton(_origin(dim))
@@ -484,7 +484,7 @@ def _radial_bands(kind: NormKind, dim: int, hi: float, label: str, with_origin: 
         out = (r >= 1.0 / np.maximum(idx, 1) - tol) & (r <= hi + tol)
         return out | origin._contains(pts, tol) if with_origin else out
 
-    return PieceFamily(piece_at, label=label, membership=membership)
+    return PieceFamily(piece_at, membership)
 
 
 def radial_projection_map(dim: int, kind: NormKind) -> PiecewiseMap:
@@ -499,7 +499,7 @@ def radial_projection_map(dim: int, kind: NormKind) -> PiecewiseMap:
         domain=PuncturedSpace(dim),
         codomain=unit_sphere(kind, dim),
         rule=RadialProjection(kind).apply,
-        witness=_radial_bands(kind, dim, math.inf, "radial-bands", with_origin=False),
+        witness=_radial_bands(kind, dim, math.inf, with_origin=False),
         piece_lipschitz=lambda n: 2.0 * max(n, 1),
         predicted_index_fn=_radial_index(kind, -1),
     )
@@ -547,11 +547,7 @@ def sphere_retraction(
         codomain=unit_sphere(kind, dim),
         rule=rule,
         witness=_radial_bands(
-            kind,
-            dim,
-            1.0 if ambient == "ball" else math.inf,
-            "sphere-paper-bands" if paper_witness else "sphere-augmented-bands",
-            with_origin=not paper_witness,
+            kind, dim, 1.0 if ambient == "ball" else math.inf, with_origin=not paper_witness
         ),
         piece_lipschitz=lambda n: 2.0 * max(n, 1),
         predicted_index_fn=_radial_index(kind, -1 if paper_witness else 1),
@@ -601,7 +597,7 @@ def open_ball_retraction(
         domain=FullSpace(dim),
         codomain=OpenUnitBall(kind, dim),
         rule=rule,
-        witness=_diagonal_family(kind, dim, "open-ball-diagonal"),
+        witness=_diagonal_family(kind, dim),
         piece_lipschitz=lambda m: 1.0 if m == 0 else max(3.0, 2.0 * m),
         predicted_index_fn=predicted,
         special_points=(_origin(dim),),
@@ -643,12 +639,8 @@ def canonical_glue() -> PiecewiseMap:
 
     return glue_retraction(
         ClosedRegion(a),
-        constant_family(a, label="retract-constant"),
-        PieceFamily(
-            complement_at,
-            label="complement-intervals",
-            membership=complement_membership,
-        ),
+        constant_family(a),
+        PieceFamily(complement_at, complement_membership),
         Clamp1D(0.0, 1.0),
         predicted_index=predicted,
         # the glued map coincides with the global clamp, which is 1-Lipschitz
@@ -660,7 +652,7 @@ def _punctured_extension(dim: int, kind: NormKind, factory, **kwargs) -> Piecewi
     m = factory(
         radial_projection_map(dim, kind),
         u_region=PuncturedSpace(dim),
-        complement_pieces=constant_family(Singleton(_origin(dim)), label="origin"),
+        complement_pieces=constant_family(Singleton(_origin(dim))),
         piece_lipschitz=lambda n: 2.0 * max(n, 1),
         predicted_index=_radial_index(kind, 1),
         **kwargs,

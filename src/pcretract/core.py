@@ -351,11 +351,6 @@ class Singleton(SetDescriptor):
         return {"variant": "singleton", "point": list(self.point)}
 
 
-def _stack(chunks: list, dim: int) -> np.ndarray:
-    """Row-wise concatenation; an empty (0, dim) array for a draw of 0 points."""
-    return np.concatenate(chunks, axis=0) if chunks else np.empty((0, dim))
-
-
 @dataclass(frozen=True)
 class FiniteUnion(SetDescriptor):
     """Finite union of closed descriptors of equal dimension."""
@@ -384,9 +379,9 @@ class FiniteUnion(SetDescriptor):
         return out
 
     def sample(self, rng, n):
+        # A member drawn 0 times gives a (0, d) array and leaves rng as it was.
         counts = np.bincount(rng.integers(0, len(self.members), size=n), minlength=len(self.members))
-        chunks = [m.sample(rng, k) for m, k in zip(self.members, counts.tolist()) if k]
-        return _stack(chunks, self.dim)
+        return np.concatenate([m.sample(rng, k) for m, k in zip(self.members, counts.tolist())])
 
     def to_json(self):
         return {"variant": "finite_union", "members": [m.to_json() for m in self.members]}
@@ -594,11 +589,11 @@ class PieceFamily:
     witnessed piecewise map.  Every family claims that piece(n) is contained
     in piece(n+1); checks sample-test the claim.
 
-    ``membership(pts, idx, tol)``, when given, is a closed form of
-    :meth:`contains_at`.  A family supplies one when its pieces differ only
-    in parameters that can be computed per point, such as band radii; it
-    must repeat the pieces' own float operations, so that it gives the same
-    booleans as ``piece(idx[i]).contains``.
+    A family is its pieces ``piece_at(n)`` and their closed-form
+    ``membership(pts, idx, tol)``: whether each row pts[i] of a validated
+    batch lies in piece(idx[i]), idx int64 and >= 0.  Every check tests
+    membership through it, so it must repeat the pieces' own float
+    operations and give the booleans of ``piece(idx[i]).contains``.
 
     The checks draw several pieces at once through :func:`sample_pieces`.
     Pieces that are all DiagonalBands of one kind and dimension (the
@@ -608,34 +603,18 @@ class PieceFamily:
     """
 
     piece_at: Callable[[int], SetDescriptor]
-    label: str = ""
-    membership: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
+    membership: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
     def contains_at(self, pts, idx, tol=DEFAULT_TOLERANCE.membership_tol) -> np.ndarray:
-        """Whether each point pts[i] of an (n, d) batch lies in piece(idx[i]).
-
-        Without a closed form, the points are grouped by index with one
-        stable sort and each group is tested against its piece, so the cost
-        is one piece per distinct index.
-        """
+        """Whether each point pts[i] of an (n, d) batch lies in piece(idx[i]);
+        validates its input, then calls ``membership``."""
         pts = as_points(pts)
         idx = np.asarray(idx, dtype=np.int64)
         if idx.shape != (len(pts),):
             raise ValueError("need one piece index per point")
         if np.any(idx < 0):
             raise ValueError("piece index must be >= 0")
-        return self._contains_at(pts, idx, float(tol))
-
-    def _contains_at(self, pts: np.ndarray, idx: np.ndarray, tol: float) -> np.ndarray:
-        if self.membership is not None:
-            return self.membership(pts, idx, tol)
-        out = np.empty(len(pts), dtype=bool)
-        order = np.argsort(idx, kind="stable")
-        keys = idx[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        for k, sel in zip(keys[starts], np.split(order, starts[1:])):
-            out[sel] = self.piece_at(int(k)).contains(pts[sel], tol)
-        return out
+        return self.membership(pts, idx, float(tol))
 
 
 def piece(family: PieceFamily, n: int) -> SetDescriptor:
@@ -646,18 +625,13 @@ def piece(family: PieceFamily, n: int) -> SetDescriptor:
     return family.piece_at(n)
 
 
-def constant_family(descriptor: SetDescriptor, label: str = "") -> PieceFamily:
-    return PieceFamily(
-        lambda n: descriptor,
-        label=label,
-        membership=lambda pts, idx, tol: descriptor._contains(pts, tol),
-    )
+def constant_family(descriptor: SetDescriptor) -> PieceFamily:
+    return PieceFamily(lambda n: descriptor, lambda pts, idx, tol: descriptor._contains(pts, tol))
 
 
-def union_family(a: PieceFamily, b: PieceFamily, label: str = "") -> PieceFamily:
+def union_family(a: PieceFamily, b: PieceFamily) -> PieceFamily:
     """Piece n is piece(a, n) ∪ piece(b, n); increasing when a and b are."""
     return PieceFamily(
         lambda n: FiniteUnion((piece(a, n), piece(b, n))),
-        label=label,
-        membership=lambda pts, idx, tol: a._contains_at(pts, idx, tol) | b._contains_at(pts, idx, tol),
+        lambda pts, idx, tol: a.membership(pts, idx, tol) | b.membership(pts, idx, tol),
     )

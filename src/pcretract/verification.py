@@ -52,16 +52,17 @@ class Sampler:
     """Deterministic seeded sampler.
 
     Strategies: ``ball`` (direction by normalized gaussian, radius uniform in
-    [lo, hi]), ``sphere`` (normalized gaussian), ``interval`` (uniform in
-    [lo, hi) of R^1), ``grid-circle`` (equispaced angles on the Euclidean
-    unit circle), ``grid-interval`` (linspace), ``set`` (descriptor-driven).
+    [lo, hi]), ``sphere`` (normalized gaussian), ``grid-circle`` (equispaced
+    angles on the Euclidean unit circle), ``grid-interval`` (linspace),
+    ``set`` (descriptor-driven).
 
-    ``ball``, ``sphere`` and ``interval`` nest: direction and radius draws
-    use separate sub-streams of the seed, so the first n points of a draw
-    of m > n equal the draw of n.  The grids and ``set`` do not: a grid of
-    m points is not an extension of a grid of n, and a descriptor draws
-    every part (member choice, directions, radii) from one stream, so what
-    follows the first part depends on the count.
+    ``ball`` and ``sphere`` nest: direction and radius draws use separate
+    sub-streams of the seed, so the first n points of a draw of m > n equal
+    the draw of n.  So does ``set`` of an Interval, one uniform per point.
+    The grids and ``set`` of any other descriptor do not: a grid of m points
+    is not an extension of a grid of n, and a descriptor draws every part
+    (member choice, directions, radii) from one stream, so what follows the
+    first part depends on the count.
     """
 
     seed: int
@@ -81,8 +82,6 @@ class Sampler:
         if self.strategy == "ball":
             g = _rng(self.seed, 11).standard_normal(size=(n, self.dim))
             return _unit_rows(g, self.kind, _rng(self.seed, 13).uniform(self.lo, self.hi, size=n))
-        if self.strategy == "interval":
-            return _rng(self.seed, 11).uniform(self.lo, self.hi, size=(n, 1))
         if self.strategy == "grid-circle":
             theta = 2.0 * math.pi * np.arange(n) / n
             return np.column_stack([np.cos(theta), np.sin(theta)])
@@ -96,11 +95,9 @@ class Sampler:
 
 
 def codomain_sampler(codomain: Codomain, seed: int) -> Sampler:
-    """Sampler of a retract: a nesting strategy for an interval, the open
-    unit ball and the unit sphere, else its closure's own draw (``set``)."""
+    """Sampler of a retract: ``ball`` for the open unit ball, ``sphere`` for
+    the unit sphere, else its closure's own draw (``set``)."""
     d = codomain.closure
-    if isinstance(d, Interval):
-        return Sampler(seed, "interval", dim=1, lo=d.lo, hi=d.hi)
     if isinstance(codomain, OpenUnitBall):
         return Sampler(seed, "ball", dim=d.dim, kind=d.kind, lo=0.0, hi=1.0)
     if isinstance(d, NormBand) and d.lo == d.hi == 1.0:
@@ -116,7 +113,7 @@ def domain_sampler(m: PiecewiseMap, seed: int) -> Sampler:
     """Default sampler for a map's domain: within DOMAIN_RADIUS, or the
     domain's own band."""
     if m.dim == 1:
-        return Sampler(seed, "interval", dim=1, lo=-DOMAIN_RADIUS, hi=DOMAIN_RADIUS)
+        return Sampler(seed, "set", dim=1, descriptor=Interval(-DOMAIN_RADIUS, DOMAIN_RADIUS))
     if isinstance(m.domain, NormBand):
         return Sampler(seed, "ball", dim=m.dim, kind=m.kind, lo=m.domain.lo, hi=m.domain.hi)
     return Sampler(seed, "ball", dim=m.dim, kind=m.kind, lo=0.0, hi=DOMAIN_RADIUS)
@@ -238,7 +235,7 @@ def check_cover(
     # by index and input position, then monotonicity misses by k.
     idx = m.predicted_index_fn(pts, tol)
     covered = idx >= 0
-    inside = m.witness._contains_at(pts[covered], idx[covered], tol)
+    inside = m.witness.membership(pts[covered], idx[covered], tol)
     missed = np.flatnonzero(covered)[~inside]
     missed = missed[np.argsort(idx[missed], kind="stable")]
     offenders = [pts[~covered][:10], pts[missed][:10]]
@@ -248,7 +245,7 @@ def check_cover(
     for ks in _batches(range(1, max_index), piece_samples):
         s = as_points(sample_pieces([(piece(m.witness, k), rng) for k in ks], piece_samples), m.dim)
         grown = np.repeat(np.asarray(ks) + 1, piece_samples)
-        inside = m.witness._contains_at(s, grown, tol)
+        inside = m.witness.membership(s, grown, tol)
         offenders.append(s[~inside][:10])
         failures += int(np.sum(~inside))
 
@@ -324,7 +321,7 @@ def _piece_continuity_reports(m, ks, seeds, pairs, delta) -> list:
         draws = [(piece(m.witness, k), _rng(seed, 19)) for k, seed, _ in batch]
 
         def within(y, which):
-            return m.witness._contains_at(y, idx[which], 0.0)
+            return m.witness.membership(y, idx[which], 0.0)
 
         results = _pair_ratios(m, draws, within, pairs, delta, max_dist=delta, min_pairs=MIN_CONTINUITY_PAIRS)
         for (k, _, bound), (kept, x, ratio) in zip(batch, results):
@@ -575,6 +572,10 @@ def check_operator_properties(
     return reports
 
 
+# Past this k the demo's scale 10.0**-k underflows to 0.0, so its rows show nothing.
+MAX_DEMO_DEPTH = 323
+
+
 @dataclass(frozen=True)
 class DemoRow:
     k: int
@@ -593,9 +594,9 @@ def borsuk_discontinuity_demo(
 ) -> list:
     """Evidence that the sphere retraction is not continuous at the origin:
     inputs along two unit directions collapse toward the origin while their
-    images stay a fixed distance apart."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    images stay a fixed distance apart, over depth <= MAX_DEMO_DEPTH rows."""
+    if not 1 <= depth <= MAX_DEMO_DEPTH:
+        raise ValueError(f"depth must be between 1 and {MAX_DEMO_DEPTH}, got {depth}")
     u = as_vector(u)
     v = as_vector(v)
     tol = DEFAULT_TOLERANCE.identity_tol
@@ -652,7 +653,7 @@ def corrupt_shrinking_witness(m: PiecewiseMap) -> PiecewiseMap:
     base = m.witness
     fam = PieceFamily(
         lambda k: base.piece_at(max(SHRINK_START - k, 0)),
-        label=base.label + "+shrinking",
+        lambda pts, idx, tol: base.membership(pts, np.maximum(SHRINK_START - idx, 0), tol),
     )  # a PieceFamily claims to increase: the lie this control exists to expose
     return m.replace(witness=fam, construction_id=m.construction_id + "+shrinking-witness")
 

@@ -221,10 +221,17 @@ class TestCoverBatches:
         # radius 2, the next one only 1, so monotonicity fails on (1, 2]
         # while the unit-ball domain stays covered.
         m = sphere_retraction(2, P2, ambient="ball")
-        fam = PieceFamily(
-            lambda k: FiniteUnion((Singleton((0.0, 0.0)), NormBand(P2, 1.0 / max(k, 1), 1.0 + k % 2, 2)))
-        )
-        return m.replace(witness=fam)
+
+        def piece_at(k):
+            return FiniteUnion((Singleton((0.0, 0.0)), NormBand(P2, 1.0 / max(k, 1), 1.0 + k % 2, 2)))
+
+        def membership(pts, idx, tol):
+            out = np.empty(len(pts), dtype=bool)
+            for k in np.unique(idx):
+                out[idx == k] = piece_at(int(k)).contains(pts[idx == k], tol)
+            return out
+
+        return m.replace(witness=PieceFamily(piece_at, membership))
 
     def test_failures_and_offenders_match_one_unbatched_pass(self):
         m = self._alternating()

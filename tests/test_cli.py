@@ -143,6 +143,16 @@ class TestVerifyCommand:
         assert p.returncode == 0
         assert json.loads(out.read_text())["construction"] == "glue"
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, where):
+        # The path is opened before the suite runs, so nothing is printed.
+        out = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+        p = run_cli("verify", "--construction", "glue", "--samples", "300", "--output", str(out))
+        assert p.returncode == 2
+        assert p.stdout == b""
+        assert len(p.stderr.splitlines()) == 1
+        assert p.stderr.startswith(b"error: --output: cannot write " + str(out).encode())
+
 
 class TestWitnessCommand:
     def test_sphere_piece_two(self):
@@ -180,6 +190,19 @@ class TestWitnessCommand:
     def test_negative_index_rejected(self):
         p = run_cli("witness", "--construction", "sphere", "--n", "-1")
         assert p.returncode == 2
+
+    @pytest.mark.parametrize("construction", ["glue", "sphere", "extend", "const-extend"])
+    @pytest.mark.parametrize("n", [2**62 + 1, 10**400], ids=["2**62+1", "10**400"])
+    def test_index_above_cap_rejected(self, construction, n):
+        p = run_cli("witness", "--construction", construction, "--n", str(n))
+        assert p.returncode == 2
+        assert p.stdout == b""
+        assert p.stderr == f"error: --n must be between 0 and {2**62}, got {n}\n".encode()
+
+    def test_index_at_cap_accepted(self):
+        p = run_cli("witness", "--construction", "glue", "--n", str(2**62))
+        assert p.returncode == 0
+        assert json.loads(p.stdout)["variant"] == "finite_union"
 
     def test_seed_is_not_a_witness_flag(self):
         # witness draws nothing, so a seed would be silently ignored.
@@ -237,6 +260,20 @@ class TestDemoCommand:
     def test_zero_depth_rejected(self):
         p = run_cli("demo", "--dim", "2", "--depth", "0")
         assert p.returncode == 2
+
+    def test_depth_past_underflow_rejected(self):
+        # 10.0**-324 is 0.0, so row 324 on would show nothing.
+        p = run_cli("demo", "--dim", "2", "--depth", "324")
+        assert p.returncode == 2
+        assert p.stdout == b""
+        assert p.stderr == b"error: depth must be between 1 and 323, got 324\n"
+
+    def test_deepest_depth_accepted(self):
+        p = run_cli("demo", "--dim", "2", "--depth", "323")
+        assert p.returncode == 0
+        lines = p.stdout.decode().strip().splitlines()
+        assert len(lines) == 324  # header + 323 rows
+        assert lines[-1].split()[:2] == ["323", "9.8813129168249309e-324"]
 
     def test_non_unit_direction_rejected(self):
         p = run_cli("demo", "--u", "2,0", "--v", "0,1")

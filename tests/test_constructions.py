@@ -489,6 +489,16 @@ CONTAINS_AT_FAMILIES = {
     "glue": (lambda: canonical_glue().witness, 1, P2, _glue_edges, 2**62),
     "shrinking-witness": (lambda: corrupt_shrinking_witness(sphere_retraction(3, P2)).witness,
                           3, P2, _radial_edges, 2**62),
+    # The control's piece k is its base's piece max(8 - k, 0), so probe that piece's edges.
+    "shrinking-witness-fractional": (
+        lambda: corrupt_shrinking_witness(fractional_part_retraction()).witness, 1, P2,
+        lambda k, rng: _diagonal_edges(max(8 - k, 0), rng, True), 2**62),
+    "shrinking-witness-open-ball-p1.5": (
+        lambda: corrupt_shrinking_witness(open_ball_retraction(3, NormKind(1.5))).witness, 3,
+        NormKind(1.5), lambda k, rng: _diagonal_edges(max(8 - k, 0), rng, False), 2**62),
+    "shrinking-witness-glue": (
+        lambda: corrupt_shrinking_witness(canonical_glue()).witness, 1, P2,
+        lambda k, rng: _glue_edges(max(8 - k, 0), rng), 2**62),
 }
 
 
@@ -510,8 +520,9 @@ def _probe_points(edges, dim, kind, rng):
 
 
 class TestContainsAt:
-    """contains_at, with or without a closed form, must give the booleans of
-    piece(idx[i]).contains point for point."""
+    """contains_at, which runs each family's closed-form membership (the
+    shrinking-witness control's through its base family), must give the
+    booleans of piece(idx[i]).contains point for point."""
 
     @pytest.mark.parametrize("name", sorted(CONTAINS_AT_FAMILIES))
     @given(

@@ -350,7 +350,10 @@ class TestPieceFamily:
         assert piece(fam, 3) == Interval(0, 1)
 
     def test_increasing_on_samples(self):
-        fam = PieceFamily(lambda n: Interval(-float(n), float(n) + 1.0))
+        fam = PieceFamily(
+            lambda n: Interval(-float(n), float(n) + 1.0),
+            lambda pts, idx, tol: (pts[:, 0] >= -idx - tol) & (pts[:, 0] <= (idx + 1.0) + tol),
+        )
         rng = np.random.default_rng(1)
         for n in range(5):
             pts = piece(fam, n).sample(rng, 200)

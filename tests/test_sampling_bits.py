@@ -77,7 +77,8 @@ def ref_sample(desc, rng, n, cap=8.0):
         return np.concatenate(chunks) if chunks else np.empty((0, desc.dim))
     if isinstance(desc, Singleton):
         return np.tile(np.asarray(desc.point, dtype=float), (n, 1))
-    return desc.sample(rng, n)  # Interval: draws unchanged
+    assert isinstance(desc, Interval)
+    return rng.uniform(desc.lo, desc.hi, size=(n, 1))
 
 
 def ref_draw(s, n):
@@ -87,8 +88,6 @@ def ref_draw(s, n):
     if s.strategy == "ball":
         radii = np.random.default_rng(np.random.SeedSequence([s.seed, 13])).uniform(s.lo, s.hi, size=n)
         return ref_directions(rng, n, s.dim, s.kind) * radii[:, None]
-    if s.strategy == "interval":
-        return rng.uniform(s.lo, s.hi, size=(n, 1))
     if s.strategy == "grid-circle":
         theta = 2.0 * math.pi * np.arange(n) / n
         return np.column_stack([np.cos(theta), np.sin(theta)])
@@ -231,7 +230,7 @@ class TestSamplePieces:
 
 
 class TestSamplerDraws:
-    @given(strategy=st.sampled_from(["ball", "sphere", "interval", "grid-circle", "grid-interval", "set"]),
+    @given(strategy=st.sampled_from(["ball", "sphere", "grid-circle", "grid-interval", "set"]),
            desc=descriptors(), kind=st.sampled_from(KINDS), n=st.sampled_from(COUNTS[1:]),
            lo=st.sampled_from([0.0, 0.25, 2.0]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)

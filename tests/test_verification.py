@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pcretract import constructions, core, verification
-from pcretract.core import NormBand, NormKind, Tolerance, norm, piece
+from pcretract.core import Interval, NormBand, NormKind, Tolerance, norm, piece
 from pcretract.constructions import (
     build_construction,
     open_ball_retraction,
@@ -61,8 +61,8 @@ class TestSampler:
         small_s = Sampler(7, "sphere", dim=4).draw(50)
         big_s = Sampler(7, "sphere", dim=4).draw(500)
         assert np.array_equal(big_s[:50], small_s)
-        small_i = Sampler(7, "interval", lo=-2.0, hi=3.0).draw(30)
-        big_i = Sampler(7, "interval", lo=-2.0, hi=3.0).draw(300)
+        small_i = Sampler(7, "set", descriptor=Interval(-2.0, 3.0)).draw(30)
+        big_i = Sampler(7, "set", descriptor=Interval(-2.0, 3.0)).draw(300)
         assert np.array_equal(big_i[:30], small_i)
 
     def test_sphere_strategy_unit_norm(self):
@@ -459,5 +459,6 @@ class TestSuiteAndReports:
         assert domain_sampler(sphere, 0).strategy == "ball"
         assert codomain_sampler(sphere.codomain, 0).strategy == "sphere"
         m = build_construction("fractional")
-        assert domain_sampler(m, 0).strategy == "interval"
-        assert codomain_sampler(m.codomain, 0).strategy == "interval"
+        assert domain_sampler(m, 0).descriptor == Interval(-5.0, 5.0)
+        assert codomain_sampler(m.codomain, 0).descriptor == Interval(0.0, 1.0)
+        assert domain_sampler(m, 0).strategy == codomain_sampler(m.codomain, 0).strategy == "set"
