@@ -1,7 +1,9 @@
 """Command-line interface: verify suites, witness inspection, discontinuity demo.
 
-Exit codes: 0 = all checks passed, 1 = at least one check failed (or the
-reader of stdout closed the pipe), 2 = usage or configuration error.
+Exit codes: 0 = no check failed, 1 = at least one check failed (or the
+reader of stdout closed the pipe), 2 = usage or configuration error.  The
+text report ends in ``result: ALL PASS`` only when every check passed; with
+inconclusive checks and no failure it says ``NO FAILURES`` and counts them.
 Identical invocations (same flags, same seed) produce byte-identical
 output; numeric text output uses 17 significant digits.
 """
@@ -188,7 +190,14 @@ def cmd_verify(args) -> int:
                     f"max_violation={_fmt(r.max_violation)} tolerance={_fmt(r.tolerance)} "
                     f"samples={r.samples_used}"
                 )
-            lines.append("result: " + ("ALL PASS" if all_pass else "FAILURES"))
+            unsure = sum(r.status == "inconclusive" for r in reports)
+            if not all_pass:
+                result = "FAILURES"
+            elif unsure:
+                result = f"NO FAILURES ({unsure} of {len(reports)} checks inconclusive)"
+            else:
+                result = "ALL PASS"
+            lines.append("result: " + result)
             text = "\n".join(lines)
         print(text)
         if args.output:

@@ -234,6 +234,15 @@ class SetDescriptor(Region):
     def to_json(self) -> dict:
         raise NotImplementedError
 
+    def subset_of(self, other: "SetDescriptor") -> bool:
+        """True when this set lies in ``other`` by a comparison of the bound
+        floats that membership itself uses, at tolerance 0; False means not
+        shown.  Each variant compares bounds only with its own variant; a
+        union ``other`` holds the set when one of its members does."""
+        if isinstance(other, FiniteUnion):
+            return any(self.subset_of(m) for m in other.members)
+        return False
+
     def __str__(self) -> str:
         import json
 
@@ -263,6 +272,11 @@ class Interval(SetDescriptor):
 
     def sample(self, rng, n):
         return rng.uniform(self.lo, self.hi, size=(n, 1))
+
+    def subset_of(self, other):
+        if isinstance(other, Interval):
+            return other.lo <= self.lo and self.hi <= other.hi
+        return super().subset_of(other)
 
     def to_json(self):
         return {"variant": "interval", "lo": self.lo, "hi": self.hi}
@@ -314,6 +328,11 @@ class NormBand(SetDescriptor):
         hi = self.hi if math.isfinite(self.hi) else max(self.lo, 1.0) + SAMPLE_CAP
         return _unit_rows(g, self.kind, rng.uniform(self.lo, hi, size=n))
 
+    def subset_of(self, other):
+        if isinstance(other, NormBand) and (other.kind, other.ndim) == (self.kind, self.ndim):
+            return other.lo <= self.lo and self.hi <= other.hi
+        return super().subset_of(other)
+
     def to_json(self):
         return {
             "variant": "norm_band",
@@ -346,6 +365,9 @@ class Singleton(SetDescriptor):
         out = np.empty((n, self.dim))
         out[:] = self.point
         return out
+
+    def subset_of(self, other):
+        return other.dim == self.dim and bool(other._contains(np.array([self.point]), 0.0)[0])
 
     def to_json(self):
         return {"variant": "singleton", "point": list(self.point)}
@@ -382,6 +404,9 @@ class FiniteUnion(SetDescriptor):
         # A member drawn 0 times gives a (0, d) array and leaves rng as it was.
         counts = np.bincount(rng.integers(0, len(self.members), size=n), minlength=len(self.members))
         return np.concatenate([m.sample(rng, k) for m, k in zip(self.members, counts.tolist())])
+
+    def subset_of(self, other):
+        return all(m.subset_of(other) for m in self.members)
 
     def to_json(self):
         return {"variant": "finite_union", "members": [m.to_json() for m in self.members]}
@@ -466,6 +491,13 @@ class DiagonalBands(SetDescriptor):
         # The one-piece batch of sample_pieces: the generator calls and bits
         # of expand().sample (see _draw_bands).
         return _draw_bands([(self, rng)], n)
+
+    def subset_of(self, other):
+        # Each member n of self is a member of other, whose upper bound
+        # n + width is no lower: float addition is monotone.
+        if isinstance(other, DiagonalBands) and (other.kind, other.ndim) == (self.kind, self.ndim):
+            return other.start <= self.start and self.m <= other.m and self.width <= other.width
+        return super().subset_of(other)
 
     def to_json(self):
         if self.m - self.start < EXPANDED_JSON_CAP:
@@ -587,7 +619,8 @@ class FullSpace(Region):
 class PieceFamily:
     """Increasing sequence n -> closed set, the certificate carried by a
     witnessed piecewise map.  Every family claims that piece(n) is contained
-    in piece(n+1); checks sample-test the claim.
+    in piece(n+1); the cover check decides the claim from the pieces' bounds
+    (``SetDescriptor.subset_of``) and sample-tests it where that shows nothing.
 
     A family is its pieces ``piece_at(n)`` and their closed-form
     ``membership(pts, idx, tol)``: whether each row pts[i] of a validated

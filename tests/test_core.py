@@ -361,6 +361,163 @@ class TestPieceFamily:
 
 
 
+P15 = NormKind(1.5)
+P2 = NormKind(2.0)
+
+
+class TestSubsetOf:
+    """subset_of is True only where the bounds show containment at tolerance
+    0; False means not shown."""
+
+    def test_interval(self):
+        assert Interval(0.0, 1.0).subset_of(Interval(-1.0, 2.0))
+        assert Interval(0.0, 1.0).subset_of(Interval(0.0, 1.0))
+        assert not Interval(0.0, 1.0).subset_of(Interval(np.nextafter(0.0, 1.0), 1.0))
+        assert not Interval(0.0, 1.0).subset_of(Interval(0.0, np.nextafter(1.0, 0.0)))
+        assert not Interval(-2.0, 3.0).subset_of(Interval(-1.0, 2.0))
+
+    def test_degenerate_interval(self):
+        point = Interval(0.5, 0.5)
+        assert point.subset_of(Interval(0.0, 1.0))
+        assert point.subset_of(Interval(0.5, 0.5))
+        assert not Interval(1.5, 1.5).subset_of(Interval(0.0, 1.0))
+        assert not Interval(0.0, 1.0).subset_of(point)
+
+    def test_norm_band(self):
+        assert NormBand(P2, 0.5, 2.0, 3).subset_of(NormBand(P2, 0.25, 2.0, 3))
+        assert not NormBand(P2, 0.25, 2.0, 3).subset_of(NormBand(P2, 0.5, 2.0, 3))
+        assert not NormBand(P2, 0.5, 3.0, 3).subset_of(NormBand(P2, 0.5, 2.0, 3))
+        assert not NormBand(P2, 0.5, 2.0, 3).subset_of(NormBand(P15, 0.0, 2.0, 3))
+        assert not NormBand(P2, 0.5, 2.0, 3).subset_of(NormBand(P2, 0.0, 2.0, 2))
+
+    def test_norm_band_unbounded(self):
+        far = NormBand(P2, 0.5, math.inf, 3)
+        assert far.subset_of(NormBand(P2, 0.25, math.inf, 3))
+        assert NormBand(P2, 0.5, 1e308, 3).subset_of(far)
+        assert not far.subset_of(NormBand(P2, 0.25, 1e308, 3))
+
+    def test_diagonal_bands(self):
+        assert DiagonalBands(None, -3, 3, 1).subset_of(DiagonalBands(None, -4, 4, 1))
+        assert not DiagonalBands(None, -4, 4, 1).subset_of(DiagonalBands(None, -3, 3, 1))
+        assert not DiagonalBands(None, -3, 4, 1).subset_of(DiagonalBands(None, -2, 4, 1))
+        assert DiagonalBands(P15, 0, 3, 3).subset_of(DiagonalBands(P15, 0, 4, 3))
+        assert not DiagonalBands(P15, 1, 3, 3).subset_of(DiagonalBands(P15, 0, 2, 3))
+        assert not DiagonalBands(P15, 0, 3, 3).subset_of(DiagonalBands(P2, 0, 4, 3))
+        assert not DiagonalBands(P2, 0, 3, 2).subset_of(DiagonalBands(P2, 0, 4, 3))
+        assert not DiagonalBands(P2, 0, 3, 1).subset_of(DiagonalBands(None, 0, 4, 1))
+
+    def test_diagonal_bands_where_the_width_stalls(self):
+        # Near 2**52 the width 1 - 1/(m+1) rounds to one float over long runs
+        # of m: only the member ranges then tell the pieces apart.
+        lo, hi = 2**52 - 20, 2**52 - 19
+        a, b = DiagonalBands(P2, 0, lo, 3), DiagonalBands(P2, 0, hi, 3)
+        assert a.width == b.width
+        assert a.subset_of(b)
+        assert not b.subset_of(a)
+        wide = DiagonalBands(None, -(2**52) + 1, 2**52 - 1, 1)
+        assert DiagonalBands(None, -lo, lo, 1).subset_of(wide)
+        assert not wide.subset_of(DiagonalBands(None, -lo, lo, 1))
+
+    def test_singleton_on_a_band_boundary(self):
+        point = (0.5, 0.5, 0.0)
+        r = float(norm(np.array(point), P15))
+        assert Singleton(point).subset_of(NormBand(P15, r, 2.0, 3))
+        assert Singleton(point).subset_of(NormBand(P15, 0.0, r, 3))
+        assert not Singleton(point).subset_of(NormBand(P15, np.nextafter(r, 2.0), 2.0, 3))
+        assert not Singleton(point).subset_of(NormBand(P15, 0.0, np.nextafter(r, 0.0), 3))
+
+    def test_singleton(self):
+        assert Singleton((1.0, 2.0)).subset_of(Singleton((1.0, 2.0)))
+        assert not Singleton((1.0, 2.0)).subset_of(Singleton((1.0, 2.000001)))
+        assert not Singleton((1.0,)).subset_of(Singleton((1.0, 0.0)))
+        assert Singleton((0.25,)).subset_of(DiagonalBands(None, 0, 3, 1))
+        assert not Singleton((0.9,)).subset_of(DiagonalBands(None, 0, 3, 1))
+
+    def test_union_on_the_left_needs_every_member(self):
+        u = FiniteUnion((Interval(0.0, 1.0), Interval(2.0, 3.0)))
+        assert u.subset_of(Interval(0.0, 3.0))
+        assert not u.subset_of(Interval(0.0, 2.5))
+
+    def test_union_on_the_right_needs_one_member(self):
+        u = FiniteUnion((Interval(0.0, 1.0), Interval(2.0, 3.0)))
+        assert Interval(2.0, 2.5).subset_of(u)
+        assert not Interval(0.5, 2.5).subset_of(u)
+        # Touching intervals are not merged.
+        assert not Interval(0.0, 2.0).subset_of(FiniteUnion((Interval(0.0, 1.0), Interval(1.0, 2.0))))
+        assert u.subset_of(FiniteUnion((Interval(2.0, 3.0), Interval(-1.0, 1.0))))
+        assert not FiniteUnion((Interval(0.0, 1.0),)).subset_of(FiniteUnion((Interval(0.5, 3.0),)))
+
+    def test_other_variants_are_not_shown(self):
+        assert not Interval(0.0, 1.0).subset_of(NormBand(P2, 0.0, 1.0, 1))
+        assert not Interval(0.0, 1.0).subset_of(DiagonalBands(None, 0, 3, 1))
+        d = DiagonalBands(None, 0, 3, 1)
+        assert not d.subset_of(d.expand())
+        assert not d.expand().subset_of(d)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_widened_sets_are_shown(self, data):
+        d = data.draw(st.sampled_from([1, 3]))
+        a = data.draw(descriptors(d))
+        assert a.subset_of(data.draw(widened(a)))
+
+    @given(st.data(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_shown_subsets_hold_the_drawn_points(self, data, seed):
+        d = data.draw(st.sampled_from([1, 3]))
+        a = data.draw(descriptors(d))
+        b = data.draw(st.one_of(widened(a), descriptors(d)))
+        if a.subset_of(b):
+            pts = a.sample(np.random.default_rng(seed), 64)
+            pts = pts[a.contains(pts, 0.0)]
+            assert np.all(b.contains(pts, 0.0))
+
+
+# Bounds on a grid of eighths, so that drawn sets often share an endpoint.
+_eighths = st.integers(min_value=0, max_value=40).map(lambda i: i / 8)
+_norm_kinds = st.sampled_from([NormKind(1.0), P15, P2, NormKind(math.inf)])
+
+
+@st.composite
+def descriptors(draw, d, depth=2):
+    """A descriptor of dimension d from the whole grammar."""
+    variants = ["band", "diagonal", "singleton"] + ["interval"] * (d == 1) + ["union"] * (depth > 0)
+    variant = draw(st.sampled_from(variants))
+    if variant == "interval":
+        lo = draw(_eighths) - 2.5
+        return Interval(lo, lo + draw(_eighths))
+    if variant == "band":
+        lo = draw(_eighths)
+        hi = math.inf if draw(st.booleans()) else lo + draw(_eighths)
+        return NormBand(draw(_norm_kinds), lo, hi, d)
+    if variant == "diagonal":
+        kind = draw(st.none() | _norm_kinds) if d == 1 else draw(_norm_kinds)
+        start = draw(st.integers(min_value=0 if kind else -6, max_value=6))
+        m = max(start, 0) + draw(st.integers(min_value=0, max_value=6))  # piece indices m >= 0
+        return DiagonalBands(kind, start, m, d)
+    if variant == "singleton":
+        coords = st.integers(min_value=-24, max_value=24).map(lambda i: i / 8)
+        return Singleton(tuple(draw(st.lists(coords, min_size=d, max_size=d))))
+    return FiniteUnion(tuple(draw(st.lists(descriptors(d, depth - 1), min_size=1, max_size=3))))
+
+
+@st.composite
+def widened(draw, a):
+    """A descriptor that holds ``a`` by the rules subset_of states."""
+    more = draw(_eighths)
+    if isinstance(a, Interval):
+        return Interval(a.lo - draw(_eighths), a.hi + more)
+    if isinstance(a, NormBand):
+        hi = math.inf if draw(st.booleans()) else a.hi + more
+        return NormBand(a.kind, max(a.lo - draw(_eighths), 0.0), hi, a.ndim)
+    if isinstance(a, DiagonalBands):
+        start = a.start - draw(st.integers(min_value=0, max_value=a.start if a.kind else 6))
+        return DiagonalBands(a.kind, start, a.m + draw(st.integers(min_value=0, max_value=6)), a.ndim)
+    members = [draw(widened(m)) for m in a.members] if isinstance(a, FiniteUnion) else [a]
+    members += draw(st.lists(descriptors(a.dim, 0), max_size=2))
+    return FiniteUnion(tuple(draw(st.permutations(members))))
+
+
 class TestTolerance:
     def test_defaults(self):
         t = Tolerance()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pcretract import constructions, core, verification
-from pcretract.core import Interval, NormBand, NormKind, Tolerance, norm, piece
+from pcretract.core import Interval, NormBand, NormKind, Tolerance, as_points, norm, piece
 from pcretract.constructions import (
     build_construction,
     open_ball_retraction,
@@ -131,7 +131,15 @@ class TestValidatedOnce:
         assert len(validations) == 1
         validations.clear()
         check_cover(m, n=500, max_index=3, piece_samples=100, extra_points=m.special_points or None)
-        # The draw, the special points if any, and one monotonicity batch.
+        # The draw and the special points if any; monotonicity is decided
+        # from the pieces' bounds, so no batch is drawn for it.
+        assert len(validations) == (2 if m.special_points else 1)
+
+    @pytest.mark.parametrize("cid", ["extend", "glue", "open-ball"])
+    def test_undecided_cover_draws_one_monotonicity_batch(self, cid, validations):
+        m = corrupt_shrinking_witness(build_construction(cid, 1 if cid == "glue" else 3, P2))
+        validations.clear()
+        check_cover(m, n=500, max_index=3, piece_samples=100, extra_points=m.special_points or None)
         assert len(validations) == (3 if m.special_points else 2)
 
 
@@ -165,6 +173,35 @@ class TestCoverCheck:
     def test_open_ball_cover(self, open_ball):
         r = check_cover(open_ball, n=5000, seed=3, extra_points=[np.zeros(2)])
         assert r.status == PASS
+
+    @pytest.mark.parametrize("max_index", [10, 10**4])
+    @pytest.mark.parametrize("cid", constructions.CONSTRUCTION_IDS)
+    def test_monotonicity_decided_without_draws(self, cid, max_index, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("monotonicity points were drawn")
+
+        monkeypatch.setattr(verification, "sample_pieces", no_draws)
+        m = build_construction(cid, 3)
+        r = check_cover(m, n=200, max_index=max_index, seed=4, extra_points=m.special_points or None)
+        assert r.status == PASS
+
+    @pytest.mark.parametrize("cid", constructions.CONSTRUCTION_IDS)
+    def test_undecided_family_reports_as_before(self, cid, monkeypatch):
+        # The shrinking control is not decided, so it draws from stream 17
+        # exactly as the sampled step always did: the same misses, counted
+        # and listed in the same order.
+        bad = corrupt_shrinking_witness(build_construction(cid, 3))
+        r = check_cover(bad, n=300, max_index=5, seed=6, piece_samples=1000)
+        pts = as_points(domain_sampler(bad, 6).draw(300), bad.dim)
+        idx = bad.predicted_index(pts, 1e-9)
+        inside = bad.witness.contains_at(pts, idx, 1e-9)
+        rng = verification._rng(6, 17)
+        misses = []
+        for k in range(1, 5):
+            s = piece(bad.witness, k).sample(rng, 1000)
+            misses.extend(s[~piece(bad.witness, k + 1).contains(s, 1e-9)])
+        assert misses
+        assert r.max_violation == np.sum(~inside) + len(misses)
 
 
 class TestContinuityCheck:
