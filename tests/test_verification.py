@@ -440,6 +440,23 @@ class TestOperatorNaN:
                 check_operator_properties(phi, fields, n=200, iso_n=300, seed=1)
 
 
+class TestOperatorNaNOrder:
+    """When two properties are NaN at once, the one checked first is named."""
+
+    @pytest.mark.parametrize("check,where", [
+        # The shifted fields of positivity, and the 300-point isometry sets.
+        ("operator-positivity", lambda f, pts: f.label.startswith("1*") or len(pts) == 300),
+        # Retract draws of both the extension and the isometry check.
+        ("operator-extension", lambda f, pts: np.abs(norm(pts, P2) - 1.0) <= 1e-12),
+    ])
+    def test_earlier_property_is_named(self, check, where):
+        phi = build_construction("sphere", 3, P2)
+        fields = [parse_field(e, 3, phi.codomain, 1.0) for e in TestOperatorNaN.FIELDS]
+        with pytest.raises(ValueError, match=f"^{check} is undefined"):
+            check_operator_properties(phi, fields, n=200, iso_n=300, seed=1,
+                                      operator=TestOperatorNaN.nan_operator(where))
+
+
 class TestBorsukDemo:
     def test_constant_output_gap(self, sphere):
         rows = borsuk_discontinuity_demo(sphere, [1.0, 0.0], [0.0, 1.0], depth=12)
