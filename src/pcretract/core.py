@@ -358,7 +358,8 @@ class Singleton(SetDescriptor):
         return len(self.point)
 
     def _contains(self, pts, tol):
-        offset = by_columns(pts, (np.subtract, np.asarray(self.point)))
+        # x - 0.0 is x bit for bit (signed zeros too), so the origin needs no offset copy.
+        offset = by_columns(pts, (np.subtract, np.asarray(self.point))) if any(self.point) else pts
         return fold_columns(offset, np.abs, np.maximum) <= tol
 
     def sample(self, rng, n):
@@ -367,7 +368,20 @@ class Singleton(SetDescriptor):
         return out
 
     def subset_of(self, other):
-        return other.dim == self.dim and bool(other._contains(np.array([self.point]), 0.0)[0])
+        # Each rule is _contains at tolerance 0, where lo - 0.0 is lo and
+        # hi + 0.0 is hi, decided on the floats without a batch.
+        if other.dim != self.dim:
+            return False
+        if isinstance(other, Singleton):
+            return self.point == other.point
+        if isinstance(other, FiniteUnion):
+            return super().subset_of(other)
+        if isinstance(other, Interval):
+            return other.lo <= self.point[0] <= other.hi
+        if isinstance(other, NormBand):
+            r = norm(np.array([self.point]), other.kind)[0] if any(self.point) else 0.0
+            return other.lo <= r <= other.hi
+        return bool(other._contains(np.array([self.point]), 0.0)[0])
 
     def to_json(self):
         return {"variant": "singleton", "point": list(self.point)}
@@ -464,6 +478,8 @@ class DiagonalBands(SetDescriptor):
             raise ValueError("band dimension must be >= 1")
         if self.kind is not None and self.start < 0:
             raise ValueError("norm bands start at n >= 0")
+        if self.m < 0:  # the width 1 - 1/(m+1) needs m + 1 >= 1
+            raise ValueError(f"diagonal bands need m >= 0, got m={self.m}")
         if not (-DIAGONAL_INDEX_LIMIT < self.start <= self.m < DIAGONAL_INDEX_LIMIT):
             raise ValueError(
                 "diagonal band indices need -2**52 < start <= m < 2**52,"

@@ -132,7 +132,7 @@ def linear_combination(terms: Sequence[tuple], label: Optional[str] = None) -> S
     def rule(pts):
         out = np.zeros(len(pts))
         for a, f in terms:
-            out = out + a * f.rule(pts)
+            out += a * f.rule(pts)
         return out
 
     bound = sum(abs(a) * f.bound for a, f in terms) if all(f.bounded for _, f in terms) else None

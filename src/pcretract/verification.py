@@ -246,7 +246,10 @@ def check_cover(
     # by index and input position, then monotonicity misses by k.
     idx = m.predicted_index_fn(pts, tol)
     covered = idx >= 0
-    inside = m.witness.membership(pts[covered], idx[covered], tol)
+    if covered.all():
+        inside = m.witness.membership(pts, idx, tol)
+    else:
+        inside = m.witness.membership(pts[covered], idx[covered], tol)
     missed = np.flatnonzero(covered)[~inside]
     missed = missed[np.argsort(idx[missed], kind="stable")]
     offenders = [pts[~covered][:10], pts[missed][:10]]
@@ -426,27 +429,49 @@ def _drawn(sampler: Sampler, n: int, dim: int) -> np.ndarray:
     return _frozen(as_points(sampler.draw(n), dim))
 
 
-def _memoized(rule: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """rule, remembering the read-only image of each read-only input array
-    by identity: the same array object gets the same image object back.
-    The memo holds the arrays it has seen, so no id is reused while it
-    lives; a writable array could change between calls and is passed
-    straight to rule."""
-    seen = {}
+class _Images:
+    """Read-only images of read-only arrays, by identity, for the length of
+    one check.  Each memoized rule keeps a table id(pts) -> (pts, image), so
+    given the same array object it gives back the same image object.  An
+    entry holds its input, so no id is reused while it lives; a writable
+    array could change between calls and is passed straight to the rule.
 
-    def memo_rule(pts):
-        if pts.flags.writeable:
-            return rule(pts)
-        hit = seen.get(id(pts))
-        if hit is None:
-            hit = seen[id(pts)] = (pts, _frozen(rule(pts)))
-        return hit[1]
+    ``drop(pts)`` ends an array's lifetime: every table forgets it, and,
+    in turn, the images made from it.  ``forget(f)`` ends a memoized
+    field's: its table goes, and the images in it are dropped."""
 
-    return memo_rule
+    def __init__(self):
+        self._tables = {}  # memoized rule -> {id(pts): (pts, image)}
 
+    def memoized(self, rule: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+        seen = {}
 
-def _memo_field(f: ScalarField) -> ScalarField:
-    return dataclasses.replace(f, rule=_memoized(f.rule))
+        def memo_rule(pts):
+            if pts.flags.writeable:
+                return rule(pts)
+            hit = seen.get(id(pts))
+            if hit is None:
+                hit = seen[id(pts)] = (pts, _frozen(rule(pts)))
+            return hit[1]
+
+        self._tables[memo_rule] = seen
+        return memo_rule
+
+    def field(self, f: ScalarField) -> ScalarField:
+        return dataclasses.replace(f, rule=self.memoized(f.rule))
+
+    def drop(self, pts: np.ndarray) -> None:
+        for seen in self._tables.values():
+            hit = seen.pop(id(pts), None)
+            if hit is not None:
+                self.drop(hit[1])
+
+    def forget(self, f: ScalarField) -> None:
+        seen = self._tables.pop(f.rule)
+        images = [image for _, image in seen.values()]
+        seen.clear()
+        for image in images:
+            self.drop(image)
 
 
 def _on_dim(f: ScalarField, dim: int) -> ScalarField:
@@ -499,13 +524,19 @@ def check_operator_properties(
     phi's dimension.
 
     phi and every field (the given ones and the shifted fields of the
-    positivity check) carry a memo for the length of the call: each
-    read-only array they are given maps, by identity, to its read-only
-    image.  So phi runs once per point set, on 2n + 2*iso_n points, and each
-    field once per distinct array it sees, however many combinations and
-    extensions reuse it.  A field rule that writes into its input raises
-    instead of corrupting a set or an image.  ``operator`` is called once
-    per field, combination and shifted field.
+    positivity check) share one memo: each read-only array they are given
+    maps, by identity, to its read-only image.  So phi runs once per point
+    set, on 2n + 2*iso_n points, and each field once per distinct array it
+    sees, however many combinations and extensions reuse it.  Each array
+    lives only until its last reader is done: the domain draws leave the
+    memo, with every image made from them, after positivity, and the
+    retract draws after extension, before the isometry sets are drawn; a
+    shifted field's images go after its positivity step, and a field's
+    isometry images after its isometry step.  So the call holds about the
+    memory of two point sets and their images, not of all four.  A field
+    rule that writes into its input raises instead of corrupting a set or
+    an image.  ``operator`` is called once per field, combination and
+    shifted field.
 
     The isometry compares sup |Tf| over the domain draws and the retract
     draws with sup |f| over phi's image of the domain draws and the retract
@@ -515,8 +546,9 @@ def check_operator_properties(
     """
     if not fields:
         raise ValueError("need at least one field")
-    phi = phi.replace(rule=_memoized(phi.rule))
-    fields = [_memo_field(f) for f in fields]
+    memo = _Images()
+    phi = phi.replace(rule=memo.memoized(phi.rule))
+    fields = [memo.field(f) for f in fields]
 
     def extended(f):
         return _on_dim(operator(phi, f), phi.dim)
@@ -528,16 +560,22 @@ def check_operator_properties(
         _on_dim(f, phi.dim)
     reports = []
 
-    # Linearity: T(alpha*f + beta*g) against alpha*Tf + beta*Tg pointwise.
+    # Linearity: T(alpha*f + beta*g) against alpha*Tf + beta*Tg pointwise,
+    # as |lhs - rhs| / max(1, |rhs|).
     alpha, beta = LINEARITY_ALPHA, LINEARITY_BETA
     lin_v = 0.0
     pairs = list(zip(fields, ext))
     for (f, tf), (g, tg) in zip(pairs, pairs[1:] + pairs[:1]):
         comb = linear_combination([(alpha, f), (beta, g)])
         lhs = extended(comb).rule(x_pts)
-        rhs = alpha * tf.rule(x_pts) + beta * tg.rule(x_pts)
-        scale = np.maximum(1.0, np.abs(rhs))
-        lin_v = max(lin_v, _not_nan("operator-linearity", np.max(np.abs(lhs - rhs) / scale)))
+        rhs = alpha * tf.rule(x_pts)
+        rhs += beta * tg.rule(x_pts)
+        dev = lhs - rhs
+        np.abs(dev, out=dev)
+        np.abs(rhs, out=rhs)
+        np.maximum(1.0, rhs, out=rhs)
+        dev /= rhs
+        lin_v = max(lin_v, _not_nan("operator-linearity", np.max(dev)))
     reports.append(_mk_report("operator-linearity", len(x_pts), lin_v, tolerance.identity_tol))
 
     # Positivity: fields shifted to be nonnegative on the retract must have
@@ -548,29 +586,36 @@ def check_operator_properties(
     for f in fields:
         if not f.bounded:
             continue
-        h = _memo_field(linear_combination([(1.0, f), (1.0, const_field(f.bound, f.dim, f.domain))]))
+        h = memo.field(linear_combination([(1.0, f), (1.0, const_field(f.bound, f.dim, f.domain))]))
         premise = min(
             _not_nan("operator-positivity", np.min(h.rule(a_pts))),
             _not_nan("operator-positivity", np.min(h.rule(phi_x))),
         )
         if premise < 0.0:
             inconclusive = True
-            continue
-        conclusion = _not_nan("operator-positivity", np.min(extended(h).rule(x_pts)))
-        pos_v = max(pos_v, max(0.0, -conclusion))
+        else:
+            conclusion = _not_nan("operator-positivity", np.min(extended(h).rule(x_pts)))
+            pos_v = max(pos_v, max(0.0, -conclusion))
+        memo.forget(h)
     rep = _mk_report("operator-positivity", len(x_pts), pos_v, 0.0)
     if inconclusive and rep.status == PASS:
         rep = CheckReport(rep.check_name, INCONCLUSIVE, rep.samples_used, rep.max_violation, rep.tolerance)
     reports.append(rep)
+    memo.drop(x_pts)
+    del x_pts, phi_x
 
     # Extension: the operator leaves values on the retract untouched.
     ext_v = 0.0
     ext_off = []
     for f, tf in pairs:
-        dev = np.abs(tf.rule(a_pts) - f.rule(a_pts))
+        dev = tf.rule(a_pts) - f.rule(a_pts)
+        np.abs(dev, out=dev)
         ext_v = max(ext_v, _not_nan("operator-extension", np.max(dev)))
-        ext_off.extend(_worst_points(a_pts, np.where(dev > tolerance.identity_tol, dev, 0.0)))
+        dev[dev <= tolerance.identity_tol] = 0.0
+        ext_off.extend(_worst_points(a_pts, dev))
     reports.append(_mk_report("operator-extension", len(a_pts), ext_v, tolerance.identity_tol, ext_off))
+    memo.drop(a_pts)
+    del a_pts
 
     # Isometry on bounded fields: matched seeded sets.  The retract side is
     # the phi-image of the domain draws plus the retract draws; since phi
@@ -585,6 +630,7 @@ def check_operator_properties(
         sup_x = _sup_abs(tf.rule(xs), tf.rule(as_))
         sup_a = _sup_abs(f.rule(phi_xs), f.rule(as_))
         iso_v = max(iso_v, _not_nan("operator-isometry", abs(sup_x - sup_a)))
+        memo.forget(f)
     reports.append(_mk_report("operator-isometry", len(xs) + len(as_), iso_v, ISOMETRY_TOL))
     return reports
 

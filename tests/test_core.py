@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -259,6 +260,15 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             DiagonalBands(None, 0, 2, 2)
 
+    @pytest.mark.parametrize("start,m", [(-1, -1), (-3, -2), (-5, -1)])
+    def test_diagonal_bands_reject_negative_m(self, start, m):
+        # Below m = 0 the width 1 - 1/(m+1) divides by zero or exceeds 1.
+        with pytest.raises(ValueError, match="m >= 0"):
+            DiagonalBands(None, start, m, 1)
+        doc = {"variant": "diagonal_bands", "coordinate": 0, "start": start, "m": m, "dim": 1}
+        with pytest.raises(ValueError, match="m >= 0"):
+            descriptor_from_json(doc)
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             descriptor_from_json({"variant": "open-interval"})
@@ -432,6 +442,37 @@ class TestSubsetOf:
         assert not Singleton((1.0,)).subset_of(Singleton((1.0, 0.0)))
         assert Singleton((0.25,)).subset_of(DiagonalBands(None, 0, 3, 1))
         assert not Singleton((0.9,)).subset_of(DiagonalBands(None, 0, 3, 1))
+
+    # Signed zeros, an exact norm edge under p:1.5 and points on the unit sphere.
+    SINGLETON_POINTS = [
+        (0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (0.5, 0.5, 0.0), (0.5, -0.5, -0.0),
+        (1.0, 0.0, 0.0), (-1.0, -0.0, 0.0), (0.0, 0.0, 2.0),
+    ]
+
+    @staticmethod
+    def singleton_targets():
+        edge = float(norm(np.array([0.5, 0.5, 0.0]), P15))
+        bands = [NormBand(P15, edge, 2.0, 3), NormBand(P15, 0.0, edge, 3),
+                 NormBand(P15, np.nextafter(edge, 2.0), 2.0, 3),
+                 NormBand(P15, 0.0, np.nextafter(edge, 0.0), 3)]
+        bands += [NormBand(k, lo, hi, 3) for k in (NormKind(1.0), P2, NormKind(math.inf))
+                  for lo, hi in ((0.0, 0.0), (1.0, 1.0), (0.5, math.inf), (0.0, 1.0))]
+        points = [Singleton(p) for p in TestSubsetOf.SINGLETON_POINTS]
+        return bands + points + [
+            FiniteUnion((points[2], bands[2])), FiniteUnion((bands[0], points[0])),
+            FiniteUnion((NormBand(P2, 1.5, 3.0, 3), points[4])),
+            DiagonalBands(P2, 0, 3, 3), DiagonalBands(P2, 1, 3, 3),
+        ]
+
+    def test_singleton_decisions_are_contains_at_tolerance_zero(self):
+        for p, other in itertools.product(self.SINGLETON_POINTS, self.singleton_targets()):
+            want = bool(other._contains(np.array([p]), 0.0)[0])
+            assert Singleton(p).subset_of(other) == want, (p, other)
+        for t, other in itertools.product((0.0, -0.0, 0.5, 1.0, -1.0), (
+            Interval(0.0, 1.0), Interval(-1.0, -0.0), Interval(0.5, 0.5), Singleton((-0.0,)),
+            DiagonalBands(None, -1, 1, 1), FiniteUnion((Interval(2.0, 3.0), Singleton((1.0,)))),
+        )):
+            assert Singleton((t,)).subset_of(other) == bool(other._contains(np.array([[t]]), 0.0)[0])
 
     def test_union_on_the_left_needs_every_member(self):
         u = FiniteUnion((Interval(0.0, 1.0), Interval(2.0, 3.0)))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,6 +439,60 @@ class TestOperatorNaN:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="^operator-linearity is undefined"):
                 check_operator_properties(phi, fields, n=200, iso_n=300, seed=1)
+
+
+class TestOperatorMemory:
+    # Four point sets of 20,000 x 3 floats take 1.8 MiB; a memo that kept
+    # every image for the whole call peaked near 9.5 MiB.
+    PEAK_MIB = 6.0
+
+    def test_traced_peak_is_bounded(self):
+        phi = build_construction("extend", 3, P2)
+        fields = [parse_field(e, 3, phi.codomain, 1.0) for e in TestOperatorEvaluationCount.FIELDS]
+        tracemalloc.start()
+        try:
+            reps = check_operator_properties(phi, fields, n=20_000, iso_n=20_000, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(r.status == PASS for r in reps)
+        assert peak <= self.PEAK_MIB * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+class TestImageLifetimes:
+    """The operator check's memo: one image per read-only array until the
+    array, or the rule, is let go."""
+
+    @staticmethod
+    def counted(memo, calls, name, scale):
+        return memo.memoized(lambda pts: calls.append(name) or scale * pts)
+
+    def test_drop_lets_go_of_the_array_and_what_was_made_from_it(self):
+        memo, calls = verification._Images(), []
+        double = self.counted(memo, calls, "double", 2.0)
+        half = self.counted(memo, calls, "half", 0.5)
+        x = verification._frozen(np.ones((4, 2)))
+        y = verification._frozen(np.ones((4, 2)))
+        dx, dy = double(x), double(y)
+        hdx = half(dx)
+        assert double(x) is dx and half(dx) is hdx and not dx.flags.writeable
+        assert calls == ["double", "double", "half"]
+        memo.drop(x)
+        assert double(y) is dy and calls == ["double", "double", "half"]
+        assert half(dx) is not hdx and double(x) is not dx
+        # A writable array is never remembered.
+        w = np.ones((4, 2))
+        assert double(w) is not double(w)
+
+    def test_forget_lets_go_of_a_rule(self):
+        memo, calls = verification._Images(), []
+        f = ScalarField("f", 2, lambda pts: calls.append("f") or pts[:, 0].copy(), None, bound=1.0)
+        mf = memo.field(f)
+        x = verification._frozen(np.ones((4, 2)))
+        fx = mf.rule(x)
+        assert mf.rule(x) is fx and calls == ["f"]
+        memo.forget(mf)
+        assert mf.rule(x) is not fx and calls == ["f", "f"]
 
 
 class TestOperatorNaNOrder:
