@@ -576,6 +576,7 @@ def check_operator_properties(
         np.maximum(1.0, rhs, out=rhs)
         dev /= rhs
         lin_v = max(lin_v, _not_nan("operator-linearity", np.max(dev)))
+    del lhs, rhs, dev
     reports.append(_mk_report("operator-linearity", len(x_pts), lin_v, tolerance.identity_tol))
 
     # Positivity: fields shifted to be nonnegative on the retract must have
@@ -615,7 +616,7 @@ def check_operator_properties(
         ext_off.extend(_worst_points(a_pts, dev))
     reports.append(_mk_report("operator-extension", len(a_pts), ext_v, tolerance.identity_tol, ext_off))
     memo.drop(a_pts)
-    del a_pts
+    del a_pts, dev
 
     # Isometry on bounded fields: matched seeded sets.  The retract side is
     # the phi-image of the domain draws plus the retract draws; since phi
