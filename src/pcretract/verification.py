@@ -438,7 +438,8 @@ class _Images:
 
     ``drop(pts)`` ends an array's lifetime: every table forgets it, and,
     in turn, the images made from it.  ``forget(f)`` ends a memoized
-    field's: its table goes, and the images in it are dropped."""
+    field's: its table goes.  A field's images are values, not points, so
+    no table holds them as inputs."""
 
     def __init__(self):
         self._tables = {}  # memoized rule -> {id(pts): (pts, image)}
@@ -467,11 +468,7 @@ class _Images:
                 self.drop(hit[1])
 
     def forget(self, f: ScalarField) -> None:
-        seen = self._tables.pop(f.rule)
-        images = [image for _, image in seen.values()]
-        seen.clear()
-        for image in images:
-            self.drop(image)
+        self._tables.pop(f.rule).clear()
 
 
 def _on_dim(f: ScalarField, dim: int) -> ScalarField:
