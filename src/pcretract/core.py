@@ -376,8 +376,6 @@ class Singleton(SetDescriptor):
             return self.point == other.point
         if isinstance(other, FiniteUnion):
             return super().subset_of(other)
-        if isinstance(other, Interval):
-            return other.lo <= self.point[0] <= other.hi
         if isinstance(other, NormBand):
             r = norm(np.array([self.point]), other.kind)[0] if any(self.point) else 0.0
             return other.lo <= r <= other.hi
