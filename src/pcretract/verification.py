@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -429,46 +430,29 @@ def _drawn(sampler: Sampler, n: int, dim: int) -> np.ndarray:
     return _frozen(as_points(sampler.draw(n), dim))
 
 
-class _Images:
-    """Read-only images of read-only arrays, by identity, for the length of
-    one check.  Each memoized rule keeps a table id(pts) -> (pts, image), so
-    given the same array object it gives back the same image object.  An
-    entry holds its input, so no id is reused while it lives; a writable
-    array could change between calls and is passed straight to the rule.
+def _memoized(rule: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """rule, remembering the read-only image of each read-only array, by
+    identity, for as long as the array lives: a ``weakref.finalize`` on the
+    array removes its entry, so an image dies with its input and, in turn,
+    the images made from it.  A writable array could change between calls,
+    so it goes straight to the rule.  An image that shares memory with its
+    input is returned but not kept: it would keep its input, and so itself,
+    alive.  The table is the returned rule's ``images``."""
+    images = {}  # id(pts) -> image
 
-    ``drop(pts)`` ends an array's lifetime: every table forgets it, and,
-    in turn, the images made from it.  ``forget(f)`` ends a memoized
-    field's: its table goes.  A field's images are values, not points, so
-    no table holds them as inputs."""
+    def memo_rule(pts):
+        if pts.flags.writeable:
+            return rule(pts)
+        image = images.get(id(pts))
+        if image is None:
+            image = _frozen(rule(pts))
+            if not np.may_share_memory(image, pts):
+                images[id(pts)] = image
+                weakref.finalize(pts, images.pop, id(pts), None)
+        return image
 
-    def __init__(self):
-        self._tables = {}  # memoized rule -> {id(pts): (pts, image)}
-
-    def memoized(self, rule: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-        seen = {}
-
-        def memo_rule(pts):
-            if pts.flags.writeable:
-                return rule(pts)
-            hit = seen.get(id(pts))
-            if hit is None:
-                hit = seen[id(pts)] = (pts, _frozen(rule(pts)))
-            return hit[1]
-
-        self._tables[memo_rule] = seen
-        return memo_rule
-
-    def field(self, f: ScalarField) -> ScalarField:
-        return dataclasses.replace(f, rule=self.memoized(f.rule))
-
-    def drop(self, pts: np.ndarray) -> None:
-        for seen in self._tables.values():
-            hit = seen.pop(id(pts), None)
-            if hit is not None:
-                self.drop(hit[1])
-
-    def forget(self, f: ScalarField) -> None:
-        self._tables.pop(f.rule).clear()
+    memo_rule.images = images
+    return memo_rule
 
 
 def _on_dim(f: ScalarField, dim: int) -> ScalarField:
@@ -520,20 +504,18 @@ def check_operator_properties(
     tests instead that every field and every operator result takes points of
     phi's dimension.
 
-    phi and every field (the given ones and the shifted fields of the
-    positivity check) share one memo: each read-only array they are given
-    maps, by identity, to its read-only image.  So phi runs once per point
-    set, on 2n + 2*iso_n points, and each field once per distinct array it
-    sees, however many combinations and extensions reuse it.  Each array
-    lives only until its last reader is done: the domain draws leave the
-    memo, with every image made from them, after positivity, and the
-    retract draws after extension, before the isometry sets are drawn; a
-    shifted field's images go after its positivity step, and a field's
-    isometry images after its isometry step.  So the call holds about the
-    memory of two point sets and their images, not of all four.  A field
-    rule that writes into its input raises instead of corrupting a set or
-    an image.  ``operator`` is called once per field, combination and
-    shifted field.
+    phi and every given field are memoized: each read-only array they are
+    given maps, by identity, to its read-only image, and an image lives as
+    long as the array it was made from.  So phi runs once per point set, on
+    2n + 2*iso_n points, and each field once per distinct array it sees,
+    however many combinations, shifted fields and extensions reuse it.  The
+    domain draws, and every image made from them, go after positivity; the
+    retract draws go after extension, before the isometry sets are drawn;
+    and a field's isometry images are cleared after its isometry step.  So
+    the call holds about the memory of two point sets and their images, not
+    of all four.  A field rule that writes into its input raises instead of
+    corrupting a set or an image.  ``operator`` is called once per field,
+    combination and shifted field.
 
     The isometry compares sup |Tf| over the domain draws and the retract
     draws with sup |f| over phi's image of the domain draws and the retract
@@ -543,9 +525,8 @@ def check_operator_properties(
     """
     if not fields:
         raise ValueError("need at least one field")
-    memo = _Images()
-    phi = phi.replace(rule=memo.memoized(phi.rule))
-    fields = [memo.field(f) for f in fields]
+    phi = phi.replace(rule=_memoized(phi.rule))
+    fields = [dataclasses.replace(f, rule=_memoized(f.rule)) for f in fields]
 
     def extended(f):
         return _on_dim(operator(phi, f), phi.dim)
@@ -584,7 +565,7 @@ def check_operator_properties(
     for f in fields:
         if not f.bounded:
             continue
-        h = memo.field(linear_combination([(1.0, f), (1.0, const_field(f.bound, f.dim, f.domain))]))
+        h = linear_combination([(1.0, f), (1.0, const_field(f.bound, f.dim, f.domain))])
         premise = min(
             _not_nan("operator-positivity", np.min(h.rule(a_pts))),
             _not_nan("operator-positivity", np.min(h.rule(phi_x))),
@@ -594,12 +575,10 @@ def check_operator_properties(
         else:
             conclusion = _not_nan("operator-positivity", np.min(extended(h).rule(x_pts)))
             pos_v = max(pos_v, max(0.0, -conclusion))
-        memo.forget(h)
     rep = _mk_report("operator-positivity", len(x_pts), pos_v, 0.0)
     if inconclusive and rep.status == PASS:
         rep = CheckReport(rep.check_name, INCONCLUSIVE, rep.samples_used, rep.max_violation, rep.tolerance)
     reports.append(rep)
-    memo.drop(x_pts)
     del x_pts, phi_x
 
     # Extension: the operator leaves values on the retract untouched.
@@ -612,7 +591,6 @@ def check_operator_properties(
         dev[dev <= tolerance.identity_tol] = 0.0
         ext_off.extend(_worst_points(a_pts, dev))
     reports.append(_mk_report("operator-extension", len(a_pts), ext_v, tolerance.identity_tol, ext_off))
-    memo.drop(a_pts)
     del a_pts, dev
 
     # Isometry on bounded fields: matched seeded sets.  The retract side is
@@ -628,7 +606,7 @@ def check_operator_properties(
         sup_x = _sup_abs(tf.rule(xs), tf.rule(as_))
         sup_a = _sup_abs(f.rule(phi_xs), f.rule(as_))
         iso_v = max(iso_v, _not_nan("operator-isometry", abs(sup_x - sup_a)))
-        memo.forget(f)
+        f.rule.images.clear()
     reports.append(_mk_report("operator-isometry", len(xs) + len(as_), iso_v, ISOMETRY_TOL))
     return reports
 

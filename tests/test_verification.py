@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -460,39 +461,76 @@ class TestOperatorMemory:
 
 
 class TestImageLifetimes:
-    """The operator check's memo: one image per read-only array until the
-    array, or the rule, is let go."""
+    """The operator check's memo: one image per read-only array, for as long
+    as the array lives."""
 
     @staticmethod
-    def counted(memo, calls, name, scale):
-        return memo.memoized(lambda pts: calls.append(name) or scale * pts)
+    def counted(calls, name, rule):
+        return verification._memoized(lambda pts: calls.append(name) or rule(pts))
 
-    def test_drop_lets_go_of_the_array_and_what_was_made_from_it(self):
-        memo, calls = verification._Images(), []
-        double = self.counted(memo, calls, "double", 2.0)
-        half = self.counted(memo, calls, "half", 0.5)
+    def test_same_array_same_image(self):
+        calls = []
+        double = self.counted(calls, "double", lambda pts: 2.0 * pts)
         x = verification._frozen(np.ones((4, 2)))
-        y = verification._frozen(np.ones((4, 2)))
-        dx, dy = double(x), double(y)
-        hdx = half(dx)
-        assert double(x) is dx and half(dx) is hdx and not dx.flags.writeable
-        assert calls == ["double", "double", "half"]
-        memo.drop(x)
-        assert double(y) is dy and calls == ["double", "double", "half"]
-        assert half(dx) is not hdx and double(x) is not dx
-        # A writable array is never remembered.
+        dx = double(x)
+        assert double(x) is dx and not dx.flags.writeable
+        assert calls == ["double"]
+
+    def test_writable_array_is_never_kept(self):
+        calls = []
+        double = self.counted(calls, "double", lambda pts: 2.0 * pts)
         w = np.ones((4, 2))
         assert double(w) is not double(w)
+        assert calls == ["double", "double"] and double.images == {}
 
-    def test_forget_lets_go_of_a_rule(self):
-        memo, calls = verification._Images(), []
-        f = ScalarField("f", 2, lambda pts: calls.append("f") or pts[:, 0].copy(), None, bound=1.0)
-        mf = memo.field(f)
+    def test_image_dies_with_its_input(self):
+        calls = []
+        double = self.counted(calls, "double", lambda pts: 2.0 * pts)
+        half = self.counted(calls, "half", lambda pts: 0.5 * pts)
         x = verification._frozen(np.ones((4, 2)))
-        fx = mf.rule(x)
-        assert mf.rule(x) is fx and calls == ["f"]
-        memo.forget(mf)
-        assert mf.rule(x) is not fx and calls == ["f", "f"]
+        dx = double(x)
+        dead = [weakref.ref(dx), weakref.ref(half(dx))]
+        del dx
+        assert all(r() is not None for r in dead)
+        del x
+        assert all(r() is None for r in dead)
+        assert double.images == {} and half.images == {}
+
+    @pytest.mark.parametrize("rule", [lambda pts: pts, lambda pts: pts[:, 0]])
+    def test_view_of_input_is_not_kept(self, rule):
+        calls = []
+        view = self.counted(calls, "view", rule)
+        x = verification._frozen(np.ones((4, 2)))
+        assert np.shares_memory(view(x), x)
+        assert view.images == {}
+        gone = weakref.ref(x)
+        del x
+        assert gone() is None
+
+    def test_clear_forces_a_recompute(self):
+        calls = []
+        double = self.counted(calls, "double", lambda pts: 2.0 * pts)
+        x = verification._frozen(np.ones((4, 2)))
+        dx = double(x)
+        double.images.clear()
+        assert double(x) is not dx and calls == ["double", "double"]
+
+    def test_repeated_checks_leave_nothing_behind(self):
+        # A kept view would keep its 20,000-row input alive: 469 KiB a call.
+        # The view field is unbounded, so no isometry step clears its table.
+        phi = build_construction("extend", 3, P2)
+        fields = [parse_field(e, 3, phi.codomain, 1.0) for e in TestOperatorEvaluationCount.FIELDS]
+        fields.append(ScalarField("view", 3, lambda pts: pts[:, 0], phi.codomain))
+        check_operator_properties(phi, fields, n=20_000, iso_n=20_000, seed=7)
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            for _ in range(5):
+                check_operator_properties(phi, fields, n=20_000, iso_n=20_000, seed=7)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current - baseline <= 64 * 2**10, f"{(current - baseline) / 2**10:.1f} KiB"
 
 
 class TestOperatorNaNOrder:
