@@ -37,6 +37,11 @@ SEED_ENV = "PCRETRACT_SEED"
 # than a run that exhausts memory or never ends.
 MAX_SAMPLES = 10**7
 MAX_PIECE_INDEX = 10**4
+# The paper's spaces are low-dimensional; at 10**8 one point alone takes 800 MB.
+MAX_DIM = 1000
+# verify draws point sets of --samples, and batches of --pairs, rows of --dim
+# floats; at this many coordinates one such array takes 240 MB.
+MAX_COORDINATES = 3 * 10**7
 
 
 def _env_seed() -> int:
@@ -105,6 +110,11 @@ LINE_CONSTRUCTIONS = ("fractional", "glue")
 ONE_CONSTRUCTION_FLAGS = {"paper_witness": "sphere", "allow_low_dim": "open-ball"}
 
 
+def _check_dim_cap(dim: int) -> None:
+    if dim > MAX_DIM:
+        raise ConstructionError(f"--dim must be at most {MAX_DIM}, got {dim}")
+
+
 def _build_map(args):
     for dest, owner in ONE_CONSTRUCTION_FLAGS.items():
         if getattr(args, dest) and args.construction != owner:
@@ -114,6 +124,7 @@ def _build_map(args):
     dim = 2 if args.dim is None else args.dim
     if dim < 1:
         raise ConstructionError("dimension must be >= 1")
+    _check_dim_cap(dim)
     if args.construction in LINE_CONSTRUCTIONS:
         if args.dim is not None and dim != 1:
             raise ConstructionError(f"--dim: {args.construction} lives in dimension 1, got {dim}")
@@ -149,6 +160,11 @@ def cmd_verify(args) -> int:
         if not 0.0 < value < math.inf:  # an infinite tolerance passes every check
             raise ConstructionError(f"{flag} must be a finite number > 0, got {value}")
     m = _build_map(args)
+    for flag, count in (("--samples", args.samples), ("--pairs", args.pairs)):
+        if count * m.dim > MAX_COORDINATES:
+            raise ConstructionError(
+                f"{flag} times --dim must be at most {MAX_COORDINATES}, got {count} * {m.dim}"
+            )
     tol = Tolerance(membership_tol=args.membership_tol, identity_tol=args.identity_tol)
     fields = []
     if args.fields:
@@ -215,6 +231,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    _check_dim_cap(args.dim)
     if args.dim < 2 and (args.u is None or args.v is None):
         raise ConstructionError("default directions need dimension >= 2")
     kind = NormKind.parse(args.norm)

@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+from pcretract import cli
+from pcretract.cli import MAX_COORDINATES, MAX_DIM
+
 CLI = [sys.executable, "-m", "pcretract.cli"]
 
 
@@ -257,6 +260,45 @@ class TestWitnessCommand:
         text = " ".join(p.stdout.decode().split())
         assert "--paper-witness sphere only: use the un-augmented band witness, which misses the origin" in text
         assert "--allow-low-dim open-ball only: permit dimension 1 (exploration)" in text
+
+
+class TestDimBound:
+    """--dim is at most MAX_DIM on every command, and verify's point sets at
+    most MAX_COORDINATES floats, so a huge value is an exit-2 error rather
+    than an out-of-memory failure."""
+
+    COMMANDS = {
+        "verify": ("verify", "--construction", "sphere", "--samples", "100", "--pairs", "100"),
+        "witness": ("witness", "--construction", "sphere", "--n", "1"),
+        "demo": ("demo", "--depth", "2"),
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_dim_at_cap_accepted(self, command):
+        p = run_cli(*self.COMMANDS[command], "--dim", str(MAX_DIM))
+        assert p.returncode == 0, p.stderr
+        assert p.stderr == b""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**6, 10**8])
+    def test_dim_above_cap_rejected(self, command, dim):
+        p = run_cli(*self.COMMANDS[command], "--dim", str(dim))
+        assert p.returncode == 2
+        assert p.stdout == b""
+        assert p.stderr == f"error: --dim must be at most 1000, got {dim}\n".encode()
+
+    @pytest.mark.parametrize("flag", ["--samples", "--pairs"])
+    def test_rows_times_dim_bounded(self, flag, monkeypatch, capsys):
+        # The suite is stubbed out: at the cap a real run draws 240 MB arrays.
+        monkeypatch.setattr(cli, "run_suite", lambda m, **kwargs: [])
+        rows = MAX_COORDINATES // MAX_DIM
+        args = ["verify", "--construction", "sphere", "--dim", str(MAX_DIM)]
+        assert cli.main(args + [flag, str(rows)]) == 0
+        capsys.readouterr()
+        assert cli.main(args + [flag, str(rows + 1)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} times --dim must be at most 30000000, got {rows + 1} * 1000\n"
+        )
 
 
 class TestDemoCommand:
