@@ -22,7 +22,6 @@ from .core import (
     DimensionMismatch,
     EUCLIDEAN,
     FiniteUnion,
-    FullSpace,
     Interval,
     NormBand,
     NormKind,
@@ -197,7 +196,7 @@ class PiecewiseMap:
     construction_id: str
     dim: int
     kind: NormKind
-    domain: object  # SetDescriptor | FullSpace | PuncturedSpace
+    domain: object  # SetDescriptor | Codomain | PuncturedSpace; R^d is NormBand(kind, 0, inf, d)
     codomain: Codomain
     rule: Callable[[np.ndarray], np.ndarray]
     witness: PieceFamily
@@ -306,7 +305,7 @@ def fractional_part_retraction() -> PiecewiseMap:
         construction_id="fractional",
         dim=1,
         kind=NormKind(2.0),
-        domain=FullSpace(1),
+        domain=NormBand(EUCLIDEAN, 0.0, math.inf, 1),
         codomain=HalfOpenUnitInterval(),
         rule=rule,
         witness=_diagonal_family(None, 1),
@@ -337,7 +336,6 @@ def glue_retraction(
     g: ContinuousMapRule,
     *,
     predicted_index: Callable,
-    construction_id: str = "glue",
     piece_lipschitz: Optional[Callable[[int], Optional[float]]] = None,
 ) -> PiecewiseMap:
     """Identity on the retract A, the continuous catalog map g off it: the
@@ -352,7 +350,7 @@ def glue_retraction(
         a_region,
         complement_pieces,
         predicted_index=predicted_index,
-        construction_id=construction_id,
+        construction_id="glue",
         piece_lipschitz=piece_lipschitz,
     )
 
@@ -408,7 +406,7 @@ def extend_retraction(
         construction_id=construction_id,
         dim=dim,
         kind=inner.kind,
-        domain=FullSpace(dim),
+        domain=NormBand(inner.kind, 0.0, math.inf, dim),
         codomain=inner.codomain,
         rule=rule,
         witness=union_family(inner.witness, complement_pieces),
@@ -543,7 +541,7 @@ def sphere_retraction(
         construction_id="sphere",
         dim=dim,
         kind=kind,
-        domain=FullSpace(dim) if ambient == "space" else NormBand(kind, 0.0, 1.0, dim),
+        domain=NormBand(kind, 0.0, math.inf if ambient == "space" else 1.0, dim),
         codomain=unit_sphere(kind, dim),
         rule=rule,
         witness=_radial_bands(
@@ -594,7 +592,7 @@ def open_ball_retraction(
         construction_id="open-ball",
         dim=dim,
         kind=kind,
-        domain=FullSpace(dim),
+        domain=NormBand(kind, 0.0, math.inf, dim),
         codomain=OpenUnitBall(kind, dim),
         rule=rule,
         witness=_diagonal_family(kind, dim),

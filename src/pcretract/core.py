@@ -610,21 +610,6 @@ def descriptor_from_json(obj: dict) -> SetDescriptor:
     raise ValueError(f"unknown descriptor variant {variant!r}")
 
 
-@dataclass(frozen=True)
-class FullSpace(Region):
-    """All of R^d, as the domain marker of a total map; the checks draw
-    domains through ``verification.domain_sampler``, not from here."""
-
-    ndim: int
-
-    def __post_init__(self):
-        if self.ndim < 1:
-            raise ValueError("dimension must be >= 1")
-
-    def _contains(self, pts, tol):
-        return np.ones(len(pts), dtype=bool)
-
-
 # ---------------------------------------------------------------------------
 # Piece families
 

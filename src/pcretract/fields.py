@@ -39,7 +39,7 @@ class ScalarField:
     label: str
     dim: int
     rule: Callable[[np.ndarray], np.ndarray]
-    domain: object  # SetDescriptor | Codomain | FullSpace
+    domain: object  # SetDescriptor | Codomain
     bound: Optional[float] = None
     lipschitz: Optional[float] = None
     witness: Optional[PieceFamily] = None
@@ -119,7 +119,7 @@ def poly_field(i: int, coeffs: Sequence[float], dim: int, domain, radius: float 
     return _catalog_field(label, (i,), dim, domain, rule, bound, lip)
 
 
-def linear_combination(terms: Sequence[tuple], label: Optional[str] = None) -> ScalarField:
+def linear_combination(terms: Sequence[tuple]) -> ScalarField:
     """sum of alpha * field over (alpha, field) pairs."""
     terms = [(float(a), f) for a, f in terms]
     if not terms:
@@ -141,7 +141,7 @@ def linear_combination(terms: Sequence[tuple], label: Optional[str] = None) -> S
         l is not None for l in lips
     ) else None
     return ScalarField(
-        label=label or "+".join(f"{a:g}*{f.label}" for a, f in terms),
+        label="+".join(f"{a:g}*{f.label}" for a, f in terms),
         dim=dim, rule=rule, domain=domain, bound=bound, lipschitz=lip,
     )
 

@@ -113,11 +113,12 @@ DOMAIN_RADIUS = 5.0
 
 def domain_sampler(m: PiecewiseMap, seed: int) -> Sampler:
     """Default sampler for a map's domain: within DOMAIN_RADIUS, or the
-    domain's own band."""
+    domain's own band up to that norm."""
     if m.dim == 1:
         return Sampler(seed, "set", dim=1, descriptor=Interval(-DOMAIN_RADIUS, DOMAIN_RADIUS))
     if isinstance(m.domain, NormBand):
-        return Sampler(seed, "ball", dim=m.dim, kind=m.kind, lo=m.domain.lo, hi=m.domain.hi)
+        hi = min(m.domain.hi, DOMAIN_RADIUS)
+        return Sampler(seed, "ball", dim=m.dim, kind=m.kind, lo=m.domain.lo, hi=hi)
     return Sampler(seed, "ball", dim=m.dim, kind=m.kind, lo=0.0, hi=DOMAIN_RADIUS)
 
 

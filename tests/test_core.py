@@ -11,7 +11,6 @@ from pcretract.core import (
     DiagonalBands,
     DimensionMismatch,
     FiniteUnion,
-    FullSpace,
     Interval,
     NormBand,
     NormKind,
@@ -191,6 +190,9 @@ class TestEntier:
 
 
 class TestDescriptors:
+    def test_contains_helper(self):
+        assert Interval(0, 1).contains([0.5])
+
     def test_band_membership(self):
         band = NormBand(NormKind(2.0), 1.0, 2.0, 2)
         assert band.contains([1.5, 0.0])
@@ -577,14 +579,3 @@ class TestTolerance:
         # An infinite tolerance would make every check it bounds pass.
         with pytest.raises(ValueError, match=field):
             Tolerance(**{field: value})
-
-
-class TestFullSpace:
-    def test_contains_everything(self):
-        fs = FullSpace(3)
-        assert fs.contains([1.0, 2.0, 3.0])
-        with pytest.raises(DimensionMismatch):
-            fs.contains([1.0])
-
-    def test_contains_helper(self):
-        assert Interval(0, 1).contains([0.5])
