@@ -28,7 +28,7 @@ from .constructions import (
     build_construction,
     sphere_retraction,
 )
-from .fields import FieldDomainError, parse_field
+from .fields import FIELD_HEADS, FieldDomainError, parse_field
 from .verification import borsuk_discontinuity_demo, run_suite
 
 SEED_ENV = "PCRETRACT_SEED"
@@ -144,7 +144,7 @@ def _build_map(args):
 
 # A comma starts a new field expression only before a catalog head, since
 # prod:<i>,<j> and poly:<i>:<c0>,<c1>,... contain commas themselves.
-_FIELD_SEPARATOR = re.compile(r",(?=\s*(?:const|coord|sin|cos|prod|poly):)")
+_FIELD_SEPARATOR = re.compile(r",(?=\s*(?:" + "|".join(FIELD_HEADS) + "):)")
 
 
 def _check_range(flag: str, value: int, hi: int) -> None:

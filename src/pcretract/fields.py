@@ -146,6 +146,10 @@ def linear_combination(terms: Sequence[tuple]) -> ScalarField:
     )
 
 
+# The heads parse_field reads: a CLI expression is <head>:<arguments>.
+FIELD_HEADS = ("const", "coord", "sin", "cos", "prod", "poly")
+
+
 def parse_field(expr: str, dim: int, domain, radius: float = 1.0) -> ScalarField:
     """Catalog field from a CLI expression: const:<c>, coord:<i>, sin:<i>,
     cos:<i>, prod:<i>,<j>, poly:<i>:<c0>,<c1>,..."""

@@ -6,6 +6,9 @@ import pytest
 
 from pcretract import cli
 from pcretract.cli import MAX_COORDINATES, MAX_DIM
+from pcretract.constructions import unit_sphere
+from pcretract.core import NormKind
+from pcretract.fields import FIELD_HEADS, parse_field
 
 CLI = [sys.executable, "-m", "pcretract.cli"]
 
@@ -86,6 +89,17 @@ class TestVerifyCommand:
         assert p.returncode == 0, p.stderr
         names = [c["check"] for c in json.loads(p.stdout)["checks"]]
         assert "operator-isometry" in names
+
+    def test_every_catalog_head_splits_and_parses(self):
+        # One expression per head; a new head needs an example here.
+        examples = {"const": "const:1", "coord": "coord:0", "sin": "sin:1", "cos": "cos:0",
+                    "prod": "prod:0,1", "poly": "poly:0:1,0,2"}
+        assert set(examples) == set(FIELD_HEADS)
+        exprs = [examples[head] for head in FIELD_HEADS]
+        assert cli._FIELD_SEPARATOR.split(",".join(exprs)) == exprs
+        circle = unit_sphere(NormKind(2.0), 2)
+        for expr in exprs:
+            assert parse_field(expr, 2, circle).label.startswith(expr.partition(":")[0] + ":")
 
     def test_nan_operator_values_are_a_usage_error(self):
         # Linearity computes inf - inf on these fields; a NaN used to be
