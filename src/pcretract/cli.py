@@ -110,11 +110,6 @@ LINE_CONSTRUCTIONS = ("fractional", "glue")
 ONE_CONSTRUCTION_FLAGS = {"paper_witness": "sphere", "allow_low_dim": "open-ball"}
 
 
-def _check_dim_cap(dim: int) -> None:
-    if dim > MAX_DIM:
-        raise ConstructionError(f"--dim must be at most {MAX_DIM}, got {dim}")
-
-
 def _build_map(args):
     for dest, owner in ONE_CONSTRUCTION_FLAGS.items():
         if getattr(args, dest) and args.construction != owner:
@@ -124,7 +119,6 @@ def _build_map(args):
     dim = 2 if args.dim is None else args.dim
     if dim < 1:
         raise ConstructionError("dimension must be >= 1")
-    _check_dim_cap(dim)
     if args.construction in LINE_CONSTRUCTIONS:
         if args.dim is not None and dim != 1:
             raise ConstructionError(f"--dim: {args.construction} lives in dimension 1, got {dim}")
@@ -231,7 +225,6 @@ def cmd_witness(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    _check_dim_cap(args.dim)
     if args.dim < 2 and (args.u is None or args.v is None):
         raise ConstructionError("default directions need dimension >= 2")
     kind = NormKind.parse(args.norm)
@@ -255,6 +248,8 @@ def main(argv=None) -> int:
             args.seed = _env_seed()
         elif seed < 0:
             raise ValueError(f"--seed must be >= 0, got {seed}")
+        if args.dim is not None and args.dim > MAX_DIM:  # every command takes --dim
+            raise ConstructionError(f"--dim must be at most {MAX_DIM}, got {args.dim}")
         command = {"verify": cmd_verify, "witness": cmd_witness, "demo": cmd_demo}[args.command]
         code = command(args)
         sys.stdout.flush()
