@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -42,6 +43,9 @@ MAX_DIM = 1000
 # verify draws point sets of --samples, and batches of --pairs, rows of --dim
 # floats; at this many coordinates one such array takes 240 MB.
 MAX_COORDINATES = 3 * 10**7
+# The continuity checks draw --pairs rows for each of --max-piece-index
+# pieces, at 0.15-0.35 us a row in dimensions 1 to 3: this many take 15-35 s.
+MAX_PAIR_ROWS = 10**8
 
 
 def _env_seed() -> int:
@@ -63,6 +67,7 @@ def _parse_vector(text: str) -> np.ndarray:
     return np.array([float(c) for c in text.split(",")], dtype=float)
 
 
+@functools.cache  # one parser per process: main() parses every call with it
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="pcretract", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -108,6 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
 LINE_CONSTRUCTIONS = ("fractional", "glue")
 # Flags that only one construction reads, by argparse destination.
 ONE_CONSTRUCTION_FLAGS = {"paper_witness": "sphere", "allow_low_dim": "open-ball"}
+# A map depends only on build_construction's arguments and no check changes
+# it, so in-process main() calls share one per argument tuple.
+_cached_construction = functools.lru_cache(maxsize=8)(build_construction)
 
 
 def _build_map(args):
@@ -127,7 +135,7 @@ def _build_map(args):
                 f"--norm: {args.construction} uses the norm p:2, got {kind.label()}"
             )
         dim = 1
-    return build_construction(
+    return _cached_construction(
         args.construction,
         dim,
         kind,
@@ -150,6 +158,11 @@ def cmd_verify(args) -> int:
     _check_range("--samples", args.samples, MAX_SAMPLES)
     _check_range("--pairs", args.pairs, MAX_SAMPLES)
     _check_range("--max-piece-index", args.max_piece_index, MAX_PIECE_INDEX)
+    if args.pairs * args.max_piece_index > MAX_PAIR_ROWS:
+        raise ConstructionError(
+            f"--pairs times --max-piece-index must be at most {MAX_PAIR_ROWS}, "
+            f"got {args.pairs} * {args.max_piece_index}"
+        )
     for flag, value in (("--membership-tol", args.membership_tol), ("--identity-tol", args.identity_tol)):
         if not 0.0 < value < math.inf:  # an infinite tolerance passes every check
             raise ConstructionError(f"{flag} must be a finite number > 0, got {value}")

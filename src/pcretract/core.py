@@ -71,9 +71,11 @@ class NormKind:
             return cls(math.inf)
         if t.startswith("p:"):
             try:
-                return cls(float(t[2:]))
+                p = float(t[2:])
             except ValueError:
                 pass
+            else:
+                return cls(p)  # a p below 1 or NaN raises with its own reason
         raise ValueError(f"unrecognized norm {text!r}; use 'p:<value>' or 'max'")
 
 

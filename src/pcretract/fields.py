@@ -175,13 +175,33 @@ def parse_field(expr: str, dim: int, domain, radius: float = 1.0) -> ScalarField
     raise FieldDomainError(f"unrecognized field expression {expr!r}")
 
 
+def _covers(domain, retract) -> bool:
+    """The sampled domain test: whether ``domain`` holds the retract's probe.
+
+    The probe is a read-only draw of the retract, so only its dimension is
+    checked before the domain tests it."""
+    probe = retract.probe
+    if domain.dim != probe.shape[1]:
+        raise DimensionMismatch(f"expected dimension {domain.dim}, got {probe.shape[1]}")
+    return bool(np.all(domain._contains(probe, DEFAULT_TOLERANCE.membership_tol)))
+
+
+# (field domain, retract) pairs that passed _covers, by identity, oldest
+# first.  Each entry holds both objects, so no id is reused while remembered.
+_COVERED_MAX = 32
+_covered: dict = {}
+
+
 def extension_operator(phi: PiecewiseMap, f: ScalarField) -> ScalarField:
     """Compose: x -> f(phi(x)), extending f from the retract to phi's domain.
 
     f must be continuous, as every catalog field and combination of them
     is; the composed field then carries phi's witness.  A field that carries
     a witness of its own (the output of this operator) raises
-    FieldDomainError.
+    FieldDomainError, and so does a field domain that misses a point of the
+    retract's probe.  A passing domain test is remembered for the last
+    _COVERED_MAX (field domain, retract) pairs, by identity, so a pair is
+    tested once; a failing one is tested, and raises, on every call.
     """
     if f.witness is not None:
         raise FieldDomainError(f"field {f.label} carries its own witness; only continuous fields extend")
@@ -189,13 +209,13 @@ def extension_operator(phi: PiecewiseMap, f: ScalarField) -> ScalarField:
         raise FieldDomainError(
             f"field lives in dimension {f.dim}, map retract in {phi.codomain.dim}"
         )
-    # The probe is a read-only draw of the retract, so only its dimension
-    # is checked before the domain tests it.
-    probe = phi.codomain.probe
-    if f.domain.dim != probe.shape[1]:
-        raise DimensionMismatch(f"expected dimension {f.domain.dim}, got {probe.shape[1]}")
-    if not np.all(f.domain._contains(probe, DEFAULT_TOLERANCE.membership_tol)):
-        raise FieldDomainError("field domain does not cover the map's retract (sampled)")
+    key = (id(f.domain), id(phi.codomain))
+    if key not in _covered:
+        if not _covers(f.domain, phi.codomain):
+            raise FieldDomainError("field domain does not cover the map's retract (sampled)")
+        if len(_covered) >= _COVERED_MAX:
+            del _covered[next(iter(_covered))]
+        _covered[key] = (f.domain, phi.codomain)
 
     def rule(pts):
         return f.rule(phi.rule(pts))

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from pcretract import cli
-from pcretract.cli import MAX_COORDINATES, MAX_DIM
+from pcretract.cli import MAX_COORDINATES, MAX_DIM, MAX_PAIR_ROWS
 from pcretract.constructions import unit_sphere
 from pcretract.core import NormKind
 from pcretract.fields import FIELD_HEADS, parse_field
@@ -68,6 +68,18 @@ class TestVerifyCommand:
     def test_bad_norm_string(self):
         p = run_cli("verify", "--construction", "sphere", "--norm", "chebyshev", "--samples", "10")
         assert p.returncode == 2
+
+    @pytest.mark.parametrize("norm,message", [
+        ("p:0.5", "p-norm parameter must satisfy p >= 1, got 0.5"),
+        ("p:nan", "p-norm parameter must satisfy p >= 1, got nan"),
+        ("p:abc", "unrecognized norm 'p:abc'; use 'p:<value>' or 'max'"),
+    ])
+    def test_norm_error_names_its_reason(self, norm, message, capsys):
+        # Only text that is not a number is unrecognized; a number out of
+        # range says why.
+        assert cli.main(["verify", "--construction", "sphere", "--norm", norm]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
 
     def test_fields_flag_runs_operator_suite(self):
         p = run_cli(
@@ -313,6 +325,92 @@ class TestDimBound:
         assert capsys.readouterr().err == (
             f"error: {flag} times --dim must be at most 30000000, got {rows + 1} * 1000\n"
         )
+
+
+class TestPairRowsBound:
+    """--pairs times --max-piece-index is at most MAX_PAIR_ROWS, so two flags
+    that are each within their caps cannot ask for hours of continuity rows."""
+
+    def test_at_bound_accepted_above_rejected(self, monkeypatch, capsys):
+        # The suite is stubbed out: at the bound a real run takes half a minute.
+        monkeypatch.setattr(cli, "run_suite", lambda m, **kwargs: [])
+        args = ["verify", "--construction", "fractional"]
+        assert cli.main(args + ["--pairs", "10000", "--max-piece-index", "10000"]) == 0
+        capsys.readouterr()
+        assert 5_882_353 * 17 == MAX_PAIR_ROWS + 1
+        assert cli.main(args + ["--pairs", "5882353", "--max-piece-index", "17"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --pairs times --max-piece-index must be at most 100000000, got 5882353 * 17\n"
+        )
+
+    def test_both_caps_at_once_rejected(self):
+        p = run_cli("verify", "--construction", "fractional", "--pairs", "10000000",
+                    "--max-piece-index", "10000", "--samples", "10")
+        assert p.returncode == 2
+        assert p.stdout == b""
+        assert p.stderr == (
+            b"error: --pairs times --max-piece-index must be at most 100000000, got 10000000 * 10000\n"
+        )
+
+
+class TestInProcessReuse:
+    """main() keeps its parser and its maps for the life of the process;
+    repeated in-process calls must answer exactly as fresh processes do."""
+
+    COMMANDS = (
+        ("verify", "--construction", "sphere", "--samples", "300", "--seed", "7", "--format", "json"),
+        ("verify", "--construction", "extend", "--dim", "3", "--samples", "300", "--seed", "4",
+         "--fields", "coord:0,sin:1,cos:2,const:2,poly:0:3"),
+        ("witness", "--construction", "sphere", "--n", "2"),
+        ("demo", "--dim", "3", "--depth", "4"),
+        ("verify", "--construction", "open-ball", "--dim", "3", "--paper-witness"),
+        ("verify", "--construction", "sphere", "--samples", "300", "--seed", "7", "--paper-witness"),
+    )
+
+    def test_repeated_calls_match_fresh_processes(self, capsys):
+        fresh = []
+        for args in self.COMMANDS:
+            p = run_cli(*args)
+            fresh.append((p.returncode, p.stdout.decode(), p.stderr.decode()))
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 1]
+        for _ in range(2):  # interleaved, so each call follows a different one
+            for args, expected in zip(self.COMMANDS, fresh):
+                code = cli.main(list(args))
+                out, err = capsys.readouterr()
+                assert (code, out, err) == expected, args
+
+    def test_parser_survives_system_exit(self, capsys):
+        args = ["witness", "--construction", "glue", "--n", "1"]
+        assert cli.main(args) == 0
+        first = capsys.readouterr()
+        with pytest.raises(SystemExit) as bad:
+            cli.main(["verify", "--construction", "sphere", "--no-such-flag"])
+        assert bad.value.code == 2
+        with pytest.raises(SystemExit) as help_exit:
+            cli.main(["verify", "--help"])
+        assert help_exit.value.code == 0
+        capsys.readouterr()
+        assert cli.build_parser() is cli.build_parser()
+        assert cli.main(args) == 0
+        assert capsys.readouterr() == first
+
+    def test_paper_witness_maps_kept_apart(self):
+        parse = cli.build_parser().parse_args
+        sphere = ["witness", "--construction", "sphere", "--n", "0"]
+        plain = cli._build_map(parse(sphere))
+        paper = cli._build_map(parse(sphere + ["--paper-witness"]))
+        assert paper is not plain
+        assert cli._build_map(parse(sphere)) is plain
+        assert cli._build_map(parse(sphere + ["--paper-witness"])) is paper
+        # The un-augmented band witness misses the origin at piece 0.
+        assert plain.witness.piece_at(0) != paper.witness.piece_at(0)
+
+    def test_flag_checks_run_on_every_call(self, capsys):
+        args = ["witness", "--construction", "open-ball", "--dim", "3", "--n", "1"]
+        assert cli.main(args) == 0
+        for _ in range(2):
+            assert cli.main(args + ["--paper-witness"]) == 2
+            assert capsys.readouterr().err.startswith("error: --paper-witness applies only to sphere")
 
 
 class TestDemoCommand:

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from pcretract import core
+from pcretract import core, fields
 from pcretract.core import DimensionMismatch, NormBand, NormKind, norm
-from pcretract.constructions import ClosedRegion, sphere_retraction
+from pcretract.constructions import ClosedRegion, sphere_retraction, unit_sphere
 from pcretract.fields import (
     FieldDomainError,
     ScalarField,
@@ -22,7 +22,7 @@ from pcretract.fields import (
     sin_field,
     sup_norm_estimate,
 )
-from pcretract.verification import Sampler
+from pcretract.verification import Sampler, check_operator_properties
 
 P2 = NormKind(2.0)
 
@@ -158,6 +158,52 @@ class TestRetractProbe:
             mp.setattr(core, "as_points", lambda *a, **k: pytest.fail("probe re-validated"))
             for _ in range(3):
                 extension_operator(sphere, f)
+
+
+class TestDomainTestRemembered:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counted(domain, retract):
+            calls.append((domain, retract))
+            return covers(domain, retract)
+
+        covers = fields._covers
+        monkeypatch.setattr(fields, "_covers", counted)
+        return calls
+
+    def test_once_per_pair(self, sphere, circle, calls):
+        catalog = [parse_field(e, 2, circle, 1.0) for e in ("const:1", "coord:0", "sin:1")]
+        for _ in range(5):
+            for f in catalog:
+                extension_operator(sphere, f)
+        assert len(calls) == 1
+        # An equal but distinct domain, and another map's retract, are new pairs.
+        extension_operator(sphere, coord_field(0, 2, unit_sphere(P2, 2)))
+        other = sphere_retraction(2, P2)
+        extension_operator(other, coord_field(0, 2, circle))
+        extension_operator(other, coord_field(0, 2, circle))
+        assert [(d is circle, r is circle) for d, r in calls] == [(True, True), (False, True), (True, False)]
+
+    def test_once_per_operator_check(self, sphere, circle, calls):
+        catalog = [parse_field(e, 2, circle, 1.0) for e in ("coord:0", "sin:1", "poly:0:1,2")]
+        reports = check_operator_properties(sphere, catalog, n=100, iso_n=100)
+        assert all(r.status == "pass" for r in reports)
+        assert len(calls) == 1
+
+    def test_missing_domain_raises_on_every_call(self, sphere, calls):
+        annulus = ClosedRegion(NormBand(P2, 2.0, 3.0, 2))
+        f = coord_field(0, 2, annulus)
+        for attempt in range(1, 4):
+            with pytest.raises(FieldDomainError, match="does not cover"):
+                extension_operator(sphere, f)
+            assert len(calls) == attempt
+
+    def test_fixed_size(self, circle):
+        for _ in range(fields._COVERED_MAX + 5):
+            extension_operator(sphere_retraction(2, P2), coord_field(0, 2, circle))
+        assert len(fields._covered) == fields._COVERED_MAX
 
 
 class TestSupNorm:
