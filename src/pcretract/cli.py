@@ -114,7 +114,8 @@ LINE_CONSTRUCTIONS = ("fractional", "glue")
 # Flags that only one construction reads, by argparse destination.
 ONE_CONSTRUCTION_FLAGS = {"paper_witness": "sphere", "allow_low_dim": "open-ball"}
 # A map depends only on build_construction's arguments and no check changes
-# it, so in-process main() calls share one per argument tuple.
+# it, so in-process main() calls share one per argument tuple; eight hold
+# the six constructions at one dimension and norm.
 _cached_construction = functools.lru_cache(maxsize=8)(build_construction)
 
 

@@ -176,18 +176,16 @@ def parse_field(expr: str, dim: int, domain, radius: float = 1.0) -> ScalarField
 
 
 def _covers(domain, retract) -> bool:
-    """The sampled domain test: whether ``domain`` holds the retract's probe.
-
-    The probe is a read-only draw of the retract, so only its dimension is
-    checked before the domain tests it."""
+    """Whether ``domain`` holds the retract's probe.  The probe is a
+    read-only draw of the retract, so only its dimension is checked."""
     probe = retract.probe
     if domain.dim != probe.shape[1]:
         raise DimensionMismatch(f"expected dimension {domain.dim}, got {probe.shape[1]}")
     return bool(np.all(domain._contains(probe, DEFAULT_TOLERANCE.membership_tol)))
 
 
-# (field domain, retract) pairs that passed _covers, by identity, oldest
-# first.  Each entry holds both objects, so no id is reused while remembered.
+# The (field domain, retract) pairs that passed _covers, by identity, oldest
+# first; each entry holds both objects, so no id is reused while it is kept.
 _COVERED_MAX = 32
 _covered: dict = {}
 
@@ -198,10 +196,9 @@ def extension_operator(phi: PiecewiseMap, f: ScalarField) -> ScalarField:
     f must be continuous, as every catalog field and combination of them
     is; the composed field then carries phi's witness.  A field that carries
     a witness of its own (the output of this operator) raises
-    FieldDomainError, and so does a field domain that misses a point of the
-    retract's probe.  A passing domain test is remembered for the last
-    _COVERED_MAX (field domain, retract) pairs, by identity, so a pair is
-    tested once; a failing one is tested, and raises, on every call.
+    FieldDomainError, and so does a field domain that misses the retract's
+    probe.  That domain test is remembered once it passes, per (field
+    domain, retract) pair, so a failing pair is tested again on every call.
     """
     if f.witness is not None:
         raise FieldDomainError(f"field {f.label} carries its own witness; only continuous fields extend")
