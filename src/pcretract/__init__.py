@@ -14,8 +14,6 @@ from .core import (
     Tolerance,
     as_vector,
     constant_family,
-    descriptor_from_json,
-    entier,
     norm,
     piece,
 )
@@ -44,7 +42,6 @@ from .constructions import (
 )
 from .fields import (
     ScalarField,
-    UnboundedFieldError,
     const_field,
     coord_field,
     cos_field,
@@ -54,7 +51,6 @@ from .fields import (
     poly_field,
     prod_field,
     sin_field,
-    sup_norm_estimate,
 )
 from .verification import (
     CheckReport,
@@ -67,7 +63,6 @@ from .verification import (
     check_retraction_identity,
     codomain_sampler,
     domain_sampler,
-    lipschitz_oracle,
     run_suite,
 )
 

@@ -63,8 +63,11 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(c) for c in text.split(",")], dtype=float)
+def _parse_vector(flag: str, text: str) -> np.ndarray:
+    try:
+        return np.array([float(c) for c in text.split(",")], dtype=float)
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
 @functools.cache  # one parser per process: main() parses every call with it
@@ -244,8 +247,8 @@ def cmd_demo(args) -> int:
     kind = NormKind.parse(args.norm)
     m = sphere_retraction(args.dim, kind)
     # By default the unit vectors e1 and e2.
-    u = _parse_vector(args.u) if args.u is not None else np.eye(1, args.dim, 0)[0]
-    v = _parse_vector(args.v) if args.v is not None else np.eye(1, args.dim, 1)[0]
+    u = _parse_vector("--u", args.u) if args.u is not None else np.eye(1, args.dim, 0)[0]
+    v = _parse_vector("--v", args.v) if args.v is not None else np.eye(1, args.dim, 1)[0]
     rows = borsuk_discontinuity_demo(m, u, v, depth=args.depth)
     print(f"{'k':>3}  {'scale':>24}  {'input_gap':>24}  {'output_gap':>24}")
     for r in rows:

@@ -184,8 +184,8 @@ class PiecewiseMap:
     piecewise continuity.
 
     ``piece_lipschitz(n)`` is the declared Lipschitz bound of the restriction
-    to witness piece n (None = unknown); declared bounds are meant to be
-    validated against the empirical Lipschitz oracle before being trusted.
+    to witness piece n (None = unknown); the continuity checks compare it
+    with the ratios they sample on that piece.
     ``predicted_index_fn(points, tol)`` returns, per point, a witness index
     whose piece is guaranteed to contain the point (-1 = no piece found,
     which a cover check must report as a failure).  ``special_points`` are

@@ -1,4 +1,4 @@
-"""Vectors, norms, the entier function, closed-set descriptors and piece families.
+"""Vectors, norms, closed-set descriptors and piece families.
 
 Every set constructible through this module is closed by construction: the
 descriptor grammar only offers closed primitives (closed intervals, closed
@@ -79,7 +79,6 @@ class NormKind:
         raise ValueError(f"unrecognized norm {text!r}; use 'p:<value>' or 'max'")
 
 
-MAX_NORM = NormKind(math.inf)
 EUCLIDEAN = NormKind(2.0)
 
 
@@ -154,14 +153,6 @@ def norm(x, kind: NormKind = EUCLIDEAN) -> Union[float, np.ndarray]:
     if np.any(np.isnan(r)):
         raise ValueError("norm of a NaN coordinate is undefined")
     return float(r) if np.ndim(r) == 0 else r
-
-
-def entier(t: float) -> int:
-    """Greatest integer <= t (floor semantics, also for negative t)."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"entier of non-finite value {t!r}")
-    return math.floor(t)
 
 
 @dataclass(frozen=True)
@@ -589,29 +580,6 @@ def sample_pieces(draws: Sequence[tuple], n: int) -> np.ndarray:
     return np.concatenate([p.sample(rng, n) for p, rng in draws])
 
 
-def descriptor_from_json(obj: dict) -> SetDescriptor:
-    """Inverse of ``SetDescriptor.to_json`` for the closed grammar."""
-    variant = obj.get("variant")
-    if variant == "interval":
-        return Interval(obj["lo"], obj["hi"])
-    if variant == "norm_band":
-        hi = obj["hi"]
-        return NormBand(
-            NormKind.parse(obj["norm"]),
-            obj["lo"],
-            math.inf if hi == "inf" else float(hi),
-            obj["dim"],
-        )
-    if variant == "singleton":
-        return Singleton(tuple(obj["point"]))
-    if variant == "finite_union":
-        return FiniteUnion(tuple(descriptor_from_json(m) for m in obj["members"]))
-    if variant == "diagonal_bands":
-        kind = None if "coordinate" in obj else NormKind.parse(obj["norm"])
-        return DiagonalBands(kind, obj["start"], obj["m"], obj["dim"])
-    raise ValueError(f"unknown descriptor variant {variant!r}")
-
-
 # ---------------------------------------------------------------------------
 # Piece families
 
@@ -638,17 +606,6 @@ class PieceFamily:
 
     piece_at: Callable[[int], SetDescriptor]
     membership: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-
-    def contains_at(self, pts, idx, tol=DEFAULT_TOLERANCE.membership_tol) -> np.ndarray:
-        """Whether each point pts[i] of an (n, d) batch lies in piece(idx[i]);
-        validates its input, then calls ``membership``."""
-        pts = as_points(pts)
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.shape != (len(pts),):
-            raise ValueError("need one piece index per point")
-        if np.any(idx < 0):
-            raise ValueError("piece index must be >= 0")
-        return self.membership(pts, idx, float(tol))
 
 
 def piece(family: PieceFamily, n: int) -> SetDescriptor:

@@ -19,10 +19,6 @@ from .core import DEFAULT_TOLERANCE, DimensionMismatch, PieceFamily, as_points, 
 from .constructions import PiecewiseMap
 
 
-class UnboundedFieldError(ValueError):
-    """An operation requiring a bound was asked of an unbounded field."""
-
-
 class FieldDomainError(ValueError):
     """Field and map domains do not fit together."""
 
@@ -226,14 +222,3 @@ def extension_operator(phi: PiecewiseMap, f: ScalarField) -> ScalarField:
         lipschitz=None,
         witness=phi.witness,
     )
-
-
-def sup_norm_estimate(f: ScalarField, sampler, n: int) -> float:
-    """max |f| over n seeded samples of f's domain: a lower bound on the sup
-    norm, non-decreasing in n for nested seeded sample sets."""
-    if not f.bounded:
-        raise UnboundedFieldError(f"field {f.label} is not declared bounded")
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
-    pts = sampler.draw(n)
-    return float(np.max(np.abs(f.apply(pts))))

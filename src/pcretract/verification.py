@@ -1,8 +1,8 @@
 """Property checks for witnessed piecewise maps.
 
 Continuity is verified as empirical Lipschitz domination over seeded point
-pairs, never as an epsilon-delta search; declared per-piece constants are
-meant to be validated with :func:`lipschitz_oracle` before being trusted.
+pairs, never as an epsilon-delta search: each piece's declared constant must
+dominate the ratios sampled on that piece.
 All sampling is seeded and deterministic: identical seeds give bit-identical
 reports.
 """
@@ -54,15 +54,12 @@ class Sampler:
     """Deterministic seeded sampler.
 
     Strategies: ``ball`` (direction by normalized gaussian, radius uniform in
-    [lo, hi]), ``sphere`` (normalized gaussian), ``grid-circle`` (equispaced
-    angles on the Euclidean unit circle), ``grid-interval`` (linspace),
-    ``set`` (descriptor-driven).
+    [lo, hi]), ``sphere`` (normalized gaussian), ``set`` (descriptor-driven).
 
     ``ball`` and ``sphere`` nest: direction and radius draws use separate
     sub-streams of the seed, so the first n points of a draw of m > n equal
     the draw of n.  So does ``set`` of an Interval, one uniform per point.
-    The grids and ``set`` of any other descriptor do not: a grid of m points
-    is not an extension of a grid of n, and a descriptor draws every part
+    ``set`` of any other descriptor does not: a descriptor draws every part
     (member choice, directions, radii) from one stream, so what follows the
     first part depends on the count.
     """
@@ -84,11 +81,6 @@ class Sampler:
         if self.strategy == "ball":
             g = _rng(self.seed, 11).standard_normal(size=(n, self.dim))
             return _unit_rows(g, self.kind, _rng(self.seed, 13).uniform(self.lo, self.hi, size=n))
-        if self.strategy == "grid-circle":
-            theta = 2.0 * math.pi * np.arange(n) / n
-            return np.column_stack([np.cos(theta), np.sin(theta)])
-        if self.strategy == "grid-interval":
-            return np.linspace(self.lo, self.hi, n)[:, None]
         if self.strategy == "set":
             if self.descriptor is None:
                 raise ValueError("'set' strategy needs a descriptor")
@@ -150,10 +142,6 @@ class CheckReport:
             "witness_points": [list(p) for p in self.witness_points],
         }
 
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
 
 def _mk_report(name, n, max_violation, tol, offenders=()) -> CheckReport:
     status = PASS if max_violation <= tol else FAIL
@@ -211,13 +199,17 @@ def _batches(items: Sequence, n: int) -> list:
     return [items[i:i + step] for i in range(0, len(items), step)]
 
 
+# Points drawn from each piece whose monotonicity the bounds leave undecided:
+# nine pieces of 1,000 cost about one cover draw of the default 10,000.
+MONOTONICITY_SAMPLES = 1_000
+
+
 def check_cover(
     m: PiecewiseMap,
     n: int = 10_000,
     max_index: int = 10,
     seed: int = 0,
     tolerance: Tolerance = DEFAULT_TOLERANCE,
-    piece_samples: int = 1_000,
     extra_points: Optional[Sequence] = None,
 ) -> CheckReport:
     """Every domain sample lies in its predicted witness piece, and piece(k)
@@ -233,12 +225,11 @@ def check_cover(
     adding the tolerance is monotone.  So for such a step the sampled test
     can only find points that the draw put outside piece(k) itself.
 
-    Otherwise ``piece_samples`` points of each piece(k) are drawn, in order
-    from one generator, and tested against piece(k+1) a batch at a time."""
+    Otherwise MONOTONICITY_SAMPLES points of each piece(k) are drawn, in
+    order from one generator, and tested against piece(k+1) a batch at a
+    time."""
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
-    if piece_samples < 0:
-        raise ValueError(f"piece_samples must be >= 0, got {piece_samples}")
     pts = as_points(domain_sampler(m, seed).draw(n), m.dim)
     if extra_points is not None and len(extra_points):
         pts = np.concatenate([as_points(np.asarray(extra_points, float), m.dim), pts])
@@ -260,9 +251,9 @@ def check_cover(
     pieces = (piece(m.witness, k) for k in range(1, max_index + 1))
     if not all(a.subset_of(b) for a, b in itertools.pairwise(pieces)):
         rng = _rng(seed, 17)
-        for ks in _batches(range(1, max_index), piece_samples):
-            s = as_points(sample_pieces([(piece(m.witness, k), rng) for k in ks], piece_samples), m.dim)
-            grown = np.repeat(np.asarray(ks) + 1, piece_samples)
+        for ks in _batches(range(1, max_index), MONOTONICITY_SAMPLES):
+            s = as_points(sample_pieces([(piece(m.witness, k), rng) for k in ks], MONOTONICITY_SAMPLES), m.dim)
+            grown = np.repeat(np.asarray(ks) + 1, MONOTONICITY_SAMPLES)
             inside = m.witness.membership(s, grown, tol)
             offenders.append(s[~inside][:10])
             failures += int(np.sum(~inside))
@@ -279,43 +270,6 @@ def _check_pair_args(pairs: int, delta: float) -> None:
         raise ValueError(f"delta must be a finite number > 0, got {delta}")
 
 
-def _pair_ratios(m, draws, within, pairs, delta, max_dist=math.inf, min_pairs=1):
-    """Empirical Lipschitz ratios of m over seeded point pairs, for each
-    (piece, generator) in ``draws``: x is drawn from the piece, y = x plus a
-    gaussian step of scale delta/2, and a pair is kept when
-    ``within(y, which)`` (``which`` gives each row's position in draws) and
-    1e-14 <= ||x - y|| <= max_dist.
-
-    The generators must be distinct objects, one per draw.  All x are drawn
-    first, in one sample_pieces call (a block of ``pairs`` rows per draw),
-    then each generator draws its block's steps; a generator that served two draws would give the second piece's
-    x the first piece's steps.  The x are validated once, as one batch, and
-    the membership test, the distances, the map and the ratios then run once
-    over all rows.  They are row-wise float operations, so each draw gets
-    the bits it would get alone.  Returns (kept pairs, x, ratios) per draw;
-    a draw with fewer than max(min_pairs, 1) kept pairs gets x and ratios
-    None, and the map is never evaluated on its points.
-    """
-    x = as_points(sample_pieces(draws, pairs), m.dim)
-    y = np.empty_like(x)
-    for (_, rng), rows in zip(draws, np.split(y, len(draws))):
-        rng.standard_normal(out=rows)
-    which = np.repeat(np.arange(len(draws)), pairs)
-    y *= delta / 2.0
-    y += x
-    dist = norm(x - y, m.kind)
-    keep = within(y, which) & (dist >= 1e-14) & (dist <= max_dist)
-    kept = np.bincount(which[keep], minlength=len(draws))
-    used = np.where(kept >= max(min_pairs, 1), kept, 0)
-    keep &= (used > 0)[which]
-    x, y, dist = np.compress(keep, x, axis=0), np.compress(keep, y, axis=0), dist[keep]
-    ratio = norm(m.rule(x) - m.rule(y), m.kind) / dist if len(x) else dist
-    return [
-        (int(k), x[e - u:e], ratio[e - u:e]) if u else (int(k), None, None)
-        for k, u, e in zip(kept, used, np.cumsum(used))
-    ]
-
-
 # Ratios carry the rounding of the map and the distances, so a declared L is met up to L * CONTINUITY_SLACK.
 CONTINUITY_SLACK = 1.0 + 1e-9
 # With fewer kept pairs a continuity check is inconclusive: too few ratios to judge a piece.
@@ -324,7 +278,17 @@ MIN_CONTINUITY_PAIRS = 50
 
 def _piece_continuity_reports(m, ks, seeds, pairs, delta) -> list:
     """check_piece_continuity of m at each piece ks[i] with seed seeds[i],
-    with the pieces' pairs drawn, tested and mapped a batch at a time."""
+    with the pieces' pairs drawn, tested and mapped a batch at a time.
+
+    Each piece k gets its own generator: x is drawn from piece k, y = x plus
+    a gaussian step of scale delta/2, and a pair is kept when y lies in
+    piece k and 1e-14 <= ||x - y|| <= delta.  A batch draws all its x
+    first, in one sample_pieces call (``pairs`` rows per piece), then each
+    generator draws its piece's steps.  The x are validated once per batch,
+    and the membership test, the distances, the map and the ratios then run
+    once over all rows.  They are row-wise float operations, so each piece
+    gets the bits it would get alone.  The map never sees the points of a
+    piece with fewer than MIN_CONTINUITY_PAIRS kept pairs."""
     _check_pair_args(pairs, delta)
     reports = {}
     todo = []
@@ -335,20 +299,30 @@ def _piece_continuity_reports(m, ks, seeds, pairs, delta) -> list:
         else:
             todo.append((k, seed, float(lip) * CONTINUITY_SLACK))
     for batch in _batches(todo, pairs):
-        idx = np.array([k for k, _, _ in batch], dtype=np.int64)
         draws = [(piece(m.witness, k), _rng(seed, 19)) for k, seed, _ in batch]
-
-        def within(y, which):
-            return m.witness.membership(y, idx[which], 0.0)
-
-        results = _pair_ratios(m, draws, within, pairs, delta, max_dist=delta, min_pairs=MIN_CONTINUITY_PAIRS)
-        for (k, _, bound), (kept, x, ratio) in zip(batch, results):
+        x = as_points(sample_pieces(draws, pairs), m.dim)
+        y = np.empty_like(x)
+        for (_, rng), rows in zip(draws, np.split(y, len(draws))):
+            rng.standard_normal(out=rows)
+        which = np.repeat(np.arange(len(batch)), pairs)
+        y *= delta / 2.0
+        y += x
+        dist = norm(x - y, m.kind)
+        idx = np.array([k for k, _, _ in batch], dtype=np.int64)
+        keep = m.witness.membership(y, idx[which], 0.0) & (dist >= 1e-14) & (dist <= delta)
+        kept = np.bincount(which[keep], minlength=len(batch))
+        used = np.where(kept >= MIN_CONTINUITY_PAIRS, kept, 0)
+        keep &= (used > 0)[which]
+        x, y, dist = np.compress(keep, x, axis=0), np.compress(keep, y, axis=0), dist[keep]
+        ratio = norm(m.rule(x) - m.rule(y), m.kind) / dist if len(x) else dist
+        for (k, _, bound), count, u, e in zip(batch, kept, used, np.cumsum(used)):
             name = f"piece-continuity-{k}"
-            if x is None:
-                reports[k] = CheckReport(name, INCONCLUSIVE, kept, 0.0, bound)
+            if u:
+                r = ratio[e - u:e]
+                offenders = _worst_points(x[e - u:e], np.where(r > bound, r, 0.0))
+                reports[k] = _mk_report(name, count, float(np.max(r)), bound, offenders)
             else:
-                offenders = _worst_points(x, np.where(ratio > bound, ratio, 0.0))
-                reports[k] = _mk_report(name, kept, float(np.max(ratio)), bound, offenders)
+                reports[k] = CheckReport(name, INCONCLUSIVE, int(count), 0.0, bound)
     return [reports[k] for k in ks]
 
 
@@ -369,28 +343,6 @@ def check_piece_continuity(
     the report this call gives.  ``pairs`` must be >= 0 and ``delta`` finite
     and > 0."""
     return _piece_continuity_reports(m, [int(n)], [seed], pairs, delta)[0]
-
-
-def lipschitz_oracle(
-    m: PiecewiseMap,
-    which_piece,
-    pairs: int = 1_000_000,
-    seed: int = 0,
-    delta: float = 1e-3,
-) -> float:
-    """Empirical max of ||m(x)-m(y)|| / ||x-y|| over seeded pairs inside a
-    witness piece (by index) or an explicit closed set.  Declared per-piece
-    constants must dominate this value.  Degenerate pairs are skipped."""
-    _check_pair_args(pairs, delta)
-    desc = piece(m.witness, which_piece) if isinstance(which_piece, (int, np.integer)) else which_piece
-
-    def within(y, which):
-        return np.asarray(desc.contains(y, 0.0))
-
-    [(_, x, ratio)] = _pair_ratios(m, [(desc, _rng(seed, 23))], within, pairs, delta)
-    if x is None:
-        raise ValueError("no usable pairs inside the piece")
-    return float(np.max(ratio))
 
 
 # Nearer an integer, ||x|| - entier(||x||) may round to 1, so ||m(x)|| < 1 is not asked there.
@@ -639,6 +591,8 @@ def borsuk_discontinuity_demo(
         raise ValueError(f"depth must be between 1 and {MAX_DEMO_DEPTH}, got {depth}")
     u = as_vector(u)
     v = as_vector(v)
+    if len(u) != m.dim or len(v) != m.dim:
+        raise DimensionMismatch(f"demo directions must have dimension {m.dim}, got {len(u)} and {len(v)}")
     tol = DEFAULT_TOLERANCE.identity_tol
     if abs(norm(u, m.kind) - 1.0) > tol or abs(norm(v, m.kind) - 1.0) > tol:
         raise ValueError("demo directions must be unit vectors")

@@ -15,9 +15,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from _oracles import circle_grid, lipschitz_oracle, sup_abs
 from pcretract.constructions import build_construction, sphere_retraction
 from pcretract.core import NormKind, norm
-from pcretract.fields import parse_field, sup_norm_estimate
+from pcretract.fields import parse_field
 from pcretract.verification import (
     FAIL,
     PASS,
@@ -32,7 +33,6 @@ from pcretract.verification import (
     corrupt_identity_rule,
     corrupt_shrinking_witness,
     corrupt_understated_lipschitz,
-    lipschitz_oracle,
     negated_operator,
 )
 
@@ -86,9 +86,7 @@ def test_criterion_2_cover_and_monotonicity(capsys):
         for cid in ("fractional", "glue", "sphere", "open-ball", "extend", "const-extend"):
             m = build_construction(cid, 2, P2)
             extra = [np.zeros(m.dim)] if m.dim > 1 else None
-            r = check_cover(
-                m, n=10_000, max_index=10, piece_samples=1_000, seed=2, extra_points=extra
-            )
+            r = check_cover(m, n=10_000, max_index=10, seed=2, extra_points=extra)
             assert r.status == PASS, (cid, r.max_violation, r.witness_points)
 
         bare = sphere_retraction(2, P2, paper_witness=True)
@@ -145,11 +143,11 @@ def test_criterion_5_operator_suite(capsys):
         assert reps["operator-isometry"].max_violation <= 1e-9
 
         # Independent sup oracle: dense angular grid versus the seeded sampler.
-        grid = Sampler(5, "grid-circle", dim=2)
-        draws = Sampler(5, "sphere", dim=2)
+        grid = circle_grid(100_000)
+        draws = Sampler(5, "sphere", dim=2).draw(100_000)
         for f in catalog:
-            oracle = sup_norm_estimate(f, grid, 100_000)
-            est = sup_norm_estimate(f, draws, 100_000)
+            oracle = sup_abs(f, grid)
+            est = sup_abs(f, draws)
             assert est <= oracle + 1e-9
             assert oracle - est <= 1e-3, (f.label, oracle, est)
 

@@ -5,8 +5,8 @@ time: draw from the piece, step by a gaussian, keep the pairs whose second
 point stays inside and whose distance is in [1e-14, delta], and compare the
 worst ratio with the declared constant.  Diagonal pieces are drawn and
 tested through their expanded finite unions, so the oracle shares no
-batched code with the check.  run_suite, check_piece_continuity and
-lipschitz_oracle must equal it report for report.
+batched code with the check.  run_suite and check_piece_continuity must
+equal it report for report.
 """
 
 import math
@@ -18,9 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import _rng, reference_pairs
 from pcretract import core, verification
 from pcretract.constructions import CONSTRUCTION_IDS, build_construction, sphere_retraction
-from pcretract.core import DiagonalBands, FiniteUnion, NormBand, NormKind, PieceFamily, Singleton, norm, piece
+from pcretract.core import FiniteUnion, NormBand, NormKind, PieceFamily, Singleton, norm, piece
 from pcretract.verification import (
     CORRUPTIONS,
     FAIL,
@@ -29,30 +30,10 @@ from pcretract.verification import (
     CheckReport,
     check_cover,
     check_piece_continuity,
-    lipschitz_oracle,
     run_suite,
 )
 
 P2 = NormKind(2.0)
-
-
-def _rng(seed, stream):
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream)]))
-
-
-def _expanded(desc):
-    return desc.expand() if isinstance(desc, DiagonalBands) else desc
-
-
-def reference_pairs(desc, kind, rng, pairs, delta, max_dist=math.inf):
-    desc = _expanded(desc)
-    x = desc.sample(rng, pairs)
-    y = x + rng.normal(size=x.shape) * (delta / 2.0)
-    keep = np.asarray(desc.contains(y, 0.0))
-    x, y = x[keep], y[keep]
-    dist = norm(x - y, kind)
-    ok = (dist >= 1e-14) & (dist <= max_dist)
-    return x[ok], y[ok], dist[ok]
 
 
 def reference_continuity(m, n, pairs=2_000, delta=1e-3, tol_factor=1.0 + 1e-9, seed=0, min_pairs=50):
@@ -126,19 +107,6 @@ def test_piece_zero_matches_reference(construction, pairs):
     assert got == reference_continuity(m, 0, pairs=pairs, seed=4)
     if construction == "open-ball":
         assert got.status == INCONCLUSIVE  # piece 0 is the origin alone
-
-
-@pytest.mark.parametrize(
-    "construction, which",
-    [("sphere", 2), ("open-ball", 3), ("fractional", 1), ("glue", 4), ("extend", 1),
-     ("open-ball", NormBand(P2, 1.0, 1.5, 3))],
-)
-def test_oracle_matches_reference(construction, which):
-    m = _build(construction, 3, "p:1.5", None)
-    desc = piece(m.witness, which) if isinstance(which, int) else which
-    x, y, dist = reference_pairs(desc, m.kind, _rng(5, 23), 20_000, 1e-3)
-    want = float(np.max(norm(m.apply(x) - m.apply(y), m.kind) / dist))
-    assert lipschitz_oracle(m, which, pairs=20_000, seed=5) == want
 
 
 def _counting(m):
@@ -240,7 +208,8 @@ class TestCoverBatches:
         misses = np.concatenate(
             [d[~piece(m.witness, k + 1).contains(d, 1e-9)] for k, d in zip(range(1, 20), draws)]
         )
-        r = check_cover(m, n=100, max_index=20, seed=3, piece_samples=5000)
+        with mock.patch.object(verification, "MONOTONICITY_SAMPLES", 5000):
+            r = check_cover(m, n=100, max_index=20, seed=3)
         assert r.status == FAIL
         assert r.max_violation == float(len(misses)) > 10
         assert r.witness_points == tuple(tuple(float(c) for c in p) for p in misses[:10])
@@ -248,9 +217,10 @@ class TestCoverBatches:
     @pytest.mark.parametrize("batch_rows", [1, 7000, 10**6])
     def test_batch_size_does_not_change_the_report(self, batch_rows):
         m = self._alternating()
-        want = check_cover(m, n=100, max_index=12, seed=4, piece_samples=3000)
-        with mock.patch.object(verification, "BATCH_ROWS", batch_rows):
-            assert check_cover(m, n=100, max_index=12, seed=4, piece_samples=3000) == want
+        with mock.patch.object(verification, "MONOTONICITY_SAMPLES", 3000):
+            want = check_cover(m, n=100, max_index=12, seed=4)
+            with mock.patch.object(verification, "BATCH_ROWS", batch_rows):
+                assert check_cover(m, n=100, max_index=12, seed=4) == want
 
 
 class TestPairArguments:
@@ -261,7 +231,6 @@ class TestPairArguments:
     CALLS = {
         "check_piece_continuity": lambda m, **kw: check_piece_continuity(m, 1, **kw),
         "run_suite": lambda m, **kw: run_suite(m, samples=50, **kw),
-        "lipschitz_oracle": lambda m, **kw: lipschitz_oracle(m, 1, **kw),
     }
 
     @pytest.mark.parametrize("call", CALLS)
@@ -274,10 +243,6 @@ class TestPairArguments:
     def test_bad_delta(self, m, call, delta):
         with pytest.raises(ValueError, match="delta must be a finite number > 0"):
             self.CALLS[call](m, pairs=100, delta=delta)
-
-    def test_negative_piece_samples(self, m):
-        with pytest.raises(ValueError, match="piece_samples must be >= 0, got -1"):
-            check_cover(m, n=50, piece_samples=-1)
 
     @pytest.mark.parametrize("max_piece_index", [0, -3])
     def test_max_piece_index_below_one(self, m, max_piece_index):

@@ -4,10 +4,11 @@ import sys
 
 import pytest
 
+from _oracles import descriptor_from_json
 from pcretract import cli
 from pcretract.cli import MAX_COORDINATES, MAX_DIM, MAX_PAIR_ROWS
-from pcretract.constructions import unit_sphere
-from pcretract.core import NormKind
+from pcretract.constructions import CONSTRUCTION_IDS, build_construction, unit_sphere
+from pcretract.core import DiagonalBands, NormKind, piece
 from pcretract.fields import FIELD_HEADS, parse_field
 
 CLI = [sys.executable, "-m", "pcretract.cli"]
@@ -224,6 +225,20 @@ class TestWitnessCommand:
             "variant": "diagonal_bands", "coordinate": 0,
             "start": -(10**12), "m": 10**12, "dim": 1,
         }
+
+    @pytest.mark.parametrize("construction, n", [
+        *((c, n) for c in CONSTRUCTION_IDS for n in (0, 1, 3, 1200)),
+        ("fractional", 10**12),
+        ("open-ball", 10**12),
+    ])
+    def test_output_reads_back_as_the_piece(self, construction, n, capsys):
+        assert cli.main(["witness", "--construction", construction, "--n", str(n)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        m = build_construction(construction, 1 if construction in cli.LINE_CONSTRUCTIONS else 2)
+        want = piece(m.witness, n)
+        if isinstance(want, DiagonalBands) and doc["variant"] == "finite_union":
+            want = want.expand()  # small diagonal pieces serialize expanded
+        assert descriptor_from_json(doc) == want
 
     def test_inexact_diagonal_index_rejected(self):
         p = run_cli("witness", "--construction", "open-ball", "--n", str(2**52))
@@ -446,6 +461,16 @@ class TestDemoCommand:
     def test_non_unit_direction_rejected(self):
         p = run_cli("demo", "--u", "2,0", "--v", "0,1")
         assert p.returncode == 2
+
+    @pytest.mark.parametrize("args, message", [
+        (["--u", "1,0,0", "--v", "0,1"], "demo directions must have dimension 2, got 3 and 2"),
+        (["--u", "1,0", "--v", "0,1,0"], "demo directions must have dimension 2, got 2 and 3"),
+        (["--u", "1,x", "--v", "0,1"], "--u must be comma-separated numbers, got '1,x'"),
+        (["--u", "1,0", "--v", "0,"], "--v must be comma-separated numbers, got '0,'"),
+    ])
+    def test_malformed_direction_names_its_fault(self, args, message, capsys):
+        assert cli.main(["demo", "--dim", "2", *args]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestSeedEnvOverride:

@@ -39,7 +39,7 @@ from pcretract.constructions import (
     radial_projection_map,
     sphere_retraction,
 )
-from pcretract.verification import CORRUPTIONS, check_cover, corrupt_shrinking_witness, run_suite
+from pcretract.verification import CORRUPTIONS, PASS, check_cover, corrupt_shrinking_witness, run_suite
 
 P2 = NormKind(2.0)
 
@@ -144,9 +144,9 @@ class TestDiagonalPredictedIndex:
 
     def test_cover_reports_instead_of_raising(self):
         m, _ = self.FAMILIES["fractional"]
-        assert check_cover(m, n=10, extra_points=[[0.9999999999999999]]).passed
+        assert check_cover(m, n=10, extra_points=[[0.9999999999999999]]).status == PASS
         ob, _ = self.FAMILIES["open-ball"]
-        assert check_cover(ob, n=10, extra_points=[[0.9999999999999999, 0.0, 0.0]]).passed
+        assert check_cover(ob, n=10, extra_points=[[0.9999999999999999, 0.0, 0.0]]).status == PASS
         # At tol 0 no piece below 2**52 holds it: one miss, no exception.
         r = check_cover(m, n=10, extra_points=[[0.9999999999999999]], tolerance=Tolerance(1e-300))
         assert r.max_violation == 1.0
@@ -197,7 +197,7 @@ class TestGlue:
             idx = self.m.predicted_index([[t]])
             assert 0 <= idx[0] <= 2**62
             if abs(t) < 1.0:
-                assert check_cover(self.m, n=10, extra_points=[[t]]).passed
+                assert check_cover(self.m, n=10, extra_points=[[t]]).status == PASS
 
 
 class TestRadialIndexSaturation:
@@ -213,7 +213,7 @@ class TestRadialIndexSaturation:
             warnings.simplefilter("error", RuntimeWarning)
             idx = m.predicted_index([[r, 0.0, 0.0]])
             assert idx[0] == 2**62
-            assert check_cover(m, n=10, extra_points=[[r, 0.0, 0.0]]).passed
+            assert check_cover(m, n=10, extra_points=[[r, 0.0, 0.0]]).status == PASS
 
 
 class TestSphere:
@@ -446,7 +446,7 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# PieceFamily.contains_at against piece(k).contains
+# PieceFamily.membership against piece(k).contains
 
 
 def _diagonal_edges(k, rng, signed):
@@ -520,9 +520,9 @@ def _probe_points(edges, dim, kind, rng):
 
 
 class TestContainsAt:
-    """contains_at, which runs each family's closed-form membership (the
-    shrinking-witness control's through its base family), must give the
-    booleans of piece(idx[i]).contains point for point."""
+    """Each family's closed-form membership (the shrinking-witness
+    control's through its base family) must give the booleans of
+    piece(idx[i]).contains point for point."""
 
     @pytest.mark.parametrize("name", sorted(CONTAINS_AT_FAMILIES))
     @given(
@@ -544,22 +544,18 @@ class TestContainsAt:
             want = np.empty(len(pts), dtype=bool)
             for k in ks:
                 want[idx == k] = piece(fam, k).contains(pts[idx == k], tol)
-            assert np.array_equal(fam.contains_at(pts, idx, tol), want)
+            assert np.array_equal(fam.membership(pts, idx, tol), want)
 
     def test_rejects_bad_indices(self):
-        fam = fractional_part_retraction().witness
-        with pytest.raises(ValueError):
-            fam.contains_at([[0.5], [1.5]], [0, -1])
-        with pytest.raises(ValueError):
-            fam.contains_at([[0.5], [1.5]], [0])
         # Like piece(2**52), which has no exact band bounds.
-        for fam in (fam, open_ball_retraction(2, P2).witness):
+        for fam in (fractional_part_retraction().witness, open_ball_retraction(2, P2).witness):
+            idx = np.array([0, DIAGONAL_INDEX_LIMIT], dtype=np.int64)
             with pytest.raises(ValueError, match="2\\*\\*52"):
-                fam.contains_at(np.zeros((2, fam.piece_at(0).dim)), [0, DIAGONAL_INDEX_LIMIT])
+                fam.membership(np.zeros((2, fam.piece_at(0).dim)), idx, 1e-9)
 
     def test_empty_batch(self):
         for build, dim, *_ in CONTAINS_AT_FAMILIES.values():
-            out = build().contains_at(np.empty((0, dim)), np.empty(0, dtype=np.int64))
+            out = build().membership(np.empty((0, dim)), np.empty(0, dtype=np.int64), 1e-9)
             assert out.shape == (0,) and out.dtype == bool
 
 

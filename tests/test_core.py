@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import descriptor_from_json
 from pcretract.core import (
     DiagonalBands,
     DimensionMismatch,
@@ -19,8 +20,6 @@ from pcretract.core import (
     Tolerance,
     as_vector,
     constant_family,
-    descriptor_from_json,
-    entier,
     norm,
     piece,
 )
@@ -170,23 +169,6 @@ class TestNormKernel:
                 s.contains(x, tol), np.max(np.abs(x - np.asarray(point)), axis=1) <= tol
             )
         assert np.array_equal(PuncturedSpace(d).contains(x), np.any(x != 0.0, axis=1))
-
-
-class TestEntier:
-    @pytest.mark.parametrize("t,expected", [(3.7, 3), (2.0, 2), (-0.25, -1), (-3.0, -3), (0.0, 0)])
-    def test_values(self, t, expected):
-        assert entier(t) == expected
-
-    def test_rejects_non_finite(self):
-        for bad in (float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ValueError):
-                entier(bad)
-
-    @given(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e15, max_value=1e15))
-    @settings(max_examples=300, deadline=None)
-    def test_floor_bracketing(self, t):
-        e = entier(t)
-        assert e <= t < e + 1
 
 
 class TestDescriptors:

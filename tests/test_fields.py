@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import circle_grid, sup_abs
 from pcretract import core, fields
 from pcretract.core import DimensionMismatch, NormBand, NormKind, norm
 from pcretract.constructions import ClosedRegion, sphere_retraction, unit_sphere
 from pcretract.fields import (
     FieldDomainError,
     ScalarField,
-    UnboundedFieldError,
     coord_field,
     const_field,
     cos_field,
@@ -20,7 +20,6 @@ from pcretract.fields import (
     poly_field,
     prod_field,
     sin_field,
-    sup_norm_estimate,
 )
 from pcretract.verification import Sampler, check_operator_properties
 
@@ -207,29 +206,19 @@ class TestDomainTestRemembered:
 
 
 class TestSupNorm:
-    def test_constant_one(self, circle):
-        f = const_field(1.0, 2, circle)
-        s = Sampler(0, "sphere", dim=2)
-        for n in (1, 10, 1000):
-            assert sup_norm_estimate(f, s, n) == 1.0
-
-    def test_constant_zero(self, circle):
-        f = const_field(0.0, 2, circle)
-        assert sup_norm_estimate(f, Sampler(0, "sphere", dim=2), 100) == 0.0
-
     def test_coord_on_circle_close_to_grid_oracle(self, circle):
         # Independent oracle: sup over a dense angular grid of |cos| is 1.
         f = coord_field(0, 2, circle)
-        grid = Sampler(0, "grid-circle", dim=2)
-        oracle = sup_norm_estimate(f, grid, 100_000)
+        oracle = sup_abs(f, circle_grid(100_000))
         assert oracle == pytest.approx(1.0, abs=1e-9)
-        est = sup_norm_estimate(f, Sampler(7, "sphere", dim=2), 100_000)
+        est = sup_abs(f, Sampler(7, "sphere", dim=2).draw(100_000))
         assert 1.0 - 1e-3 <= est <= 1.0
 
     def test_monotone_in_sample_count(self, circle):
+        # The sphere draws nest, so the sampled sup cannot fall as n grows.
         f = sin_field(0, 2, circle)
         s = Sampler(21, "sphere", dim=2)
-        vals = [sup_norm_estimate(f, s, n) for n in (10, 100, 1000, 10_000)]
+        vals = [sup_abs(f, s.draw(n)) for n in (10, 100, 1000, 10_000)]
         assert vals == sorted(vals)
 
     def test_bounded_is_having_a_bound(self, circle):
@@ -248,13 +237,3 @@ class TestSupNorm:
         assert all(f.bounded == (f.bound is not None) for f in fields)
         # Unbounded catalog fields exist only on an unbounded domain.
         assert any(not f.bounded for f in fields) == math.isinf(radius)
-
-    def test_refuses_unbounded(self, sphere):
-        f = coord_field(0, 2, sphere.domain, radius=math.inf)
-        assert not f.bounded
-        with pytest.raises(UnboundedFieldError):
-            sup_norm_estimate(f, Sampler(0, "ball", dim=2, hi=5.0), 10)
-
-    def test_rejects_zero_samples(self, circle):
-        with pytest.raises(ValueError):
-            sup_norm_estimate(const_field(1, 2, circle), Sampler(0, "sphere", dim=2), 0)

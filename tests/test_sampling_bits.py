@@ -88,11 +88,6 @@ def ref_draw(s, n):
     if s.strategy == "ball":
         radii = np.random.default_rng(np.random.SeedSequence([s.seed, 13])).uniform(s.lo, s.hi, size=n)
         return ref_directions(rng, n, s.dim, s.kind) * radii[:, None]
-    if s.strategy == "grid-circle":
-        theta = 2.0 * math.pi * np.arange(n) / n
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    if s.strategy == "grid-interval":
-        return np.linspace(s.lo, s.hi, n)[:, None]
     return ref_sample(s.descriptor, rng, n)
 
 
@@ -230,7 +225,7 @@ class TestSamplePieces:
 
 
 class TestSamplerDraws:
-    @given(strategy=st.sampled_from(["ball", "sphere", "grid-circle", "grid-interval", "set"]),
+    @given(strategy=st.sampled_from(["ball", "sphere", "set"]),
            desc=descriptors(), kind=st.sampled_from(KINDS), n=st.sampled_from(COUNTS[1:]),
            lo=st.sampled_from([0.0, 0.25, 2.0]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)

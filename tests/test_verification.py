@@ -2,10 +2,12 @@ import dataclasses
 import math
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from _oracles import lipschitz_oracle
 from pcretract import constructions, core, verification
 from pcretract.core import Interval, NormBand, NormKind, Tolerance, as_points, norm, piece
 from pcretract.constructions import (
@@ -32,7 +34,6 @@ from pcretract.verification import (
     corrupt_shrinking_witness,
     corrupt_understated_lipschitz,
     domain_sampler,
-    lipschitz_oracle,
     negated_operator,
     run_suite,
 )
@@ -85,6 +86,11 @@ class TestSampler:
         with pytest.raises(ValueError):
             Sampler(0, "halton", dim=2).draw(10)
 
+    @pytest.mark.parametrize("strategy", ["grid-circle", "grid-interval"])
+    def test_grid_strategies_are_unknown(self, strategy):
+        with pytest.raises(ValueError, match="unknown sampling strategy"):
+            Sampler(0, strategy, dim=2).draw(1)
+
 
 class TestIdentityCheck:
     def test_sphere_passes(self, sphere):
@@ -132,7 +138,8 @@ class TestValidatedOnce:
         check_retraction_identity(m, n=500, seed=1)
         assert len(validations) == 1
         validations.clear()
-        check_cover(m, n=500, max_index=3, piece_samples=100, extra_points=m.special_points or None)
+        with mock.patch.object(verification, "MONOTONICITY_SAMPLES", 100):
+            check_cover(m, n=500, max_index=3, extra_points=m.special_points or None)
         # The draw and the special points if any; monotonicity is decided
         # from the pieces' bounds, so no batch is drawn for it.
         assert len(validations) == (2 if m.special_points else 1)
@@ -141,7 +148,8 @@ class TestValidatedOnce:
     def test_undecided_cover_draws_one_monotonicity_batch(self, cid, validations):
         m = corrupt_shrinking_witness(build_construction(cid, 1 if cid == "glue" else 3, P2))
         validations.clear()
-        check_cover(m, n=500, max_index=3, piece_samples=100, extra_points=m.special_points or None)
+        with mock.patch.object(verification, "MONOTONICITY_SAMPLES", 100):
+            check_cover(m, n=500, max_index=3, extra_points=m.special_points or None)
         assert len(validations) == (3 if m.special_points else 2)
 
 
@@ -193,10 +201,10 @@ class TestCoverCheck:
         # exactly as the sampled step always did: the same misses, counted
         # and listed in the same order.
         bad = corrupt_shrinking_witness(build_construction(cid, 3))
-        r = check_cover(bad, n=300, max_index=5, seed=6, piece_samples=1000)
+        r = check_cover(bad, n=300, max_index=5, seed=6)
         pts = as_points(domain_sampler(bad, 6).draw(300), bad.dim)
         idx = bad.predicted_index(pts, 1e-9)
-        inside = bad.witness.contains_at(pts, idx, 1e-9)
+        inside = bad.witness.membership(pts, idx, 1e-9)
         rng = verification._rng(6, 17)
         misses = []
         for k in range(1, 5):
@@ -572,6 +580,15 @@ class TestBorsukDemo:
     def test_rejects_zero_depth(self, sphere):
         with pytest.raises(ValueError):
             borsuk_discontinuity_demo(sphere, [1.0, 0.0], [0.0, 1.0], depth=0)
+
+    @pytest.mark.parametrize("u, v, got", [
+        ([1.0, 0.0, 0.0], [0.0, 1.0], "3 and 2"),
+        ([1.0, 0.0], [0.0, 0.0, 1.0], "2 and 3"),
+        ([1.0], [-1.0], "1 and 1"),
+    ])
+    def test_rejects_directions_of_another_dimension(self, sphere, u, v, got):
+        with pytest.raises(core.DimensionMismatch, match=f"^demo directions must have dimension 2, got {got}$"):
+            borsuk_discontinuity_demo(sphere, u, v)
 
 
 class TestSuiteAndReports:
