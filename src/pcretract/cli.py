@@ -65,9 +65,13 @@ def _fmt(x: float) -> str:
 
 def _parse_vector(flag: str, text: str) -> np.ndarray:
     try:
-        return np.array([float(c) for c in text.split(",")], dtype=float)
+        v = np.array([float(c) for c in text.split(",")], dtype=float)
+        ok = np.all(np.isfinite(v))
     except ValueError:
-        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+        ok = False
+    if not ok:
+        raise ValueError(f"{flag} must be comma-separated finite numbers, got {text!r}")
+    return v
 
 
 @functools.cache  # one parser per process: main() parses every call with it

@@ -465,8 +465,10 @@ class TestDemoCommand:
     @pytest.mark.parametrize("args, message", [
         (["--u", "1,0,0", "--v", "0,1"], "demo directions must have dimension 2, got 3 and 2"),
         (["--u", "1,0", "--v", "0,1,0"], "demo directions must have dimension 2, got 2 and 3"),
-        (["--u", "1,x", "--v", "0,1"], "--u must be comma-separated numbers, got '1,x'"),
-        (["--u", "1,0", "--v", "0,"], "--v must be comma-separated numbers, got '0,'"),
+        (["--u", "1,x", "--v", "0,1"], "--u must be comma-separated finite numbers, got '1,x'"),
+        (["--u", "1,0", "--v", "0,"], "--v must be comma-separated finite numbers, got '0,'"),
+        (["--u", "inf,0", "--v", "0,1"], "--u must be comma-separated finite numbers, got 'inf,0'"),
+        (["--u", "1,0", "--v", "nan,1"], "--v must be comma-separated finite numbers, got 'nan,1'"),
     ])
     def test_malformed_direction_names_its_fault(self, args, message, capsys):
         assert cli.main(["demo", "--dim", "2", *args]) == 2
