@@ -187,10 +187,11 @@ class PiecewiseMap:
     to witness piece n (None = unknown); the continuity checks compare it
     with the ratios they sample on that piece.
     ``predicted_index_fn(points, tol)`` returns, per point, a witness index
-    whose piece is guaranteed to contain the point (-1 = no piece found,
-    which a cover check must report as a failure).  ``special_points`` are
-    points where the map switches branch (the origin of the sphere
-    retraction); the cover check tests them on top of its random draws.
+    whose piece holds the point (-1 = no piece found, which a cover check
+    must report as a failure); it is the witness's ``index`` unless given.
+    ``special_points`` are points where the map switches branch (the origin
+    of the sphere retraction); the cover check tests them on top of its
+    random draws.
     """
 
     construction_id: str
@@ -201,8 +202,12 @@ class PiecewiseMap:
     rule: Callable[[np.ndarray], np.ndarray]
     witness: PieceFamily
     piece_lipschitz: Callable[[int], Optional[float]]
-    predicted_index_fn: Callable[[np.ndarray, float], np.ndarray]
+    predicted_index_fn: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     special_points: tuple = ()
+
+    def __post_init__(self):
+        if self.predicted_index_fn is None:
+            object.__setattr__(self, "predicted_index_fn", self.witness.index)
 
     def apply(self, pts) -> np.ndarray:
         return self.rule(as_points(pts, self.dim))
@@ -280,7 +285,10 @@ def _diagonal_family(kind: Optional[NormKind], dim: int) -> PieceFamily:
         t = pts[:, 0] if signed else norm(pts, kind)
         return diagonal_membership(t, -m if signed else 0, m, tol)
 
-    return PieceFamily(piece_at, membership)
+    def index(pts, tol):
+        return _diagonal_index(pts[:, 0] if signed else norm(pts, kind), tol, signed)
+
+    return PieceFamily(piece_at, membership, index)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +296,7 @@ def _diagonal_family(kind: Optional[NormKind], dim: int) -> PieceFamily:
 
 
 def fractional_part_retraction() -> PiecewiseMap:
-    """x -> x - entier(x), a retraction of R onto [0, 1).
+    """x -> x - floor(x), a retraction of R onto [0, 1).
 
     Witness piece m is the union of the intervals [n, n+1-1/(m+1)] for
     |n| <= m: the doubly-indexed closed cover re-enumerated diagonally into a
@@ -297,9 +305,6 @@ def fractional_part_retraction() -> PiecewiseMap:
 
     def rule(pts):
         return _fractional_part(pts[:, 0])[:, None]
-
-    def predicted(pts, tol):
-        return _diagonal_index(pts[:, 0], tol, signed=True)
 
     return PiecewiseMap(
         construction_id="fractional",
@@ -310,11 +315,10 @@ def fractional_part_retraction() -> PiecewiseMap:
         rule=rule,
         witness=_diagonal_family(None, 1),
         piece_lipschitz=lambda m: 1.0,
-        predicted_index_fn=predicted,
     )
 
 
-def _identity_map(region: Codomain, pieces: PieceFamily, predicted_index: Callable) -> PiecewiseMap:
+def _identity_map(region: Codomain, pieces: PieceFamily) -> PiecewiseMap:
     """The identity on a retract A, witnessed by closed pieces exhausting A."""
     return PiecewiseMap(
         construction_id="identity",
@@ -325,7 +329,6 @@ def _identity_map(region: Codomain, pieces: PieceFamily, predicted_index: Callab
         rule=lambda pts: pts,
         witness=pieces,
         piece_lipschitz=lambda n: 1.0,
-        predicted_index_fn=predicted_index,
     )
 
 
@@ -335,21 +338,19 @@ def glue_retraction(
     complement_pieces: PieceFamily,
     g: ContinuousMapRule,
     *,
-    predicted_index: Callable,
     piece_lipschitz: Optional[Callable[[int], Optional[float]]] = None,
 ) -> PiecewiseMap:
     """Identity on the retract A, the continuous catalog map g off it: the
     extension of the identity on U = A (see extend_retraction).
 
-    Witness piece n is a_pieces(n) ∪ complement_pieces(n).  The complement
-    pieces lie off A, so on A ``predicted_index`` names an a_piece.
+    Witness piece n is a_pieces(n) ∪ complement_pieces(n); a point's index
+    is its a_pieces index, else its complement_pieces one.
     """
     return extend_retraction(
-        _identity_map(a_region, a_pieces, predicted_index),
+        _identity_map(a_region, a_pieces),
         g,
         a_region,
         complement_pieces,
-        predicted_index=predicted_index,
         construction_id="glue",
         piece_lipschitz=piece_lipschitz,
     )
@@ -361,7 +362,6 @@ def extend_retraction(
     u_region,
     complement_pieces: PieceFamily,
     *,
-    predicted_index: Callable,
     construction_id: str = "extend",
     piece_lipschitz: Optional[Callable[[int], Optional[float]]] = None,
 ) -> PiecewiseMap:
@@ -370,10 +370,11 @@ def extend_retraction(
     ``u_region`` is the region U; ``complement_pieces`` is the closed
     decomposition of X \\ U supplied by the caller, since the descriptor
     grammar cannot express complements.  Witness piece n is
-    inner.witness(n) ∪ complement_pieces(n).  The factory sample-checks that
-    the retract lies in U (up to membership slack) and that g is defined on
-    the complement pieces and maps them into the retract.  The rule gets
-    validated points, so it tests U and runs the inner rule directly.
+    inner.witness(n) ∪ complement_pieces(n), indexed as union_family does.
+    The factory sample-checks that the retract lies in U (up to membership
+    slack) and that g is defined on the complement pieces and maps them into
+    the retract.  The rule gets validated points, so it tests U and runs the
+    inner rule directly.
     """
     dim = inner.dim
     mtol = DEFAULT_TOLERANCE.membership_tol
@@ -411,7 +412,6 @@ def extend_retraction(
         rule=rule,
         witness=union_family(inner.witness, complement_pieces),
         piece_lipschitz=piece_lipschitz or (lambda n: None),
-        predicted_index_fn=predicted_index,
     )
 
 
@@ -454,23 +454,11 @@ def _inverse(t: np.ndarray) -> np.ndarray:
     return 1.0 / np.maximum(t, 1.0 / INDEX_CAP)
 
 
-def _radial_index(kind: NormKind, at_origin: int):
-    """Predicted index of the radial bands {||x|| >= 1/max(n, 1)}: the
-    smallest n >= 1 with 1/n <= ||x||, and ``at_origin`` at the origin."""
-
-    def predicted(pts, tol):
-        r = norm(pts, kind)
-        idx = np.full(len(pts), at_origin, dtype=np.int64)
-        pos = r > 0.0
-        idx[pos] = np.maximum(_capped_index(_inverse(r[pos])), 1)
-        return idx
-
-    return predicted
-
-
 def _radial_bands(kind: NormKind, dim: int, hi: float, with_origin: bool) -> PieceFamily:
     """Pieces {1/max(n, 1) <= ||x|| <= hi}, each with the origin added when
-    ``with_origin``."""
+    ``with_origin``.  A point's index is the smallest n >= 1 with
+    1/n <= ||x||, or -1 beyond hi; at the origin it is 1 with the origin
+    added, else -1."""
     origin = Singleton(_origin(dim))
 
     def piece_at(n):
@@ -482,7 +470,15 @@ def _radial_bands(kind: NormKind, dim: int, hi: float, with_origin: bool) -> Pie
         out = (r >= 1.0 / np.maximum(idx, 1) - tol) & (r <= hi + tol)
         return out | origin._contains(pts, tol) if with_origin else out
 
-    return PieceFamily(piece_at, membership)
+    def index(pts, tol):
+        r = norm(pts, kind)
+        idx = np.full(len(pts), 1 if with_origin else -1, dtype=np.int64)
+        pos = r > 0.0
+        idx[pos] = np.maximum(_capped_index(_inverse(r[pos])), 1)
+        idx[r > hi + tol] = -1
+        return idx
+
+    return PieceFamily(piece_at, membership, index)
 
 
 def radial_projection_map(dim: int, kind: NormKind) -> PiecewiseMap:
@@ -499,7 +495,6 @@ def radial_projection_map(dim: int, kind: NormKind) -> PiecewiseMap:
         rule=RadialProjection(kind).apply,
         witness=_radial_bands(kind, dim, math.inf, with_origin=False),
         piece_lipschitz=lambda n: 2.0 * max(n, 1),
-        predicted_index_fn=_radial_index(kind, -1),
     )
 
 
@@ -548,7 +543,6 @@ def sphere_retraction(
             kind, dim, 1.0 if ambient == "ball" else math.inf, with_origin=not paper_witness
         ),
         piece_lipschitz=lambda n: 2.0 * max(n, 1),
-        predicted_index_fn=_radial_index(kind, -1 if paper_witness else 1),
         special_points=(_origin(dim),),
     )
 
@@ -560,7 +554,7 @@ def open_ball_retraction(
     allow_low_dim: bool = False,
 ) -> PiecewiseMap:
     """Retraction of R^d onto the open unit ball:
-    x -> (1 - entier(||x||)/||x||) * x, with the origin fixed.
+    x -> (1 - floor(||x||)/||x||) * x, with the origin fixed.
 
     Witness piece m is the union over n = 0..m of the closed bands
     {n <= ||x|| <= n+1 - 1/(m+1)} (diagonal enumeration of the doubly-indexed
@@ -585,9 +579,6 @@ def open_ball_retraction(
             out[zero] = 0.0
         return out
 
-    def predicted(pts, tol):
-        return _diagonal_index(norm(pts, kind), tol, signed=False)
-
     return PiecewiseMap(
         construction_id="open-ball",
         dim=dim,
@@ -597,7 +588,6 @@ def open_ball_retraction(
         rule=rule,
         witness=_diagonal_family(kind, dim),
         piece_lipschitz=lambda m: 1.0 if m == 0 else max(3.0, 2.0 * m),
-        predicted_index_fn=predicted,
         special_points=(_origin(dim),),
     )
 
@@ -624,9 +614,9 @@ def canonical_glue() -> PiecewiseMap:
         right = (t >= (1.0 + 1.0 / (n + 2)) - tol) & (t <= (n + 2.0) + tol)
         return left | right
 
-    def predicted(pts, tol):
+    def complement_index(pts, tol):
         t = pts[:, 0]
-        idx = np.zeros(len(t), dtype=np.int64)
+        idx = np.full(len(t), -1, dtype=np.int64)
         neg = t < 0.0
         idx[neg] = _capped_index(np.maximum(np.maximum(-t[neg] - 1.0, _inverse(-t[neg]) - 2.0), 0.0))
         big = t > 1.0
@@ -638,9 +628,8 @@ def canonical_glue() -> PiecewiseMap:
     return glue_retraction(
         ClosedRegion(a),
         constant_family(a),
-        PieceFamily(complement_at, complement_membership),
+        PieceFamily(complement_at, complement_membership, complement_index),
         Clamp1D(0.0, 1.0),
-        predicted_index=predicted,
         # the glued map coincides with the global clamp, which is 1-Lipschitz
         piece_lipschitz=lambda n: 1.0,
     )
@@ -652,7 +641,6 @@ def _punctured_extension(dim: int, kind: NormKind, factory, **kwargs) -> Piecewi
         u_region=PuncturedSpace(dim),
         complement_pieces=constant_family(Singleton(_origin(dim))),
         piece_lipschitz=lambda n: 2.0 * max(n, 1),
-        predicted_index=_radial_index(kind, 1),
         **kwargs,
     )
     return m.replace(special_points=(_origin(dim),))

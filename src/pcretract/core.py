@@ -591,11 +591,14 @@ class PieceFamily:
     in piece(n+1); the cover check decides the claim from the pieces' bounds
     (``SetDescriptor.subset_of``) and sample-tests it where that shows nothing.
 
-    A family is its pieces ``piece_at(n)`` and their closed-form
-    ``membership(pts, idx, tol)``: whether each row pts[i] of a validated
-    batch lies in piece(idx[i]), idx int64 and >= 0.  Every check tests
-    membership through it, so it must repeat the pieces' own float
-    operations and give the booleans of ``piece(idx[i]).contains``.
+    A family is its pieces ``piece_at(n)``, their closed-form
+    ``membership(pts, idx, tol)`` and its ``index(pts, tol)``.  membership
+    tells whether each row pts[i] of a validated batch lies in
+    piece(idx[i]), idx int64 and >= 0; every check tests membership
+    through it, so it must repeat the pieces' own float operations and give
+    the booleans of ``piece(idx[i]).contains``.  index names per row an
+    int64 n >= 0 whose piece holds the row under tol, or -1 when it finds
+    none; only an index saturated at the last piece it names may miss.
 
     The checks draw several pieces at once through :func:`sample_pieces`.
     Pieces that are all DiagonalBands of one kind and dimension (the
@@ -606,6 +609,7 @@ class PieceFamily:
 
     piece_at: Callable[[int], SetDescriptor]
     membership: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+    index: Callable[[np.ndarray, float], np.ndarray]
 
 
 def piece(family: PieceFamily, n: int) -> SetDescriptor:
@@ -617,12 +621,27 @@ def piece(family: PieceFamily, n: int) -> SetDescriptor:
 
 
 def constant_family(descriptor: SetDescriptor) -> PieceFamily:
-    return PieceFamily(lambda n: descriptor, lambda pts, idx, tol: descriptor._contains(pts, tol))
+    """Every piece is ``descriptor``: index 0 where it holds a row, else -1."""
+
+    def index(pts, tol):
+        return descriptor._contains(pts, tol).astype(np.int64) - 1
+
+    return PieceFamily(lambda n: descriptor, lambda pts, idx, tol: descriptor._contains(pts, tol), index)
 
 
 def union_family(a: PieceFamily, b: PieceFamily) -> PieceFamily:
-    """Piece n is piece(a, n) ∪ piece(b, n); increasing when a and b are."""
+    """Piece n is piece(a, n) ∪ piece(b, n); increasing when a and b are.
+    The index is a's, else b's, which indexes only the rows a leaves at -1."""
+
+    def index(pts, tol):
+        idx = a.index(pts, tol)
+        rest = idx < 0
+        if rest.any():
+            idx[rest] = b.index(np.compress(rest, pts, axis=0), tol)
+        return idx
+
     return PieceFamily(
         lambda n: FiniteUnion((piece(a, n), piece(b, n))),
         lambda pts, idx, tol: a.membership(pts, idx, tol) | b.membership(pts, idx, tol),
+        index,
     )

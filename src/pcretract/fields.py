@@ -83,7 +83,7 @@ def sin_field(i: int, dim: int, domain, radius: float = 1.0) -> ScalarField:
     return _catalog_field(f"sin:{i}", (i,), dim, domain, lambda pts: np.sin(pts[:, i]), bound, 1.0)
 
 
-def cos_field(i: int, dim: int, domain, radius: float = 1.0) -> ScalarField:
+def cos_field(i: int, dim: int, domain) -> ScalarField:
     return _catalog_field(f"cos:{i}", (i,), dim, domain, lambda pts: np.cos(pts[:, i]), 1.0, 1.0)
 
 
@@ -159,7 +159,7 @@ def parse_field(expr: str, dim: int, domain, radius: float = 1.0) -> ScalarField
         if head == "sin" and sep:
             return sin_field(int(rest), dim, domain, radius)
         if head == "cos" and sep:
-            return cos_field(int(rest), dim, domain, radius)
+            return cos_field(int(rest), dim, domain)
         if head == "prod" and sep:
             i, j = rest.split(",")
             return prod_field(int(i), int(j), dim, domain, radius)
@@ -180,12 +180,6 @@ def _covers(domain, retract) -> bool:
     return bool(np.all(domain._contains(probe, DEFAULT_TOLERANCE.membership_tol)))
 
 
-# The (field domain, retract) pairs that passed _covers, by identity, oldest
-# first; each entry holds both objects, so no id is reused while it is kept.
-_COVERED_MAX = 32
-_covered: dict = {}
-
-
 def extension_operator(phi: PiecewiseMap, f: ScalarField) -> ScalarField:
     """Compose: x -> f(phi(x)), extending f from the retract to phi's domain.
 
@@ -193,8 +187,9 @@ def extension_operator(phi: PiecewiseMap, f: ScalarField) -> ScalarField:
     is; the composed field then carries phi's witness.  A field that carries
     a witness of its own (the output of this operator) raises
     FieldDomainError, and so does a field domain that misses the retract's
-    probe.  That domain test is remembered once it passes, per (field
-    domain, retract) pair, so a failing pair is tested again on every call.
+    probe.  A field whose domain is the retract itself, as for every field
+    parse_field builds on a map's codomain, needs no such test; any other
+    domain is tested on every call.
     """
     if f.witness is not None:
         raise FieldDomainError(f"field {f.label} carries its own witness; only continuous fields extend")
@@ -202,13 +197,8 @@ def extension_operator(phi: PiecewiseMap, f: ScalarField) -> ScalarField:
         raise FieldDomainError(
             f"field lives in dimension {f.dim}, map retract in {phi.codomain.dim}"
         )
-    key = (id(f.domain), id(phi.codomain))
-    if key not in _covered:
-        if not _covers(f.domain, phi.codomain):
-            raise FieldDomainError("field domain does not cover the map's retract (sampled)")
-        if len(_covered) >= _COVERED_MAX:
-            del _covered[next(iter(_covered))]
-        _covered[key] = (f.domain, phi.codomain)
+    if f.domain is not phi.codomain and not _covers(f.domain, phi.codomain):
+        raise FieldDomainError("field domain does not cover the map's retract (sampled)")
 
     def rule(pts):
         return f.rule(phi.rule(pts))

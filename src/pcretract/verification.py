@@ -24,7 +24,6 @@ from .core import (
     Interval,
     NormBand,
     NormKind,
-    PieceFamily,
     SetDescriptor,
     Tolerance,
     _unit_rows,
@@ -345,7 +344,7 @@ def check_piece_continuity(
     return _piece_continuity_reports(m, [int(n)], [seed], pairs, delta)[0]
 
 
-# Nearer an integer, ||x|| - entier(||x||) may round to 1, so ||m(x)|| < 1 is not asked there.
+# Nearer an integer, ||x|| - floor(||x||) may round to 1, so ||m(x)|| < 1 is not asked there.
 INTEGER_GAP = 1e-9
 
 
@@ -355,7 +354,7 @@ def check_norm_identity_open_ball(
     tol: float = DEFAULT_TOLERANCE.identity_tol,
     seed: int = 0,
 ) -> CheckReport:
-    """||m(x)|| equals ||x|| - entier(||x||) up to tol, and stays strictly
+    """||m(x)|| equals ||x|| - floor(||x||) up to tol, and stays strictly
     below 1 whenever ||x|| is at least INTEGER_GAP away from an integer.
     The points are drawn from the ball of radius DOMAIN_RADIUS."""
     sampler = Sampler(seed, "ball", dim=m.dim, kind=m.kind, lo=0.0, hi=DOMAIN_RADIUS)
@@ -645,9 +644,10 @@ UNDERSTATED_FACTOR = 0.01
 
 def corrupt_shrinking_witness(m: PiecewiseMap) -> PiecewiseMap:
     base = m.witness
-    fam = PieceFamily(
-        lambda k: base.piece_at(max(SHRINK_START - k, 0)),
-        lambda pts, idx, tol: base.membership(pts, np.maximum(SHRINK_START - idx, 0), tol),
+    fam = dataclasses.replace(
+        base,
+        piece_at=lambda k: base.piece_at(max(SHRINK_START - k, 0)),
+        membership=lambda pts, idx, tol: base.membership(pts, np.maximum(SHRINK_START - idx, 0), tol),
     )  # a PieceFamily claims to increase: the lie this control exists to expose
     return m.replace(witness=fam, construction_id=m.construction_id + "+shrinking-witness")
 

@@ -199,7 +199,7 @@ class TestCoverBatches:
                 out[idx == k] = piece_at(int(k)).contains(pts[idx == k], tol)
             return out
 
-        return m.replace(witness=PieceFamily(piece_at, membership))
+        return m.replace(witness=PieceFamily(piece_at, membership, m.witness.index))
 
     def test_failures_and_offenders_match_one_unbatched_pass(self):
         m = self._alternating()

@@ -39,7 +39,14 @@ from pcretract.constructions import (
     radial_projection_map,
     sphere_retraction,
 )
-from pcretract.verification import CORRUPTIONS, PASS, check_cover, corrupt_shrinking_witness, run_suite
+from pcretract.verification import (
+    CORRUPTIONS,
+    PASS,
+    check_cover,
+    corrupt_shrinking_witness,
+    domain_sampler,
+    run_suite,
+)
 
 P2 = NormKind(2.0)
 
@@ -168,7 +175,6 @@ class TestGlue:
                 constant_family(a),
                 constant_family(Interval(2.0, 3.0)),
                 Clamp1D(5.0, 6.0),  # lands in [5, 6], far from A
-                predicted_index=lambda pts, tol: np.zeros(len(pts), dtype=np.int64),
             )
 
     def test_rejects_g_undefined_on_complement(self):
@@ -179,7 +185,6 @@ class TestGlue:
                 constant_family(NormBand(P2, 1.0, 1.0, 2)),
                 constant_family(Singleton((0.0, 0.0))),
                 RadialProjection(P2),  # undefined at the origin
-                predicted_index=lambda pts, tol: np.zeros(len(pts), dtype=np.int64),
             )
 
     def test_predicted_index_contains(self):
@@ -192,10 +197,12 @@ class TestGlue:
     @pytest.mark.parametrize("t", [-1e-20, -5e-324, -1e300, 1e300])
     def test_predicted_index_saturates_without_warning(self, t):
         # ceil(1/(-t) - 2) used to overflow the int64 cast for -1.1e-19 < t < 0.
+        # At tol 0 the complement pieces, not [0, 1], index the tiny negatives.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            idx = self.m.predicted_index([[t]])
-            assert 0 <= idx[0] <= 2**62
+            for tol in (1e-9, 0.0):
+                idx = self.m.predicted_index([[t]], tol)
+                assert 0 <= idx[0] <= 2**62
             if abs(t) < 1.0:
                 assert check_cover(self.m, n=10, extra_points=[[t]]).status == PASS
 
@@ -381,7 +388,6 @@ class TestExtensions:
                 Constant((1.0, 0.0)),
                 Nowhere(),
                 constant_family(Singleton((0.0, 0.0))),
-                predicted_index=lambda pts, tol: np.zeros(len(pts), dtype=np.int64),
             )
 
     def test_retraction_identity_preserved(self):
@@ -443,6 +449,95 @@ class TestRegistry:
         m = build_construction("sphere", 3, P2)
         x = [1.0, 2.0, 2.0]
         assert np.array_equal(m(x), m.apply([x])[0])
+
+
+# ---------------------------------------------------------------------------
+# PieceFamily.index: the piece it names holds the point
+
+
+def _index_cases():
+    """Every construction at each norm and dimension it accepts, and the
+    corruptions that keep the witness."""
+    cases = [pytest.param(build_construction(cid), id=cid) for cid in ("fractional", "glue")]
+    for cid in ("extend", "const-extend", "sphere", "open-ball"):
+        for dim in (2, 3):
+            for label in ("p:1", "p:1.5", "p:2", "max"):
+                m = build_construction(cid, dim, NormKind.parse(label))
+                cases.append(pytest.param(m, id=f"{cid}/d{dim}/{label}"))
+                if cid == "sphere":
+                    m = sphere_retraction(dim, NormKind.parse(label), ambient="ball")
+                    cases.append(pytest.param(m, id=f"sphere-ball/d{dim}/{label}"))
+    for cid in ("fractional", "glue", "extend", "const-extend", "sphere", "open-ball"):
+        for control in ("halved", "identity-rule", "understated-lipschitz"):
+            m = CORRUPTIONS[control](build_construction(cid, 3, P2))
+            cases.append(pytest.param(m, id=f"{cid}+{control}"))
+    return cases
+
+
+def _index_points(m):
+    """10,000 domain draws, the origin and the points where the index formulas
+    switch: glue's 0 and 1 +- 1e-12, fractional's integers and their float
+    neighbours."""
+    pts = [domain_sampler(m, 5).draw(10_000), np.zeros((1, m.dim))]
+    if m.construction_id.startswith("glue"):
+        pts.append(np.array([[-1e-12], [1e-12], [1.0 - 1e-12], [1.0 + 1e-12]]))
+    if m.construction_id.startswith("fractional"):
+        ns = np.arange(-5.0, 6.0)
+        pts.append(np.concatenate([ns, np.nextafter(ns, -9.0), np.nextafter(ns, 9.0)])[:, None])
+    return np.concatenate(pts)
+
+
+class TestWitnessIndex:
+    """Every map reads its predicted index from its witness, and the piece
+    that index names holds the point: everywhere but at the origin for the
+    paper witness and the radial projection.  The shrinking-witness control
+    keeps its base's index; its membership is the lie it exists to expose."""
+
+    @pytest.mark.parametrize("m", _index_cases())
+    def test_named_piece_holds_the_point(self, m):
+        assert m.predicted_index_fn is m.witness.index
+        pts = _index_points(m)
+        idx = m.predicted_index(pts, 1e-9)
+        assert idx.dtype == np.int64 and np.all(idx >= 0)
+        assert np.all(m.witness.membership(pts, idx, 1e-9))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("label", ["p:1", "p:1.5", "p:2", "max"])
+    def test_origin_has_no_piece_without_the_origin(self, dim, label):
+        kind = NormKind.parse(label)
+        for m in (sphere_retraction(dim, kind, paper_witness=True), radial_projection_map(dim, kind)):
+            pts = np.concatenate([np.zeros((1, dim)), domain_sampler(m, 5).draw(10_000)])
+            idx = m.predicted_index(pts, 1e-9)
+            assert idx[0] == -1 and np.all(idx[1:] >= 1)
+            assert np.all(m.witness.membership(pts[1:], idx[1:], 1e-9))
+
+    @pytest.mark.parametrize("paper_witness", [False, True])
+    def test_no_piece_beyond_the_ball(self, paper_witness):
+        m = sphere_retraction(3, P2, ambient="ball", paper_witness=paper_witness)
+        pts = np.array([[1.0 + 2e-9, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0 + 5e-10, 0.0, 0.0]])
+        idx = m.predicted_index(pts, 1e-9)
+        assert idx.tolist() == [-1, -1, 1]
+        assert m.witness.membership(pts[2:], idx[2:], 1e-9).all()
+
+    @pytest.mark.parametrize("cid", ["fractional", "glue", "extend", "const-extend", "sphere", "open-ball"])
+    def test_shrinking_control_keeps_the_base_index(self, cid):
+        base = build_construction(cid, 3, P2)
+        m = corrupt_shrinking_witness(base)
+        assert m.witness.index is base.witness.index
+        assert m.predicted_index_fn is base.predicted_index_fn
+
+    @pytest.mark.parametrize("cid", ["extend", "const-extend"])
+    def test_origin_index_is_the_complement_piece(self, cid):
+        # The radial bands miss the origin, so the complement {0}, piece 0, names it.
+        for dim in (2, 3):
+            assert build_construction(cid, dim, P2).predicted_index(np.zeros((1, dim)))[0] == 0
+        assert build_construction("sphere", 3, P2).predicted_index(np.zeros((1, 3)))[0] == 1
+
+    def test_glue_points_within_tol_of_the_retract_are_in_piece_zero(self):
+        m = canonical_glue()
+        assert m.predicted_index([[-1e-12], [1.0 + 1e-12], [0.5]], 1e-9).tolist() == [0, 0, 0]
+        # Beyond tol the complement pieces index them.
+        assert m.predicted_index([[-1e-12], [1.0 + 1e-12]], 1e-13).tolist() == [999999999998, 999911107319]
 
 
 # ---------------------------------------------------------------------------

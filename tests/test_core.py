@@ -22,6 +22,7 @@ from pcretract.core import (
     constant_family,
     norm,
     piece,
+    union_family,
 )
 from pcretract.constructions import PuncturedSpace
 
@@ -347,11 +348,43 @@ class TestPieceFamily:
         fam = PieceFamily(
             lambda n: Interval(-float(n), float(n) + 1.0),
             lambda pts, idx, tol: (pts[:, 0] >= -idx - tol) & (pts[:, 0] <= (idx + 1.0) + tol),
+            lambda pts, tol: np.ceil(np.maximum(np.abs(pts[:, 0] - 0.5) - 0.5 - tol, 0.0)).astype(np.int64),
         )
         rng = np.random.default_rng(1)
         for n in range(5):
             pts = piece(fam, n).sample(rng, 200)
             assert np.all(piece(fam, n + 1).contains(pts, 1e-9))
+            assert np.all(fam.membership(pts, fam.index(pts, 1e-9), 1e-9))
+
+    def test_constant_family_index(self):
+        fam = constant_family(Interval(0.0, 1.0))
+        pts = np.array([[-1e-9], [0.5], [1.0 + 2e-9], [3.0]])
+        idx = fam.index(pts, 1e-9)
+        assert idx.dtype == np.int64 and idx.tolist() == [0, 0, -1, -1]
+
+    def test_union_index(self):
+        """a's index first, b's only on the rows a leaves at -1, and -1
+        where neither family has one."""
+        a = constant_family(Interval(0.0, 1.0))
+        wide = Interval(0.5, 3.0)
+        seen = []
+
+        def b_index(pts, tol):
+            seen.append(pts.copy())
+            return np.where(wide._contains(pts, tol), 7, -1).astype(np.int64)
+
+        b = PieceFamily(lambda n: wide, lambda pts, idx, tol: wide._contains(pts, tol), b_index)
+        fam = union_family(a, b)
+        pts = np.array([[0.75], [2.0], [5.0], [0.0], [-4.0], [3.0]])
+        idx = fam.index(pts, 1e-9)
+        assert idx.tolist() == [0, 7, -1, 0, -1, 7]
+        assert len(seen) == 1 and seen[0].tolist() == [[2.0], [5.0], [-4.0], [3.0]]
+        hit = idx >= 0
+        assert np.all(fam.membership(pts[hit], idx[hit], 1e-9))
+        # Where a indexes every row, b is not called at all.
+        seen.clear()
+        assert fam.index(np.array([[0.1], [0.9]]), 0.0).tolist() == [0, 0]
+        assert seen == []
 
 
 

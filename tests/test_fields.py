@@ -132,9 +132,14 @@ class TestRetractProbe:
     def test_drawn_once_per_codomain(self, sphere):
         circle = CountingCircle(NormBand(P2, 1.0, 1.0, 2))
         phi = sphere.replace(codomain=circle)
-        fields = [parse_field(e, 2, circle, 1.0) for e in ("const:1", "coord:0", "sin:1")]
+        own = [parse_field(e, 2, circle, 1.0) for e in ("const:1", "coord:0", "sin:1")]
+        for f in own:
+            extension_operator(phi, f)
+        assert circle.draws == []  # the retract's own fields draw no probe
+        disk = ClosedRegion(NormBand(P2, 0.0, 2.0, 2))
+        other = [parse_field(e, 2, disk, 2.0) for e in ("const:1", "coord:0", "sin:1")]
         for _ in range(5):
-            for f in fields:
+            for f in own + other:
                 extension_operator(phi, f)
         assert circle.draws == [128]
         assert not circle.probe.flags.writeable
@@ -150,8 +155,8 @@ class TestRetractProbe:
         with pytest.raises(DimensionMismatch, match="expected dimension 3, got 2"):
             extension_operator(sphere, coord_field(0, 2, ball3))
 
-    def test_probe_not_revalidated(self, sphere, circle):
-        f = coord_field(0, 2, circle)
+    def test_probe_not_revalidated(self, sphere):
+        f = coord_field(0, 2, unit_sphere(P2, 2))
         extension_operator(sphere, f)  # draws the probe
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "as_points", lambda *a, **k: pytest.fail("probe re-validated"))
@@ -159,7 +164,10 @@ class TestRetractProbe:
                 extension_operator(sphere, f)
 
 
-class TestDomainTestRemembered:
+class TestDomainTestPerCall:
+    """The field domain is tested against the retract's probe on every
+    call, except when it is the retract itself."""
+
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
@@ -172,24 +180,30 @@ class TestDomainTestRemembered:
         monkeypatch.setattr(fields, "_covers", counted)
         return calls
 
-    def test_once_per_pair(self, sphere, circle, calls):
+    def test_retract_itself_is_not_tested(self, sphere, circle, calls):
         catalog = [parse_field(e, 2, circle, 1.0) for e in ("const:1", "coord:0", "sin:1")]
+        catalog.append(linear_combination([(2.0, catalog[1]), (-1.0, catalog[2])]))
         for _ in range(5):
             for f in catalog:
                 extension_operator(sphere, f)
-        assert len(calls) == 1
-        # An equal but distinct domain, and another map's retract, are new pairs.
-        extension_operator(sphere, coord_field(0, 2, unit_sphere(P2, 2)))
-        other = sphere_retraction(2, P2)
-        extension_operator(other, coord_field(0, 2, circle))
-        extension_operator(other, coord_field(0, 2, circle))
-        assert [(d is circle, r is circle) for d, r in calls] == [(True, True), (False, True), (True, False)]
+        assert calls == []
 
-    def test_once_per_operator_check(self, sphere, circle, calls):
+    def test_other_domain_tested_on_every_call(self, sphere, circle, calls):
+        # An equal but distinct domain, and another map's retract, are tested each time.
+        f = coord_field(0, 2, unit_sphere(P2, 2))
+        other = sphere_retraction(2, P2)
+        g = coord_field(0, 2, circle)
+        for attempt in range(1, 4):
+            extension_operator(sphere, f)
+            extension_operator(other, g)
+            assert len(calls) == 2 * attempt
+        assert [(d is circle, r is circle) for d, r in calls[:2]] == [(False, True), (True, False)]
+
+    def test_operator_check_on_the_retract_tests_nothing(self, sphere, circle, calls):
         catalog = [parse_field(e, 2, circle, 1.0) for e in ("coord:0", "sin:1", "poly:0:1,2")]
         reports = check_operator_properties(sphere, catalog, n=100, iso_n=100)
         assert all(r.status == "pass" for r in reports)
-        assert len(calls) == 1
+        assert calls == []
 
     def test_missing_domain_raises_on_every_call(self, sphere, calls):
         annulus = ClosedRegion(NormBand(P2, 2.0, 3.0, 2))
@@ -198,11 +212,6 @@ class TestDomainTestRemembered:
             with pytest.raises(FieldDomainError, match="does not cover"):
                 extension_operator(sphere, f)
             assert len(calls) == attempt
-
-    def test_fixed_size(self, circle):
-        for _ in range(fields._COVERED_MAX + 5):
-            extension_operator(sphere_retraction(2, P2), coord_field(0, 2, circle))
-        assert len(fields._covered) == fields._COVERED_MAX
 
 
 class TestSupNorm:
