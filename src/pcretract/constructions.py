@@ -19,7 +19,6 @@ from .core import (
     DEFAULT_TOLERANCE,
     DIAGONAL_INDEX_LIMIT,
     DiagonalBands,
-    DimensionMismatch,
     EUCLIDEAN,
     FiniteUnion,
     Interval,
@@ -501,13 +500,12 @@ def radial_projection_map(dim: int, kind: NormKind) -> PiecewiseMap:
 def sphere_retraction(
     dim: int,
     kind: NormKind,
-    t=None,
     *,
     ambient: str = "space",
     paper_witness: bool = False,
 ) -> PiecewiseMap:
     """Retraction of R^d (or of the closed unit ball) onto the unit sphere:
-    x -> x/||x|| away from the origin, the fixed unit vector t at it.
+    x -> x/||x|| away from the origin, the unit vector e1 at it.
 
     Witness piece n is {0} ∪ {||x|| >= 1/n}: the band alone misses the
     origin, so each piece is augmented with the origin as an isolated point.
@@ -518,18 +516,14 @@ def sphere_retraction(
         raise ConstructionError("dimension must be >= 1")
     if ambient not in ("space", "ball"):
         raise ConstructionError("ambient must be 'space' or 'ball'")
-    t = as_vector(_unit_e1(dim) if t is None else t)
-    if len(t) != dim:
-        raise DimensionMismatch("t must live in the ambient dimension")
-    if abs(norm(t, kind) - 1.0) > DEFAULT_TOLERANCE.identity_tol:
-        raise ConstructionError("t must lie on the unit sphere")
+    e1 = _unit_e1(dim)
 
     def rule(pts):
         r = norm(pts, kind)
         zero = r == 0.0
         out = by_columns(pts, (np.divide, np.where(zero, 1.0, r)[:, None]))
         if zero.any():
-            out[zero] = np.asarray(t)
+            out[zero] = e1
         return out
 
     return PiecewiseMap(

@@ -142,6 +142,10 @@ class CheckReport:
         }
 
 
+# A failing report names at most this many of its worst offending points.
+WITNESS_POINTS = 10
+
+
 def _mk_report(name, n, max_violation, tol, offenders=()) -> CheckReport:
     status = PASS if max_violation <= tol else FAIL
     return CheckReport(
@@ -150,15 +154,15 @@ def _mk_report(name, n, max_violation, tol, offenders=()) -> CheckReport:
         samples_used=int(n),
         max_violation=float(max_violation),
         tolerance=float(tol),
-        witness_points=tuple(tuple(float(c) for c in p) for p in offenders[:10]),
+        witness_points=tuple(tuple(float(c) for c in p) for p in offenders[:WITNESS_POINTS]),
     )
 
 
-def _worst_points(pts: np.ndarray, dev: np.ndarray, k: int = 10) -> np.ndarray:
+def _worst_points(pts: np.ndarray, dev: np.ndarray) -> np.ndarray:
     if not np.any(dev > 0):
         return pts[:0]
     order = np.argsort(dev)[::-1]
-    bad = order[dev[order] > 0][:k]
+    bad = order[dev[order] > 0][:WITNESS_POINTS]
     return pts[bad]
 
 
@@ -244,7 +248,7 @@ def check_cover(
         inside = m.witness.membership(pts[covered], idx[covered], tol)
     missed = np.flatnonzero(covered)[~inside]
     missed = missed[np.argsort(idx[missed], kind="stable")]
-    offenders = [pts[~covered][:10], pts[missed][:10]]
+    offenders = [pts[~covered][:WITNESS_POINTS], pts[missed][:WITNESS_POINTS]]
     failures = len(pts) - int(np.sum(inside))
 
     pieces = (piece(m.witness, k) for k in range(1, max_index + 1))
@@ -254,7 +258,7 @@ def check_cover(
             s = as_points(sample_pieces([(piece(m.witness, k), rng) for k in ks], MONOTONICITY_SAMPLES), m.dim)
             grown = np.repeat(np.asarray(ks) + 1, MONOTONICITY_SAMPLES)
             inside = m.witness.membership(s, grown, tol)
-            offenders.append(s[~inside][:10])
+            offenders.append(s[~inside][:WITNESS_POINTS])
             failures += int(np.sum(~inside))
 
     return _mk_report(
@@ -262,33 +266,33 @@ def check_cover(
     )
 
 
-def _check_pair_args(pairs: int, delta: float) -> None:
+def _check_pairs(pairs: int) -> None:
     if pairs < 0:
         raise ValueError(f"pairs must be >= 0, got {pairs}")
-    if not 0.0 < delta < math.inf:  # also rejects NaN
-        raise ValueError(f"delta must be a finite number > 0, got {delta}")
 
 
+# Continuity pairs lie at most this far apart, so each ratio is local to its piece.
+CONTINUITY_DELTA = 1e-3
 # Ratios carry the rounding of the map and the distances, so a declared L is met up to L * CONTINUITY_SLACK.
 CONTINUITY_SLACK = 1.0 + 1e-9
 # With fewer kept pairs a continuity check is inconclusive: too few ratios to judge a piece.
 MIN_CONTINUITY_PAIRS = 50
 
 
-def _piece_continuity_reports(m, ks, seeds, pairs, delta) -> list:
+def _piece_continuity_reports(m, ks, seeds, pairs) -> list:
     """check_piece_continuity of m at each piece ks[i] with seed seeds[i],
     with the pieces' pairs drawn, tested and mapped a batch at a time.
 
     Each piece k gets its own generator: x is drawn from piece k, y = x plus
-    a gaussian step of scale delta/2, and a pair is kept when y lies in
-    piece k and 1e-14 <= ||x - y|| <= delta.  A batch draws all its x
-    first, in one sample_pieces call (``pairs`` rows per piece), then each
-    generator draws its piece's steps.  The x are validated once per batch,
+    a gaussian step of scale CONTINUITY_DELTA/2, and a pair is kept when y
+    lies in piece k and 1e-14 <= ||x - y|| <= CONTINUITY_DELTA.  A batch
+    draws all its x first, in one sample_pieces call (``pairs`` rows per
+    piece), then each generator draws its piece's steps.  The x are validated once per batch,
     and the membership test, the distances, the map and the ratios then run
     once over all rows.  They are row-wise float operations, so each piece
     gets the bits it would get alone.  The map never sees the points of a
     piece with fewer than MIN_CONTINUITY_PAIRS kept pairs."""
-    _check_pair_args(pairs, delta)
+    _check_pairs(pairs)
     reports = {}
     todo = []
     for k, seed in zip(ks, seeds):
@@ -304,11 +308,11 @@ def _piece_continuity_reports(m, ks, seeds, pairs, delta) -> list:
         for (_, rng), rows in zip(draws, np.split(y, len(draws))):
             rng.standard_normal(out=rows)
         which = np.repeat(np.arange(len(batch)), pairs)
-        y *= delta / 2.0
+        y *= CONTINUITY_DELTA / 2.0
         y += x
         dist = norm(x - y, m.kind)
         idx = np.array([k for k, _, _ in batch], dtype=np.int64)
-        keep = m.witness.membership(y, idx[which], 0.0) & (dist >= 1e-14) & (dist <= delta)
+        keep = m.witness.membership(y, idx[which], 0.0) & (dist >= 1e-14) & (dist <= CONTINUITY_DELTA)
         kept = np.bincount(which[keep], minlength=len(batch))
         used = np.where(kept >= MIN_CONTINUITY_PAIRS, kept, 0)
         keep &= (used > 0)[which]
@@ -329,19 +333,18 @@ def check_piece_continuity(
     m: PiecewiseMap,
     n: int,
     pairs: int = 2_000,
-    delta: float = 1e-3,
     seed: int = 0,
 ) -> CheckReport:
     """Empirical Lipschitz check of the restriction to witness piece n:
-    draws point pairs within the piece at distance <= delta and compares the
-    worst ratio against the declared constant times CONTINUITY_SLACK; with
-    fewer than MIN_CONTINUITY_PAIRS kept pairs the report is inconclusive.
+    draws point pairs within the piece at distance <= CONTINUITY_DELTA and
+    compares the worst ratio against the declared constant times
+    CONTINUITY_SLACK; with fewer than MIN_CONTINUITY_PAIRS kept pairs the
+    report is inconclusive.
 
     The pairs come from the piece's own generator, seeded by ``seed`` alone,
     so checking several pieces in one batch (as run_suite does) gives each
-    the report this call gives.  ``pairs`` must be >= 0 and ``delta`` finite
-    and > 0."""
-    return _piece_continuity_reports(m, [int(n)], [seed], pairs, delta)[0]
+    the report this call gives.  ``pairs`` must be >= 0."""
+    return _piece_continuity_reports(m, [int(n)], [seed], pairs)[0]
 
 
 # Nearer an integer, ||x|| - floor(||x||) may round to 1, so ||m(x)|| < 1 is not asked there.
@@ -368,7 +371,7 @@ def check_norm_identity_open_ball(
     offenders = list(_worst_points(pts, np.where(dev > tol, dev, 0.0)))
     if strict_bad.any():
         failures = max(failures, float(np.max(rn[strict_bad])))
-        offenders.extend(pts[strict_bad][:10])
+        offenders.extend(pts[strict_bad][:WITNESS_POINTS])
     return _mk_report("open-ball-norm-identity", len(pts), failures, tol, offenders)
 
 
@@ -441,7 +444,6 @@ def check_operator_properties(
     phi: PiecewiseMap,
     fields: Sequence[ScalarField],
     n: int = 10_000,
-    iso_n: int = 100_000,
     seed: int = 0,
     tolerance: Tolerance = DEFAULT_TOLERANCE,
     operator: Callable[[PiecewiseMap, ScalarField], ScalarField] = extension_operator,
@@ -449,8 +451,8 @@ def check_operator_properties(
     """Linearity, positivity, extension and sup-norm isometry reports for the
     composition operator f -> f∘phi over the given catalog fields.
 
-    The check draws four point sets: n domain points (linearity and
-    positivity), n retract points (extension), and iso_n of each for the
+    The check draws four sets of n points: domain points (linearity and
+    positivity), retract points (extension), and a fresh set of each for the
     isometry.  Each set is validated once when drawn and made read-only, and
     the check calls rules on it directly rather than through ``apply``; it
     tests instead that every field and every operator result takes points of
@@ -459,15 +461,15 @@ def check_operator_properties(
     phi and every given field are memoized: each read-only array they are
     given maps, by identity, to its read-only image, and an image lives as
     long as the array it was made from.  So phi runs once per point set, on
-    2n + 2*iso_n points, and each field once per distinct array it sees,
-    however many combinations, shifted fields and extensions reuse it.  The
-    domain draws, and every image made from them, go after positivity; the
-    retract draws go after extension, before the isometry sets are drawn;
-    and a field's isometry images are cleared after its isometry step.  So
-    the call holds about the memory of two point sets and their images, not
-    of all four.  A field rule that writes into its input raises instead of
-    corrupting a set or an image.  ``operator`` is called once per field,
-    combination and shifted field.
+    4n points, and each field once per distinct array it sees, however many
+    combinations, shifted fields and extensions reuse it.  The domain draws,
+    and every image made from them, go after positivity; the retract draws
+    go after extension, before the isometry sets are drawn; and a field's
+    isometry images are cleared after its isometry step.  So the call holds
+    about the memory of two point sets and their images, not of all four.
+    A field rule that writes into its input raises instead of corrupting a
+    set or an image.  ``operator`` is called once per field, combination
+    and shifted field.
 
     The isometry compares sup |Tf| over the domain draws and the retract
     draws with sup |f| over phi's image of the domain draws and the retract
@@ -549,8 +551,8 @@ def check_operator_properties(
     # the phi-image of the domain draws plus the retract draws; since phi
     # fixes the retract, the two sample suprema must agree.
     iso_v = 0.0
-    xs = _drawn(domain_sampler(phi, seed + 2), iso_n, phi.dim)
-    as_ = _drawn(codomain_sampler(phi.codomain, seed + 3), iso_n, phi.dim)
+    xs = _drawn(domain_sampler(phi, seed + 2), n, phi.dim)
+    as_ = _drawn(codomain_sampler(phi.codomain, seed + 3), n, phi.dim)
     phi_xs = phi.rule(xs)
     for f, tf in pairs:
         if not f.bounded:
@@ -691,7 +693,6 @@ def run_suite(
     samples: int = 10_000,
     max_piece_index: int = 10,
     pairs: int = 2_000,
-    delta: float = 1e-3,
     tolerance: Tolerance = DEFAULT_TOLERANCE,
     fields: Sequence[ScalarField] = (),
 ) -> list:
@@ -703,7 +704,7 @@ def run_suite(
     pass, but each piece k keeps its own generator (seed + 2 + k), so each
     report equals that of check_piece_continuity(m, k, seed=seed + 2 + k)
     and batching cannot change it."""
-    _check_pair_args(pairs, delta)
+    _check_pairs(pairs)
     if max_piece_index < 1:
         raise ValueError(f"max_piece_index must be >= 1, got {max_piece_index}")
     reports = [
@@ -718,15 +719,13 @@ def run_suite(
         ),
     ]
     ks = range(1, max_piece_index + 1)
-    reports.extend(_piece_continuity_reports(m, ks, [seed + 2 + k for k in ks], pairs, delta))
+    reports.extend(_piece_continuity_reports(m, ks, [seed + 2 + k for k in ks], pairs))
     if isinstance(m.codomain, OpenUnitBall):
         reports.append(
             check_norm_identity_open_ball(m, n=samples, tol=tolerance.identity_tol, seed=seed + 50)
         )
     if fields:
         reports.extend(
-            check_operator_properties(
-                m, fields, n=samples, iso_n=samples, seed=seed + 60, tolerance=tolerance
-            )
+            check_operator_properties(m, fields, n=samples, seed=seed + 60, tolerance=tolerance)
         )
     return reports

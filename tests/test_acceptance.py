@@ -131,7 +131,7 @@ def test_criterion_5_operator_suite(capsys):
         catalog = [parse_field(e, 2, phi.codomain, 1.0) for e in FIELD_EXPRS]
         reps = {
             r.check_name: r
-            for r in check_operator_properties(phi, catalog, n=10_000, iso_n=100_000, seed=5)
+            for r in check_operator_properties(phi, catalog, n=100_000, seed=5)
         }
         assert reps["operator-linearity"].status == PASS
         assert reps["operator-linearity"].max_violation <= 1e-12
@@ -197,7 +197,7 @@ def test_criterion_8_negative_controls(capsys):
         bad = {
             r.check_name: r
             for r in check_operator_properties(
-                sphere, catalog, n=2_000, iso_n=2_000, seed=8, operator=negated_operator
+                sphere, catalog, n=2_000, seed=8, operator=negated_operator
             )
         }
         assert bad["operator-positivity"].status == FAIL

@@ -3,7 +3,8 @@
 ``reference_continuity`` is check_piece_continuity as it ran one piece at a
 time: draw from the piece, step by a gaussian, keep the pairs whose second
 point stays inside and whose distance is in [1e-14, delta], and compare the
-worst ratio with the declared constant.  Diagonal pieces are drawn and
+worst ratio with the declared constant.  The check's delta is the constant
+CONTINUITY_DELTA; the property test patches it to other values.  Diagonal pieces are drawn and
 tested through their expanded finite unions, so the oracle shares no
 batched code with the check.  run_suite and check_piece_continuity must
 equal it report for report.
@@ -77,7 +78,7 @@ CONTROLS = (None,) + tuple(CORRUPTIONS)
     norm_text=st.sampled_from(["p:1", "p:1.5", "p:2", "max"]),
     seed=st.integers(0, 2**31 - 100),
     pairs=st.sampled_from([0, 1, 50, 2000]),
-    delta=st.sampled_from([1e-3, 0.05, 0.5, 2.0]),
+    delta=st.sampled_from([verification.CONTINUITY_DELTA, 0.05, 0.5, 2.0]),
     max_index=st.integers(1, 12),
     batch_rows=st.sampled_from([verification.BATCH_ROWS, 1, 120, 10**6]),
 )
@@ -87,9 +88,10 @@ def test_suite_equals_per_piece_reference(
     construction, control, dim, norm_text, seed, pairs, delta, max_index, batch_rows
 ):
     m = _build(construction, dim, norm_text, control)
-    with mock.patch.object(verification, "BATCH_ROWS", batch_rows):
-        reports = run_suite(m, seed=seed, samples=50, max_piece_index=max_index, pairs=pairs, delta=delta)
-        single = check_piece_continuity(m, max_index, pairs=pairs, delta=delta, seed=seed)
+    with mock.patch.object(verification, "BATCH_ROWS", batch_rows), \
+            mock.patch.object(verification, "CONTINUITY_DELTA", delta):
+        reports = run_suite(m, seed=seed, samples=50, max_piece_index=max_index, pairs=pairs)
+        single = check_piece_continuity(m, max_index, pairs=pairs, seed=seed)
     got = [r for r in reports if r.check_name.startswith("piece-continuity-")]
     want = [
         reference_continuity(m, k, pairs=pairs, delta=delta, seed=seed + 2 + k)
@@ -109,32 +111,46 @@ def test_piece_zero_matches_reference(construction, pairs):
         assert got.status == INCONCLUSIVE  # piece 0 is the origin alone
 
 
-def _counting(m):
+def _recording(m):
     calls = []
 
     def rule(pts, base=m.rule):
-        calls.append(len(pts))
+        calls.append(pts.copy())
         return base(pts)
 
     return m.replace(rule=rule), calls
 
 
+class TestPairDistance:
+    @pytest.mark.parametrize("construction, dim", [("fractional", 1), ("sphere", 3), ("open-ball", 3)])
+    @pytest.mark.parametrize("delta", [verification.CONTINUITY_DELTA, 0.05])
+    def test_kept_pairs_lie_within_continuity_delta(self, construction, dim, delta):
+        m, calls = _recording(build_construction(construction, dim, P2))
+        with mock.patch.object(verification, "CONTINUITY_DELTA", delta):
+            report = check_piece_continuity(m, 3, pairs=2000, seed=5)
+        x, y = calls  # the map sees the kept x, then their y
+        assert report.samples_used == len(x) == len(y) >= verification.MIN_CONTINUITY_PAIRS
+        dist = norm(x - y, m.kind)
+        assert np.all(dist <= delta)
+        assert np.max(dist) > delta / 2  # the steps are drawn at the scale delta
+
+
 class TestRuleCalls:
     def test_one_piece_two_calls(self):
-        m, calls = _counting(build_construction("sphere", 3, P2))
+        m, calls = _recording(build_construction("sphere", 3, P2))
         check_piece_continuity(m, 2, pairs=2000, seed=1)
         assert len(calls) == 2
 
     @pytest.mark.parametrize("max_index", [1, 4, 5, 10, 40])
     def test_two_calls_per_batch(self, max_index):
         per_batch = verification.BATCH_ROWS // 2000  # pieces of 2,000 pairs
-        m, calls = _counting(build_construction("sphere", 3, P2))
+        m, calls = _recording(build_construction("sphere", 3, P2))
         run_suite(m, seed=3, samples=500, max_piece_index=max_index)
         # The retraction identity applies the map once; the rest is the pass.
         assert len(calls) - 1 == 2 * math.ceil(max_index / per_batch)
 
     def test_no_calls_when_every_piece_is_inconclusive(self):
-        m, calls = _counting(build_construction("sphere", 3, P2))
+        m, calls = _recording(build_construction("sphere", 3, P2))
         reports = run_suite(m, seed=3, samples=500, pairs=10)
         assert all(r.status == INCONCLUSIVE for r in reports if r.check_name.startswith("piece-"))
         assert len(calls) == 1
@@ -169,7 +185,7 @@ class TestBoundedMemory:
 
         def sweep(count):
             ks = range(1, count + 1)
-            return lambda: verification._piece_continuity_reports(m, ks, ks, 2000, 1e-3)
+            return lambda: verification._piece_continuity_reports(m, ks, ks, 2000)
 
         assert _peak(sweep(200)) <= 1.25 * _peak(sweep(20))
 
@@ -238,12 +254,6 @@ class TestPairArguments:
         with pytest.raises(ValueError, match="pairs must be >= 0"):
             self.CALLS[call](m, pairs=-1)
 
-    @pytest.mark.parametrize("delta", [0.0, -1e-3, math.nan, math.inf])
-    @pytest.mark.parametrize("call", CALLS)
-    def test_bad_delta(self, m, call, delta):
-        with pytest.raises(ValueError, match="delta must be a finite number > 0"):
-            self.CALLS[call](m, pairs=100, delta=delta)
-
     @pytest.mark.parametrize("max_piece_index", [0, -3])
     def test_max_piece_index_below_one(self, m, max_piece_index):
         with pytest.raises(ValueError, match=f"max_piece_index must be >= 1, got {max_piece_index}"):
@@ -259,5 +269,5 @@ class TestOneValidationPerBatch:
         ks = range(1, count + 1)
         checked = mock.Mock(wraps=core.as_points)
         with mock.patch.object(verification, "as_points", checked), mock.patch.object(core, "as_points", checked):
-            verification._piece_continuity_reports(m, ks, ks, 2000, 1e-3)
+            verification._piece_continuity_reports(m, ks, ks, 2000)
         assert checked.call_count == math.ceil(count / per_batch)

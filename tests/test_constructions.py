@@ -236,9 +236,16 @@ class TestSphere:
         u /= np.linalg.norm(u, axis=1)[:, None]
         assert np.max(norm(m.apply(u) - u, P2)) <= 1e-12
 
-    def test_rejects_off_sphere_t(self):
-        with pytest.raises(ConstructionError):
-            sphere_retraction(2, P2, t=[2.0, 0.0])
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_origin_maps_to_e1(self, dim):
+        e1 = np.eye(1, dim)[0]
+        with pytest.raises(TypeError):
+            sphere_retraction(dim, P2, e1)  # the value at the origin is not a parameter
+        zeros = np.zeros((2, dim))
+        zeros[1] = -0.0
+        for ambient in ("space", "ball"):
+            m = sphere_retraction(dim, P2, ambient=ambient)
+            assert np.array_equal(m.apply(zeros), [e1, e1]), ambient
 
     def test_witness_piece_two(self):
         m = sphere_retraction(2, P2)

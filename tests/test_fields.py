@@ -201,7 +201,7 @@ class TestDomainTestPerCall:
 
     def test_operator_check_on_the_retract_tests_nothing(self, sphere, circle, calls):
         catalog = [parse_field(e, 2, circle, 1.0) for e in ("coord:0", "sin:1", "poly:0:1,2")]
-        reports = check_operator_properties(sphere, catalog, n=100, iso_n=100)
+        reports = check_operator_properties(sphere, catalog, n=100)
         assert all(r.status == "pass" for r in reports)
         assert calls == []
 

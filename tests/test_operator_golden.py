@@ -1,5 +1,5 @@
 """Golden operator reports: check_operator_properties at seed 7 with
-n = iso_n = 20,000 and the five benchmark fields, for the radial
+n = 20,000 and the five benchmark fields, for the radial
 constructions in dimension 3 under the Euclidean norm.
 
 The values were captured before the operator check's memo was given
@@ -66,7 +66,7 @@ def test_operator_reports_match_golden(key):
     phi = build_construction(construction, 3, NormKind(2.0))
     fields = [parse_field(e, 3, phi.codomain, 1.0) for e in FIELDS]
     kw = {"operator": negated_operator} if control else {}
-    reps = check_operator_properties(phi, fields, n=N, iso_n=N, seed=SEED, **kw)
+    reps = check_operator_properties(phi, fields, n=N, seed=SEED, **kw)
     got = [
         (r.check_name, r.status, r.samples_used, r.max_violation, r.tolerance, r.witness_points)
         for r in reps
