@@ -4,10 +4,10 @@
 time: draw from the piece, step by a gaussian, keep the pairs whose second
 point stays inside and whose distance is in [1e-14, delta], and compare the
 worst ratio with the declared constant.  The check's delta is the constant
-CONTINUITY_DELTA; the property test patches it to other values.  Diagonal pieces are drawn and
-tested through their expanded finite unions, so the oracle shares no
-batched code with the check.  run_suite and check_piece_continuity must
-equal it report for report.
+CONTINUITY_DELTA; the property test patches it to other values.  Diagonal
+pieces are drawn and tested through their expanded finite unions, so the
+oracle shares no batched code with the check.  run_suite and
+check_piece_continuity must equal it report for report.
 """
 
 import math

@@ -26,11 +26,11 @@ def _parameters(fn) -> tuple:
     """(parameters, how many have a default) of a function, without self,
     cls, *args and **kwargs."""
     args = fn.args
-    positional = args.posonlyargs + args.args
-    names = [a.arg for a in positional + args.kwonlyargs]
-    skipped = sum(name in ("self", "cls") for name in names[:1])
+    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    if names[:1] in (["self"], ["cls"]):
+        names = names[1:]
     defaults = len(args.defaults) + sum(d is not None for d in args.kw_defaults)
-    return len(names) - skipped, defaults
+    return len(names), defaults
 
 
 def settable_values(tree: ast.Module) -> tuple:
