@@ -19,11 +19,8 @@ from .core import (
 )
 from .constructions import (
     Clamp1D,
-    ClosedRegion,
     Constant,
     ConstructionError,
-    HalfOpenUnitInterval,
-    OpenUnitBall,
     PiecewiseMap,
     PuncturedSpace,
     RadialProjection,

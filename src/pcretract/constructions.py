@@ -8,7 +8,6 @@ restriction is continuous (with a declared Lipschitz bound where known).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -45,66 +44,13 @@ class ConstructionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Codomain regions.  Retracts may be non-closed ([0,1), the open unit ball);
-# they are carried as their closure, which decides membership (with boundary
-# slack) and sampling.
+# Regions.  A map's codomain is a closed SetDescriptor: a retract that is not
+# closed ([0, 1), the open unit ball) is carried as its closure by its
+# construction.
 
 
-class Codomain(Region):
-    @property
-    def closure(self) -> SetDescriptor:
-        raise NotImplementedError
-
-    @property
-    def dim(self) -> int:
-        return self.closure.dim
-
-    def _contains(self, pts, tol):
-        return self.closure._contains(pts, tol)
-
-    def sample(self, rng, n):
-        return self.closure.sample(rng, n)
-
-    @functools.cached_property
-    def probe(self) -> np.ndarray:
-        """128 seeded points of the retract, drawn on first use; read-only."""
-        pts = self.sample(np.random.default_rng(0), 128)
-        pts.flags.writeable = False
-        return pts
-
-
-@dataclass(frozen=True)
-class ClosedRegion(Codomain):
-    descriptor: SetDescriptor
-
-    @property
-    def closure(self) -> SetDescriptor:
-        return self.descriptor
-
-
-@dataclass(frozen=True)
-class HalfOpenUnitInterval(Codomain):
-    """[0, 1) in R, carried as its closure [0, 1]."""
-
-    @property
-    def closure(self) -> SetDescriptor:
-        return Interval(0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class OpenUnitBall(Codomain):
-    """{||x|| < 1}, carried as its closure {||x|| <= 1}."""
-
-    kind: NormKind
-    ndim: int
-
-    @property
-    def closure(self) -> SetDescriptor:
-        return NormBand(self.kind, 0.0, 1.0, self.ndim)
-
-
-def unit_sphere(kind: NormKind, dim: int) -> ClosedRegion:
-    return ClosedRegion(NormBand(kind, 1.0, 1.0, dim))
+def unit_sphere(kind: NormKind, dim: int) -> NormBand:
+    return NormBand(kind, 1.0, 1.0, dim)
 
 
 @dataclass(frozen=True)
@@ -194,10 +140,9 @@ class PiecewiseMap:
     """
 
     construction_id: str
-    dim: int
     kind: NormKind
-    domain: object  # SetDescriptor | Codomain | PuncturedSpace; R^d is NormBand(kind, 0, inf, d)
-    codomain: Codomain
+    domain: Region  # R^d is NormBand(kind, 0, inf, d)
+    codomain: SetDescriptor
     rule: Callable[[np.ndarray], np.ndarray]
     witness: PieceFamily
     piece_lipschitz: Callable[[int], Optional[float]]
@@ -207,6 +152,10 @@ class PiecewiseMap:
     def __post_init__(self):
         if self.predicted_index_fn is None:
             object.__setattr__(self, "predicted_index_fn", self.witness.index)
+
+    @property
+    def dim(self) -> int:
+        return self.codomain.dim
 
     def apply(self, pts) -> np.ndarray:
         return self.rule(as_points(pts, self.dim))
@@ -307,21 +256,19 @@ def fractional_part_retraction() -> PiecewiseMap:
 
     return PiecewiseMap(
         construction_id="fractional",
-        dim=1,
         kind=NormKind(2.0),
         domain=NormBand(EUCLIDEAN, 0.0, math.inf, 1),
-        codomain=HalfOpenUnitInterval(),
+        codomain=Interval(0.0, 1.0),  # [0, 1), carried as its closure
         rule=rule,
         witness=_diagonal_family(None, 1),
         piece_lipschitz=lambda m: 1.0,
     )
 
 
-def _identity_map(region: Codomain, pieces: PieceFamily) -> PiecewiseMap:
+def _identity_map(region: SetDescriptor, pieces: PieceFamily) -> PiecewiseMap:
     """The identity on a retract A, witnessed by closed pieces exhausting A."""
     return PiecewiseMap(
         construction_id="identity",
-        dim=region.dim,
         kind=EUCLIDEAN,
         domain=region,
         codomain=region,
@@ -332,7 +279,7 @@ def _identity_map(region: Codomain, pieces: PieceFamily) -> PiecewiseMap:
 
 
 def glue_retraction(
-    a_region: Codomain,
+    a_region: SetDescriptor,
     a_pieces: PieceFamily,
     complement_pieces: PieceFamily,
     g: ContinuousMapRule,
@@ -375,7 +322,6 @@ def extend_retraction(
     the retract.  The rule gets validated points, so it tests U and runs the
     inner rule directly.
     """
-    dim = inner.dim
     mtol = DEFAULT_TOLERANCE.membership_tol
     rng = np.random.default_rng(0)
     a_samples = inner.codomain.sample(rng, 128)
@@ -404,9 +350,8 @@ def extend_retraction(
 
     return PiecewiseMap(
         construction_id=construction_id,
-        dim=dim,
         kind=inner.kind,
-        domain=NormBand(inner.kind, 0.0, math.inf, dim),
+        domain=NormBand(inner.kind, 0.0, math.inf, inner.dim),
         codomain=inner.codomain,
         rule=rule,
         witness=union_family(inner.witness, complement_pieces),
@@ -487,7 +432,6 @@ def radial_projection_map(dim: int, kind: NormKind) -> PiecewiseMap:
         raise ConstructionError("dimension must be >= 1")
     return PiecewiseMap(
         construction_id="radial",
-        dim=dim,
         kind=kind,
         domain=PuncturedSpace(dim),
         codomain=unit_sphere(kind, dim),
@@ -528,7 +472,6 @@ def sphere_retraction(
 
     return PiecewiseMap(
         construction_id="sphere",
-        dim=dim,
         kind=kind,
         domain=NormBand(kind, 0.0, math.inf if ambient == "space" else 1.0, dim),
         codomain=unit_sphere(kind, dim),
@@ -575,10 +518,9 @@ def open_ball_retraction(
 
     return PiecewiseMap(
         construction_id="open-ball",
-        dim=dim,
         kind=kind,
         domain=NormBand(kind, 0.0, math.inf, dim),
-        codomain=OpenUnitBall(kind, dim),
+        codomain=NormBand(kind, 0.0, 1.0, dim),  # the open ball, carried as its closure
         rule=rule,
         witness=_diagonal_family(kind, dim),
         piece_lipschitz=lambda m: 1.0 if m == 0 else max(3.0, 2.0 * m),
@@ -620,7 +562,7 @@ def canonical_glue() -> PiecewiseMap:
         return idx
 
     return glue_retraction(
-        ClosedRegion(a),
+        a,
         constant_family(a),
         PieceFamily(complement_at, complement_membership, complement_index),
         Clamp1D(0.0, 1.0),

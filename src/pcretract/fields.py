@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCE, DimensionMismatch, PieceFamily, as_points, as_vector
+from .core import DEFAULT_TOLERANCE, DimensionMismatch, PieceFamily, Region, as_points, as_vector
 from .constructions import PiecewiseMap
 
 
@@ -35,7 +35,7 @@ class ScalarField:
     label: str
     dim: int
     rule: Callable[[np.ndarray], np.ndarray]
-    domain: object  # SetDescriptor | Codomain
+    domain: Region
     bound: Optional[float] = None
     lipschitz: Optional[float] = None
     witness: Optional[PieceFamily] = None
@@ -146,14 +146,22 @@ def linear_combination(terms: Sequence[tuple]) -> ScalarField:
 FIELD_HEADS = ("const", "coord", "sin", "cos", "prod", "poly")
 
 
+def _finite(text: str) -> float:
+    c = float(text)
+    if not math.isfinite(c):
+        raise ValueError(f"constant {c} is not finite")
+    return c
+
+
 def parse_field(expr: str, dim: int, domain, radius: float = 1.0) -> ScalarField:
     """Catalog field from a CLI expression: const:<c>, coord:<i>, sin:<i>,
-    cos:<i>, prod:<i>,<j>, poly:<i>:<c0>,<c1>,..."""
+    cos:<i>, prod:<i>,<j>, poly:<i>:<c0>,<c1>,...; every constant c must be
+    finite."""
     expr = expr.strip()
     head, sep, rest = expr.partition(":")
     try:
         if head == "const" and sep:
-            return const_field(float(rest), dim, domain)
+            return const_field(_finite(rest), dim, domain)
         if head == "coord" and sep:
             return coord_field(int(rest), dim, domain, radius)
         if head == "sin" and sep:
@@ -165,16 +173,16 @@ def parse_field(expr: str, dim: int, domain, radius: float = 1.0) -> ScalarField
             return prod_field(int(i), int(j), dim, domain, radius)
         if head == "poly" and sep:
             i, _, cs = rest.partition(":")
-            return poly_field(int(i), [float(c) for c in cs.split(",")], dim, domain, radius)
+            return poly_field(int(i), [_finite(c) for c in cs.split(",")], dim, domain, radius)
     except (ValueError, TypeError) as exc:
         raise FieldDomainError(f"malformed field expression {expr!r}: {exc}") from exc
     raise FieldDomainError(f"unrecognized field expression {expr!r}")
 
 
 def _covers(domain, retract) -> bool:
-    """Whether ``domain`` holds the retract's probe.  The probe is a
-    read-only draw of the retract, so only its dimension is checked."""
-    probe = retract.probe
+    """Whether ``domain`` holds a seeded draw of 128 points of the retract;
+    only the draw's dimension is checked."""
+    probe = retract.sample(np.random.default_rng(0), 128)
     if domain.dim != probe.shape[1]:
         raise DimensionMismatch(f"expected dimension {domain.dim}, got {probe.shape[1]}")
     return bool(np.all(domain._contains(probe, DEFAULT_TOLERANCE.membership_tol)))
@@ -186,10 +194,10 @@ def extension_operator(phi: PiecewiseMap, f: ScalarField) -> ScalarField:
     f must be continuous, as every catalog field and combination of them
     is; the composed field then carries phi's witness.  A field that carries
     a witness of its own (the output of this operator) raises
-    FieldDomainError, and so does a field domain that misses the retract's
-    probe.  A field whose domain is the retract itself, as for every field
-    parse_field builds on a map's codomain, needs no such test; any other
-    domain is tested on every call.
+    FieldDomainError, and so does a field domain that misses a seeded draw
+    of the retract.  A field whose domain is the retract itself, as for
+    every field parse_field builds on a map's codomain, needs no such test;
+    any other domain is tested on every call.
     """
     if f.witness is not None:
         raise FieldDomainError(f"field {f.label} carries its own witness; only continuous fields extend")

@@ -34,7 +34,7 @@ from .core import (
     piece,
     sample_pieces,
 )
-from .constructions import Codomain, OpenUnitBall, PiecewiseMap
+from .constructions import PiecewiseMap
 from .fields import ScalarField, const_field, extension_operator, linear_combination
 
 
@@ -87,15 +87,13 @@ class Sampler:
         raise ValueError(f"unknown sampling strategy {self.strategy!r}")
 
 
-def codomain_sampler(codomain: Codomain, seed: int) -> Sampler:
-    """Sampler of a retract: ``ball`` for the open unit ball, ``sphere`` for
-    the unit sphere, else its closure's own draw (``set``)."""
-    d = codomain.closure
-    if isinstance(codomain, OpenUnitBall):
-        return Sampler(seed, "ball", dim=d.dim, kind=d.kind, lo=0.0, hi=1.0)
-    if isinstance(d, NormBand) and d.lo == d.hi == 1.0:
-        return Sampler(seed, "sphere", dim=d.dim, kind=d.kind)
-    return Sampler(seed, "set", dim=d.dim, descriptor=d)
+def codomain_sampler(codomain: SetDescriptor, seed: int) -> Sampler:
+    """Sampler of a retract: ``ball`` for the unit ball, ``sphere`` for the
+    unit sphere, else the descriptor's own draw (``set``)."""
+    if isinstance(codomain, NormBand) and codomain.hi == 1.0 and codomain.lo in (0.0, 1.0):
+        strategy = "ball" if codomain.lo == 0.0 else "sphere"  # ball radii are uniform in [0, 1]
+        return Sampler(seed, strategy, dim=codomain.dim, kind=codomain.kind)
+    return Sampler(seed, "set", dim=codomain.dim, descriptor=codomain)
 
 
 # Unbounded domains are drawn up to this norm, across the integers where diagonal pieces change.
@@ -697,8 +695,9 @@ def run_suite(
     fields: Sequence[ScalarField] = (),
 ) -> list:
     """All applicable checks for a map, in fixed order.  The cover check
-    also tests the map's special points; a map onto the open unit ball (the
-    open-ball retraction) also gets the open-ball norm identity.
+    also tests the map's special points; a map onto NormBand(kind, 0, 1, d),
+    the closure of the open unit ball (the open-ball retraction), also gets
+    the open-ball norm identity.
 
     The continuity checks of pieces 1..max_piece_index run as one batched
     pass, but each piece k keeps its own generator (seed + 2 + k), so each
@@ -720,7 +719,7 @@ def run_suite(
     ]
     ks = range(1, max_piece_index + 1)
     reports.extend(_piece_continuity_reports(m, ks, [seed + 2 + k for k in ks], pairs))
-    if isinstance(m.codomain, OpenUnitBall):
+    if m.codomain == NormBand(m.kind, 0.0, 1.0, m.dim):
         reports.append(
             check_norm_identity_open_ball(m, n=samples, tol=tolerance.identity_tol, seed=seed + 50)
         )

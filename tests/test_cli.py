@@ -126,6 +126,16 @@ class TestVerifyCommand:
         # One line: numpy's overflow warnings on the way to the NaN stay silent.
         assert p.stderr == b"error: operator-linearity is undefined: its compared values include NaN\n"
 
+    @pytest.mark.parametrize("fields", ["const:inf", "coord:0,const:nan", "poly:0:1,nan"])
+    def test_non_finite_field_constant_is_a_usage_error(self, fields):
+        # Rejected at parse time, naming the expression, before any check runs.
+        p = run_cli("verify", "--construction", "sphere", "--dim", "3", "--fields", fields)
+        assert p.returncode == 2
+        assert p.stdout == b""
+        expr = fields.split(",")[-1] if fields.startswith("coord") else fields
+        assert p.stderr.startswith(f"error: malformed field expression '{expr}': constant ".encode())
+        assert p.stderr.endswith(b" is not finite\n") and p.stderr.count(b"\n") == 1
+
     def test_inconclusive_run_does_not_say_all_pass(self):
         args = ("verify", "--construction", "open-ball", "--dim", "3", "--seed", "7", "--pairs", "1")
         p = run_cli(*args)

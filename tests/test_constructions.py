@@ -12,6 +12,7 @@ from pcretract.core import (
     Interval,
     NormBand,
     NormKind,
+    SetDescriptor,
     Singleton,
     Tolerance,
     constant_family,
@@ -19,12 +20,10 @@ from pcretract.core import (
     piece,
 )
 from pcretract.constructions import (
+    CONSTRUCTION_IDS,
     Clamp1D,
-    ClosedRegion,
     Constant,
     ConstructionError,
-    HalfOpenUnitInterval,
-    OpenUnitBall,
     PuncturedSpace,
     RadialProjection,
     build_construction,
@@ -43,6 +42,7 @@ from pcretract.verification import (
     CORRUPTIONS,
     PASS,
     check_cover,
+    codomain_sampler,
     corrupt_shrinking_witness,
     domain_sampler,
     run_suite,
@@ -80,7 +80,7 @@ class TestFractional:
         assert 0.0 <= out < 1.0
 
     def test_codomain_is_half_open_interval(self):
-        assert isinstance(self.m.codomain, HalfOpenUnitInterval)
+        assert self.m.codomain == Interval(0.0, 1.0)
 
     def test_predicted_index_matches_brute_force(self):
         rng = np.random.default_rng(5)
@@ -171,14 +171,14 @@ class TestGlue:
         a = Interval(0.0, 1.0)
         with pytest.raises(ConstructionError):
             glue_retraction(
-                ClosedRegion(a),
+                a,
                 constant_family(a),
                 constant_family(Interval(2.0, 3.0)),
                 Clamp1D(5.0, 6.0),  # lands in [5, 6], far from A
             )
 
     def test_rejects_g_undefined_on_complement(self):
-        sphere = ClosedRegion(NormBand(P2, 1.0, 1.0, 2))
+        sphere = NormBand(P2, 1.0, 1.0, 2)
         with pytest.raises(ConstructionError):
             glue_retraction(
                 sphere,
@@ -334,7 +334,7 @@ class TestOpenBall:
 
     def test_surjectivity_probe(self):
         # Every target inside the ball is its own preimage.
-        ball = OpenUnitBall(P2, 2)
+        ball = NormBand(P2, 0.0, 1.0, 2)
         ys = ball.sample(np.random.default_rng(8), 1000)
         assert np.max(norm(self.m.apply(ys) - ys, P2)) == 0.0
 
@@ -684,3 +684,44 @@ class TestNegativeControlsStillFail:
         m = CORRUPTIONS[control](build_construction(cid, 3, P2))
         reports = run_suite(m, seed=4, samples=500, pairs=500)
         assert any(r.check_name.startswith(target) and r.status == "fail" for r in reports)
+
+
+# The strategy codomain_sampler picks for each map's retract.
+CODOMAIN_STRATEGY = {
+    "fractional": "set", "glue": "set", "extend": "sphere", "const-extend": "sphere",
+    "sphere": "sphere", "open-ball": "ball", "sphere-ball": "sphere", "radial": "sphere",
+}
+
+
+def _codomain_cases():
+    maps = {cid: build_construction(cid, 3, P2) for cid in CONSTRUCTION_IDS}
+    maps["sphere-ball"] = sphere_retraction(3, P2, ambient="ball")
+    maps["radial"] = radial_projection_map(3, P2)
+    cases = [pytest.param(name, m, id=name) for name, m in maps.items()]
+    for cid in CONSTRUCTION_IDS:
+        for control in sorted(CORRUPTIONS):
+            cases.append(pytest.param(cid, CORRUPTIONS[control](maps[cid]), id=f"{cid}+{control}"))
+    return cases
+
+
+class TestCodomainIsADescriptor:
+    """A map's codomain is a closed descriptor; a retract that is not closed
+    is carried as its closure, and the map's dimension is the codomain's."""
+
+    @pytest.mark.parametrize("name,m", _codomain_cases())
+    def test_codomain_dim_and_sampler(self, name, m):
+        assert isinstance(m.codomain, SetDescriptor)
+        assert m.dim == m.codomain.dim == (1 if name in ("fractional", "glue") else 3)
+        assert codomain_sampler(m.codomain, 0).strategy == CODOMAIN_STRATEGY[name]
+
+    @pytest.mark.parametrize("name,m", _codomain_cases())
+    def test_only_open_ball_gets_its_norm_identity(self, name, m):
+        names = [r.check_name for r in run_suite(m, seed=3, samples=50, max_piece_index=1, pairs=10)]
+        assert ("open-ball-norm-identity" in names) == (name == "open-ball")
+
+    def test_closures(self):
+        assert fractional_part_retraction().codomain == Interval(0.0, 1.0)
+        assert canonical_glue().codomain == Interval(0.0, 1.0)
+        assert build_construction("open-ball", 3, P2).codomain == NormBand(P2, 0.0, 1.0, 3)
+        for cid in ("extend", "const-extend", "sphere"):
+            assert build_construction(cid, 3, P2).codomain == NormBand(P2, 1.0, 1.0, 3)

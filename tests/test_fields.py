@@ -7,7 +7,7 @@ import pytest
 from _oracles import circle_grid, sup_abs
 from pcretract import core, fields
 from pcretract.core import DimensionMismatch, NormBand, NormKind, norm
-from pcretract.constructions import ClosedRegion, sphere_retraction, unit_sphere
+from pcretract.constructions import sphere_retraction, unit_sphere
 from pcretract.fields import (
     FieldDomainError,
     ScalarField,
@@ -81,6 +81,22 @@ class TestCatalog:
         with pytest.raises(FieldDomainError):
             parse_field(expr, 2, circle)
 
+    @pytest.mark.parametrize(
+        "expr", ["const:inf", "const:-inf", "const:nan", "poly:0:1,nan", "poly:0:inf", "poly:1:2,0,-inf"]
+    )
+    def test_parse_rejects_non_finite_constants(self, expr, circle):
+        # Such a field's bound is inf or NaN; the flag, not a later check, is at fault.
+        with pytest.raises(FieldDomainError, match=f"malformed field expression '{expr}': constant .* is not finite"):
+            parse_field(expr, 2, circle)
+
+    def test_parse_keeps_largest_finite_constants(self, circle):
+        assert parse_field("const:1e308", 2, circle).bound == 1e308
+        assert parse_field("poly:0:-1e308,1e308", 2, circle).bound == math.inf  # the sum overflows
+
+    def test_const_field_accepts_an_overflowed_bound(self, circle):
+        # The operator check shifts a field by its declared bound, which may be inf.
+        assert const_field(math.inf, 2, circle).bound == math.inf
+
 
 class TestExtensionOperator:
     def test_constant_fixed_by_composition(self, sphere, circle):
@@ -118,8 +134,8 @@ class TestExtensionOperator:
 
 
 @dataclasses.dataclass(frozen=True)
-class CountingCircle(ClosedRegion):
-    """The unit circle, counting its draws in ``draws``."""
+class CountingCircle(NormBand):
+    """A norm band, counting its draws in ``draws``."""
 
     draws: list = dataclasses.field(default_factory=list, compare=False)
 
@@ -129,35 +145,35 @@ class CountingCircle(ClosedRegion):
 
 
 class TestRetractProbe:
-    def test_drawn_once_per_codomain(self, sphere):
-        circle = CountingCircle(NormBand(P2, 1.0, 1.0, 2))
+    def test_drawn_per_call_for_another_domain(self, sphere):
+        circle = CountingCircle(P2, 1.0, 1.0, 2)
         phi = sphere.replace(codomain=circle)
         own = [parse_field(e, 2, circle, 1.0) for e in ("const:1", "coord:0", "sin:1")]
         for f in own:
             extension_operator(phi, f)
         assert circle.draws == []  # the retract's own fields draw no probe
-        disk = ClosedRegion(NormBand(P2, 0.0, 2.0, 2))
+        disk = NormBand(P2, 0.0, 2.0, 2)
         other = [parse_field(e, 2, disk, 2.0) for e in ("const:1", "coord:0", "sin:1")]
         for _ in range(5):
             for f in own + other:
                 extension_operator(phi, f)
-        assert circle.draws == [128]
-        assert not circle.probe.flags.writeable
+        # 128 points per call for a domain that is not the retract
+        assert circle.draws == [128] * (5 * len(other))
 
     def test_field_domain_still_tested_per_field(self, sphere, circle):
         extension_operator(sphere, coord_field(0, 2, circle))
-        annulus = ClosedRegion(NormBand(P2, 2.0, 3.0, 2))
+        annulus = NormBand(P2, 2.0, 3.0, 2)
         with pytest.raises(FieldDomainError, match="does not cover"):
             extension_operator(sphere, coord_field(0, 2, annulus))
 
     def test_domain_of_another_dimension(self, sphere):
-        ball3 = ClosedRegion(NormBand(P2, 0.0, 2.0, 3))
+        ball3 = NormBand(P2, 0.0, 2.0, 3)
         with pytest.raises(DimensionMismatch, match="expected dimension 3, got 2"):
             extension_operator(sphere, coord_field(0, 2, ball3))
 
     def test_probe_not_revalidated(self, sphere):
         f = coord_field(0, 2, unit_sphere(P2, 2))
-        extension_operator(sphere, f)  # draws the probe
+        extension_operator(sphere, f)  # tests a seeded draw of the retract
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "as_points", lambda *a, **k: pytest.fail("probe re-validated"))
             for _ in range(3):
@@ -165,7 +181,7 @@ class TestRetractProbe:
 
 
 class TestDomainTestPerCall:
-    """The field domain is tested against the retract's probe on every
+    """The field domain is tested against a draw of the retract on every
     call, except when it is the retract itself."""
 
     @pytest.fixture
@@ -206,7 +222,7 @@ class TestDomainTestPerCall:
         assert calls == []
 
     def test_missing_domain_raises_on_every_call(self, sphere, calls):
-        annulus = ClosedRegion(NormBand(P2, 2.0, 3.0, 2))
+        annulus = NormBand(P2, 2.0, 3.0, 2)
         f = coord_field(0, 2, annulus)
         for attempt in range(1, 4):
             with pytest.raises(FieldDomainError, match="does not cover"):

@@ -1,0 +1,85 @@
+"""Print sha256 prefixes of the package's reports, to compare two checkouts.
+
+Usage (from the root of a checkout): python3 tools/report_hashes.py
+
+The first six lines hash the seed-7 `pcretract verify --format json` report
+of each construction, with `--dim 3 --fields coord:0,sin:1,cos:2,const:2,poly:0:3`
+for the four radial ones: the bytes the CLI prints, as `verify ... | sha256sum`
+would hash them.  The last three hash one perfbench workload each: every
+(case index, suite seed) pair of its `workloads.case_pool`, in pool order, run
+by `workloads.run_case` at the workload's sample count and fed to one sha256
+as `repr((index, seed, tuples))`.  A case that raises is hashed as
+`repr((index, seed, repr(exc)))`.  Two checkouts whose reports match print the
+same lines.
+
+The script imports the checkout's own `src/` (through `perfbench/paths.py`)
+and `perfbench/workloads.py`, and changes neither.  It only reports: an error
+prints in place of a hash, and the exit code is 0.
+"""
+
+import contextlib
+import hashlib
+import io
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+FIELDS = "coord:0,sin:1,cos:2,const:2,poly:0:3"
+RADIAL = ("extend", "const-extend", "sphere", "open-ball")
+
+
+def _prefix(h) -> str:
+    return h.hexdigest()[:16]
+
+
+def verify_hash(construction: str) -> str:
+    from pcretract import cli
+
+    args = ["verify", "--construction", construction, "--seed", "7", "--format", "json"]
+    if construction in RADIAL:
+        args += ["--dim", "3", "--fields", FIELDS]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(args)
+    return _prefix(hashlib.sha256(out.getvalue().encode()))
+
+
+def pool_hash(name: str) -> str:
+    import workloads
+
+    w = workloads.WORKLOADS[name]
+    h = hashlib.sha256()
+    for index, seed in workloads.case_pool(w):
+        case = w.cases[index]
+        try:
+            built = case.build() if w.mode == "suite" else None
+            tuples = workloads.run_case(w, case, built, seed, w.samples)
+        except Exception as exc:
+            tuples = repr(exc)
+        h.update(repr((index, seed, tuples)).encode())
+    return _prefix(h)
+
+
+def main() -> int:
+    try:
+        import paths  # noqa: F401  (puts the checkout's src/ first on sys.path)
+    except SystemExit:  # paths has already said that src/ is missing
+        return 0
+    from pcretract.constructions import CONSTRUCTION_IDS
+    from workloads import WORKLOADS
+
+    jobs = [(f"verify {c}", verify_hash, c) for c in CONSTRUCTION_IDS]
+    jobs += [(f"pool {w}", pool_hash, w) for w in WORKLOADS]
+    for label, fn, arg in jobs:
+        try:
+            value = fn(arg)
+        except Exception as exc:
+            value = f"error: {exc!r}"
+        print(f"{label}: {value}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
