@@ -183,8 +183,8 @@ SAMPLE_CAP = 8.0
 
 
 class Region:
-    """Subset of R^d with a membership test and, for a closed set or a
-    retract, a seeded sampler.
+    """Subset of R^d with a membership test and, for a closed set, a
+    seeded sampler.
 
     Subclasses implement ``dim``, ``_contains`` on an (n, d) batch and,
     where the set is drawn, ``sample``; ``contains`` is the one public

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,16 +87,13 @@ class TestCatalog:
     )
     def test_parse_rejects_non_finite_constants(self, expr, circle):
         # Such a field's bound is inf or NaN; the flag, not a later check, is at fault.
-        with pytest.raises(FieldDomainError, match=f"malformed field expression '{expr}': constant .* is not finite"):
+        message = f"malformed field expression '{re.escape(expr)}': constant .* is not finite"
+        with pytest.raises(FieldDomainError, match=message):
             parse_field(expr, 2, circle)
 
     def test_parse_keeps_largest_finite_constants(self, circle):
         assert parse_field("const:1e308", 2, circle).bound == 1e308
         assert parse_field("poly:0:-1e308,1e308", 2, circle).bound == math.inf  # the sum overflows
-
-    def test_const_field_accepts_an_overflowed_bound(self, circle):
-        # The operator check shifts a field by its declared bound, which may be inf.
-        assert const_field(math.inf, 2, circle).bound == math.inf
 
 
 class TestExtensionOperator:
