@@ -87,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="'p:<value>' or 'max'; fractional and glue take only p:2")
         sp.add_argument("--paper-witness", action="store_true",
                         help="sphere only: use the un-augmented band witness, which misses the origin")
-        sp.add_argument("--allow-low-dim", action="store_true",
-                        help="open-ball only: permit dimension 1 (exploration)")
 
     v = sub.add_parser("verify", help="run the full check suite for a construction")
     common(v)
@@ -118,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Constructions defined on R with the Euclidean norm only.
 LINE_CONSTRUCTIONS = ("fractional", "glue")
-# Flags that only one construction reads, by argparse destination.
-ONE_CONSTRUCTION_FLAGS = {"paper_witness": "sphere", "allow_low_dim": "open-ball"}
 # A map depends only on build_construction's arguments and no check changes
 # it, so in-process main() calls share one per argument tuple; eight hold
 # the six constructions at one dimension and norm.
@@ -127,10 +123,8 @@ _cached_construction = functools.lru_cache(maxsize=8)(build_construction)
 
 
 def _build_map(args):
-    for dest, owner in ONE_CONSTRUCTION_FLAGS.items():
-        if getattr(args, dest) and args.construction != owner:
-            flag = "--" + dest.replace("_", "-")
-            raise ConstructionError(f"{flag} applies only to {owner}, not {args.construction}")
+    if args.paper_witness and args.construction != "sphere":
+        raise ConstructionError(f"--paper-witness applies only to sphere, not {args.construction}")
     kind = NormKind.parse(args.norm)
     dim = 2 if args.dim is None else args.dim
     if dim < 1:
@@ -143,13 +137,7 @@ def _build_map(args):
                 f"--norm: {args.construction} uses the norm p:2, got {kind.label()}"
             )
         dim = 1
-    return _cached_construction(
-        args.construction,
-        dim,
-        kind,
-        paper_witness=args.paper_witness,
-        allow_low_dim=args.allow_low_dim,
-    )
+    return _cached_construction(args.construction, dim, kind, paper_witness=args.paper_witness)
 
 
 # A comma starts a new field expression only before a catalog head, since

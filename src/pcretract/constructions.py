@@ -484,12 +484,7 @@ def sphere_retraction(
     )
 
 
-def open_ball_retraction(
-    dim: int,
-    kind: NormKind,
-    *,
-    allow_low_dim: bool = False,
-) -> PiecewiseMap:
+def open_ball_retraction(dim: int, kind: NormKind) -> PiecewiseMap:
     """Retraction of R^d onto the open unit ball:
     x -> (1 - floor(||x||)/||x||) * x, with the origin fixed.
 
@@ -498,11 +493,6 @@ def open_ball_retraction(
     band family, started at n = 0 so the open unit ball region is covered),
     carried as one :class:`DiagonalBands`.
     """
-    if dim < 2 and not allow_low_dim:
-        raise ConstructionError(
-            "open-ball retraction requires dimension >= 2"
-            " (pass allow_low_dim=True for exploration)"
-        )
     if dim < 1:
         raise ConstructionError("dimension must be >= 1")
 
@@ -601,7 +591,6 @@ def build_construction(
     kind: NormKind = NormKind(2.0),
     *,
     paper_witness: bool = False,
-    allow_low_dim: bool = False,
 ) -> PiecewiseMap:
     """Build the named construction (canonical instance for the glue and
     extension factories)."""
@@ -616,7 +605,7 @@ def build_construction(
     if construction_id == "sphere":
         return sphere_retraction(dim, kind, paper_witness=paper_witness)
     if construction_id == "open-ball":
-        return open_ball_retraction(dim, kind, allow_low_dim=allow_low_dim)
+        return open_ball_retraction(dim, kind)
     raise ConstructionError(
         f"unknown construction {construction_id!r}; expected one of {CONSTRUCTION_IDS}"
     )

@@ -50,15 +50,15 @@ class TestVerifyCommand:
         assert any(c["check"] == "cover-and-monotonicity" for c in failing)
         assert [[0.0, 0.0]] in [c["witness_points"] for c in failing]
 
-    def test_open_ball_low_dimension_rejected(self):
-        p = run_cli("verify", "--construction", "open-ball", "--dim", "1", "--samples", "10")
-        assert p.returncode == 2
-        assert b"dimension" in p.stderr
+    def test_open_ball_dimension_one_passes(self):
+        # open-ball takes every dimension >= 1, as sphere does.
+        p = run_cli("verify", "--construction", "open-ball", "--dim", "1", "--seed", "7")
+        assert p.returncode == 0
+        assert p.stdout.splitlines()[-1] == b"result: ALL PASS"
 
-    def test_open_ball_low_dimension_with_flag(self):
+    def test_open_ball_low_dimension(self):
         p = run_cli(
-            "verify", "--construction", "open-ball", "--dim", "1",
-            "--allow-low-dim", "--samples", "200", "--seed", "3",
+            "verify", "--construction", "open-ball", "--dim", "1", "--samples", "200", "--seed", "3",
         )
         assert p.returncode == 0
 
@@ -284,14 +284,22 @@ class TestWitnessCommand:
     @pytest.mark.parametrize("flag,construction", [
         ("--paper-witness", "open-ball"),
         ("--paper-witness", "glue"),
-        ("--allow-low-dim", "sphere"),
-        ("--allow-low-dim", "fractional"),
     ])
     def test_flag_of_another_construction_is_usage_error(self, command, flag, construction):
         p = run_cli(command, "--construction", construction, "--n" if command == "witness" else "--samples",
                     "1", flag)
         assert p.returncode == 2
         assert flag.encode() in p.stderr
+        assert p.stdout == b""
+
+    @pytest.mark.parametrize("command", ["verify", "witness"])
+    @pytest.mark.parametrize("construction", ["open-ball", "sphere", "fractional"])
+    def test_removed_flag_is_usage_error(self, command, construction):
+        # --allow-low-dim went when open-ball came to take dimension 1.
+        p = run_cli(command, "--construction", construction, "--n" if command == "witness" else "--samples",
+                    "1", "--allow-low-dim")
+        assert p.returncode == 2
+        assert b"unrecognized arguments: --allow-low-dim" in p.stderr
         assert p.stdout == b""
 
     def test_closed_stdout_ends_quietly(self):
@@ -311,7 +319,7 @@ class TestWitnessCommand:
         assert p.returncode == 0
         text = " ".join(p.stdout.decode().split())
         assert "--paper-witness sphere only: use the un-augmented band witness, which misses the origin" in text
-        assert "--allow-low-dim open-ball only: permit dimension 1 (exploration)" in text
+        assert "--allow-low-dim" not in text
 
 
 class TestDimBound:

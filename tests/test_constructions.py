@@ -298,11 +298,10 @@ class TestOpenBall:
     def test_formula_example(self):
         assert np.allclose(self.m([2.5, 0.0]), [0.5, 0.0], atol=1e-15)
 
-    def test_rejects_dimension_one(self):
+    def test_dimension_one_builds_and_zero_raises(self):
+        assert open_ball_retraction(1, P2)([0.5])[0] == 0.5
         with pytest.raises(ConstructionError):
-            open_ball_retraction(1, P2)
-        m = open_ball_retraction(1, P2, allow_low_dim=True)
-        assert m([0.5])[0] == 0.5
+            open_ball_retraction(0, P2)
 
     def test_witness_piece_one(self):
         got = piece(self.m.witness, 1)
