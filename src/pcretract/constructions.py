@@ -401,24 +401,31 @@ def _inverse(t: np.ndarray) -> np.ndarray:
 def _radial_bands(kind: NormKind, dim: int, hi: float, with_origin: bool) -> PieceFamily:
     """Pieces {1/max(n, 1) <= ||x|| <= hi}, each with the origin added when
     ``with_origin``.  A point's index is the smallest n >= 1 with
-    1/n <= ||x||, or -1 beyond hi; at the origin it is 1 with the origin
-    added, else -1."""
+    1/n <= ||x||, confirmed against the piece's float bound, or -1 beyond
+    hi; at the origin it is 1 with the origin added, else -1."""
     origin = Singleton(_origin(dim))
 
     def piece_at(n):
         band = NormBand(kind, 1.0 / max(n, 1), hi, dim)
         return FiniteUnion((origin, band)) if with_origin else band
 
+    def above_floor(r, idx, tol):
+        return r >= 1.0 / np.maximum(idx, 1) - tol
+
     def membership(pts, idx, tol):
         r = norm(pts, kind)
-        out = (r >= 1.0 / np.maximum(idx, 1) - tol) & (r <= hi + tol)
+        out = above_floor(r, idx, tol) & (r <= hi + tol)
         return out | origin._contains(pts, tol) if with_origin else out
 
     def index(pts, tol):
         r = norm(pts, kind)
         idx = np.full(len(pts), 1 if with_origin else -1, dtype=np.int64)
         pos = r > 0.0
-        idx[pos] = np.maximum(_capped_index(_inverse(r[pos])), 1)
+        rp = r[pos]
+        n = np.maximum(_capped_index(_inverse(rp)), 1)
+        # 1/r can round down onto n while r < fl(1/n), as 1/0.19999999999999998
+        # does onto 5; piece n + 1 holds x then.
+        idx[pos] = n + (~above_floor(rp, n, tol) & (n < INDEX_CAP))
         idx[r > hi + tol] = -1
         return idx
 
@@ -534,21 +541,28 @@ def canonical_glue() -> PiecewiseMap:
             )
         )
 
+    def left(t, n, tol):
+        return (t >= -(n + 1.0) - tol) & (t <= -1.0 / (n + 2) + tol)
+
+    def right(t, n, tol):
+        return (t >= (1.0 + 1.0 / (n + 2)) - tol) & (t <= (n + 2.0) + tol)
+
     def complement_membership(pts, n, tol):
         t = pts[:, 0]
-        left = (t >= -(n + 1.0) - tol) & (t <= -1.0 / (n + 2) + tol)
-        right = (t >= (1.0 + 1.0 / (n + 2)) - tol) & (t <= (n + 2.0) + tol)
-        return left | right
+        return left(t, n, tol) | right(t, n, tol)
 
     def complement_index(pts, tol):
         t = pts[:, 0]
         idx = np.full(len(t), -1, dtype=np.int64)
         neg = t < 0.0
-        idx[neg] = _capped_index(np.maximum(np.maximum(-t[neg] - 1.0, _inverse(-t[neg]) - 2.0), 0.0))
+        tn = t[neg]
+        n = _capped_index(np.maximum(np.maximum(-tn - 1.0, _inverse(-tn) - 2.0), 0.0))
+        # Confirmed with the pieces' float bounds, as in _radial_bands.
+        idx[neg] = n + (~left(tn, n, tol) & (n < INDEX_CAP))
         big = t > 1.0
-        idx[big] = _capped_index(
-            np.maximum(np.maximum(t[big] - 2.0, _inverse(t[big] - 1.0) - 2.0), 0.0)
-        )
+        tb = t[big]
+        n = _capped_index(np.maximum(np.maximum(tb - 2.0, _inverse(tb - 1.0) - 2.0), 0.0))
+        idx[big] = n + (~right(tb, n, tol) & (n < INDEX_CAP))
         return idx
 
     return glue_retraction(

@@ -493,6 +493,14 @@ def _index_points(m):
     return np.concatenate(pts)
 
 
+def _with_neighbours(t):
+    return np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)])
+
+
+# n = 1..199 and 10^3..10^14
+PROBE_NS = np.concatenate([np.arange(1.0, 200.0), 10.0 ** np.arange(3, 15)])
+
+
 class TestWitnessIndex:
     """Every map reads its predicted index from its witness, and the piece
     that index names holds the point: everywhere but at the origin for the
@@ -538,6 +546,31 @@ class TestWitnessIndex:
         for dim in (2, 3):
             assert build_construction(cid, dim, P2).predicted_index(np.zeros((1, dim)))[0] == 0
         assert build_construction("sphere", 3, P2).predicted_index(np.zeros((1, 3)))[0] == 1
+
+    @pytest.mark.parametrize("label", ["p:1", "p:1.5", "p:2", "max"])
+    @pytest.mark.parametrize("build", [
+        sphere_retraction, canonical_extend, canonical_constant_extension, radial_projection_map,
+    ], ids=["sphere", "extend", "const-extend", "radial"])
+    def test_radial_index_holds_reciprocals_at_tol_zero(self, build, label):
+        # 1/||x|| can round down onto n when ||x|| is an ulp below fl(1/n),
+        # which piece n does not hold: at 0.19999999999999998, piece 6 does.
+        m = build(2, NormKind.parse(label))
+        t = _with_neighbours(1.0 / PROBE_NS)
+        pts = np.stack([t, np.zeros_like(t)], axis=1)
+        idx = m.predicted_index(pts, 0.0)
+        assert np.all(idx >= 1)
+        assert np.all(m.witness.membership(pts, idx, 0.0))
+        assert m.predicted_index([[0.19999999999999998, 0.0]], 0.0)[0] == 6
+
+    def test_glue_index_holds_its_edges_at_tol_zero(self):
+        # The complement pieces end at -(n + 1), -1/(n + 2), 1 + 1/(n + 2)
+        # and n + 2.
+        m = canonical_glue()
+        ns = PROBE_NS
+        pts = _with_neighbours(np.concatenate([1.0 / ns, -1.0 / ns, 1.0 + 1.0 / ns, -ns, ns + 1.0]))[:, None]
+        idx = m.predicted_index(pts, 0.0)
+        assert np.all(idx >= 0)
+        assert np.all(m.witness.membership(pts, idx, 0.0))
 
     def test_glue_points_within_tol_of_the_retract_are_in_piece_zero(self):
         m = canonical_glue()
