@@ -493,7 +493,9 @@ def sphere_retraction(
 
 def open_ball_retraction(dim: int, kind: NormKind) -> PiecewiseMap:
     """Retraction of R^d onto the open unit ball:
-    x -> (1 - floor(||x||)/||x||) * x, with the origin fixed.
+    x -> ((||x|| - floor(||x||)) / ||x||) * x, with the origin fixed.
+    The difference is exact (Sterbenz), so no accuracy is lost at large
+    ||x||, as it was by 1 - floor(||x||)/||x||; below 1 the factor is 1.
 
     Witness piece m is the union over n = 0..m of the closed bands
     {n <= ||x|| <= n+1 - 1/(m+1)} (diagonal enumeration of the doubly-indexed
@@ -507,7 +509,7 @@ def open_ball_retraction(dim: int, kind: NormKind) -> PiecewiseMap:
         r = norm(pts, kind)
         zero = r == 0.0
         safe = np.where(zero, 1.0, r)
-        factor = 1.0 - np.floor(r) / safe
+        factor = (r - np.floor(r)) / safe
         out = by_columns(pts, (np.multiply, factor[:, None]))
         if zero.any():
             out[zero] = 0.0

@@ -298,6 +298,20 @@ class TestOpenBall:
     def test_formula_example(self):
         assert np.allclose(self.m([2.5, 0.0]), [0.5, 0.0], atol=1e-15)
 
+    @pytest.mark.parametrize("label", ["p:1", "p:1.5", "p:2", "max"])
+    def test_image_norm_accurate_at_large_magnitudes(self, label):
+        # ||m(x)|| = r - floor(r) for r = ||x||. The factor 1 - floor(r)/r
+        # cancelled: its error grew with r, to 5.5e-5 at r near 1e12.
+        kind = NormKind.parse(label)
+        m = open_ball_retraction(3, kind)
+        rng = np.random.default_rng(13)
+        for big in (1e3, 1e6, 1e9, 1e12):
+            xs = rng.normal(size=(10_000, 3))
+            xs *= (rng.uniform(big / 2, big, size=10_000) / norm(xs, kind))[:, None]
+            r = norm(xs, kind)
+            err = np.abs(norm(m.apply(xs), kind) - (r - np.floor(r)))
+            assert np.max(err) < 1e-14, big
+
     def test_dimension_one_builds_and_zero_raises(self):
         assert open_ball_retraction(1, P2)([0.5])[0] == 0.5
         with pytest.raises(ConstructionError):

@@ -100,7 +100,7 @@ def ref_sphere_rule(pts, kind, t):
 
 def ref_open_ball_rule(pts, kind):
     r = ref_norm(pts, kind)
-    out = (1.0 - np.floor(r) / np.where(r == 0.0, 1.0, r))[:, None] * pts
+    out = ((r - np.floor(r)) / np.where(r == 0.0, 1.0, r))[:, None] * pts
     out[r == 0.0] = 0.0
     return out
 
