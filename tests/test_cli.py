@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -14,10 +16,34 @@ from pcretract.fields import FIELD_HEADS, parse_field
 CLI = [sys.executable, "-m", "pcretract.cli"]
 
 
-def run_cli(*args, env=None):
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=False, env=env
-    )
+def run_cli(*args):
+    """Run ``cli.main`` in this process, as ``pcretract`` would be run from a
+    shell: stdout and stderr are captured as bytes, and an argparse
+    ``SystemExit`` becomes the return code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code or 0
+    return subprocess.CompletedProcess(args, code, out.getvalue().encode(), err.getvalue().encode())
+
+
+def run_process(*args, env=None):
+    """Run ``pcretract`` in a new interpreter.  Only the tests that a single
+    process cannot show use it:
+    - test_env_seed_used, test_malformed_env_seed_is_usage_error and
+      test_negative_env_seed_names_the_variable, which set PCRETRACT_SEED
+      in the environment;
+    - test_closed_stdout_ends_quietly, which closes the real stdout pipe;
+    - test_nan_operator_values_are_a_usage_error and test_dim_at_cap_accepted,
+      which assert that stderr holds no numpy warning: in one process the
+      warnings registry shows a warning once per location, and pytest
+      catches it, so the assert could pass without testing anything;
+    - TestInProcessReuse.test_repeated_calls_match_fresh_processes, which
+      compares in-process calls with fresh processes.
+    """
+    return subprocess.run(CLI + list(args), capture_output=True, env=env)
 
 
 class TestVerifyCommand:
@@ -117,7 +143,7 @@ class TestVerifyCommand:
     def test_nan_operator_values_are_a_usage_error(self):
         # Linearity computes inf - inf on these fields; a NaN used to be
         # dropped and the run printed ALL PASS.
-        p = run_cli(
+        p = run_process(
             "verify", "--construction", "sphere", "--dim", "3", "--samples", "300",
             "--seed", "7", "--fields", "const:1e308,const:-1e308",
         )
@@ -335,7 +361,7 @@ class TestDimBound:
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_dim_at_cap_accepted(self, command):
-        p = run_cli(*self.COMMANDS[command], "--dim", str(MAX_DIM))
+        p = run_process(*self.COMMANDS[command], "--dim", str(MAX_DIM))
         assert p.returncode == 0, p.stderr
         assert p.stderr == b""
 
@@ -404,7 +430,7 @@ class TestInProcessReuse:
     def test_repeated_calls_match_fresh_processes(self, capsys):
         fresh = []
         for args in self.COMMANDS:
-            p = run_cli(*args)
+            p = run_process(*args)
             fresh.append((p.returncode, p.stdout.decode(), p.stderr.decode()))
         assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 1]
         for _ in range(2):  # interleaved, so each call follows a different one
@@ -499,11 +525,11 @@ class TestSeedEnvOverride:
         import os
 
         env = dict(os.environ, PCRETRACT_SEED="99")
-        with_env = run_cli(
+        with_env = run_process(
             "verify", "--construction", "sphere", "--samples", "300", "--format", "json",
             env=env,
         )
-        explicit = run_cli(
+        explicit = run_process(
             "verify", "--construction", "sphere", "--samples", "300", "--seed", "99",
             "--format", "json",
         )
@@ -513,7 +539,7 @@ class TestSeedEnvOverride:
         import os
 
         env = dict(os.environ, PCRETRACT_SEED="abc")
-        p = run_cli("verify", "--construction", "sphere", "--samples", "300", env=env)
+        p = run_process("verify", "--construction", "sphere", "--samples", "300", env=env)
         assert p.returncode == 2
         assert b"PCRETRACT_SEED" in p.stderr
         assert p.stdout == b""
@@ -522,7 +548,7 @@ class TestSeedEnvOverride:
         import os
 
         env = dict(os.environ, PCRETRACT_SEED="-4")
-        p = run_cli("verify", "--construction", "sphere", "--samples", "300", env=env)
+        p = run_process("verify", "--construction", "sphere", "--samples", "300", env=env)
         assert p.returncode == 2
         assert p.stderr == b"error: PCRETRACT_SEED must be >= 0, got -4\n"
         assert p.stdout == b""
