@@ -494,8 +494,8 @@ def sphere_retraction(
 def open_ball_retraction(dim: int, kind: NormKind) -> PiecewiseMap:
     """Retraction of R^d onto the open unit ball:
     x -> ((||x|| - floor(||x||)) / ||x||) * x, with the origin fixed.
-    The difference is exact (Sterbenz), so no accuracy is lost at large
-    ||x||, as it was by 1 - floor(||x||)/||x||; below 1 the factor is 1.
+    The difference is exact (Sterbenz), where 1 - floor(||x||)/||x|| would
+    cancel at large ||x||; below 1 the factor is 1.
 
     Witness piece m is the union over n = 0..m of the closed bands
     {n <= ||x|| <= n+1 - 1/(m+1)} (diagonal enumeration of the doubly-indexed

@@ -321,7 +321,7 @@ class TestWitnessCommand:
     @pytest.mark.parametrize("command", ["verify", "witness"])
     @pytest.mark.parametrize("construction", ["open-ball", "sphere", "fractional"])
     def test_removed_flag_is_usage_error(self, command, construction):
-        # --allow-low-dim went when open-ball came to take dimension 1.
+        # open-ball takes dimension 1 without a flag, so there is no --allow-low-dim.
         p = run_cli(command, "--construction", construction, "--n" if command == "witness" else "--samples",
                     "1", "--allow-low-dim")
         assert p.returncode == 2

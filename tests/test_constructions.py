@@ -301,7 +301,7 @@ class TestOpenBall:
     @pytest.mark.parametrize("label", ["p:1", "p:1.5", "p:2", "max"])
     def test_image_norm_accurate_at_large_magnitudes(self, label):
         # ||m(x)|| = r - floor(r) for r = ||x||. The factor 1 - floor(r)/r
-        # cancelled: its error grew with r, to 5.5e-5 at r near 1e12.
+        # would cancel here, with an error of 5.5e-5 at r near 1e12.
         kind = NormKind.parse(label)
         m = open_ball_retraction(3, kind)
         rng = np.random.default_rng(13)
