@@ -44,7 +44,8 @@ MAX_DIM = 1000
 # floats; at this many coordinates one such array takes 240 MB.
 MAX_COORDINATES = 3 * 10**7
 # The continuity checks draw --pairs rows for each of --max-piece-index
-# pieces, at 0.15-0.35 us a row in dimensions 1 to 3: this many take 15-35 s.
+# pieces, at 0.1-0.4 us a row in dimensions 1 to 3 (200 pieces of 2,000
+# pairs on a 2-vCPU x86-64 VM): this many take 10-40 s.
 MAX_PAIR_ROWS = 10**8
 
 

@@ -535,28 +535,30 @@ def _draw_bands(draws: Sequence[tuple], n: int) -> np.ndarray:
     the coordinate) or its normals then its uniforms (along a norm).  Those
     draws fill the piece's rows of one buffer, member by member, so they
     land sorted by member.  Member k's uniform(lo, hi) is lo + (hi - lo) * u
-    with lo = float(k) and hi = lo + width, as in member(k); the radii (or
-    coordinates) of the whole batch take one pass, and its rows' normalizing
-    and scaling another.
+    with lo = float(k) and hi = lo + width, as in member(k).  Each piece
+    turns its uniforms into radii (or coordinates) in place, one pass over
+    its rows from its scalar width, and the whole batch's rows are then
+    normalized and scaled in one pass.
     """
     kind, d = draws[0][0].kind, draws[0][0].ndim
-    total = len(draws) * n
-    u, lo, width = np.empty(total), np.empty(total), np.empty(total)
-    g = None if kind is None else np.empty((total, d))
+    radii = np.empty(len(draws) * n)
+    g = None if kind is None else np.empty((len(radii), d))
     for i, (band, rng) in enumerate(draws):
-        a, b = i * n, (i + 1) * n
+        a = i * n
         span = band.m - band.start + 1
         members, counts = _drawn_members(rng.integers(0, span, size=n), span)
-        lo[a:b] = np.repeat(members + band.start, counts)
-        width[a:b] = band.width
+        r = radii[a:a + n]
         if kind is None:
-            rng.random(out=u[a:b])
+            rng.random(out=r)
         else:
             for c in counts.tolist():
                 rng.standard_normal(out=g[a:a + c])
-                rng.random(out=u[a:a + c])
+                rng.random(out=radii[a:a + c])
                 a += c
-    radii = lo + ((lo + width) - lo) * u
+        lo = np.repeat((members + band.start).astype(float), counts)
+        hi = lo + band.width
+        r *= np.subtract(hi, lo, out=hi)
+        r += lo
     return radii[:, None] if kind is None else _unit_rows(g, kind, radii)
 
 
@@ -569,8 +571,8 @@ def sample_pieces(draws: Sequence[tuple], n: int) -> np.ndarray:
     generator shared by several pieces ends where drawing them one after
     another leaves it.  When every piece is a DiagonalBands of one kind and
     dimension, the batch is drawn by one routine (the one
-    ``DiagonalBands.sample`` uses), which computes the radii and scales the
-    rows once for all pieces; any other list is drawn piece by piece.
+    ``DiagonalBands.sample`` uses), which scales the rows once for all
+    pieces; any other list is drawn piece by piece.
     """
     if not draws:
         raise ValueError("need at least one piece to draw")

@@ -288,8 +288,11 @@ def _piece_continuity_reports(m, ks, seeds, pairs) -> list:
     piece), then each generator draws its piece's steps.  The x are validated once per batch,
     and the membership test, the distances, the map and the ratios then run
     once over all rows.  They are row-wise float operations, so each piece
-    gets the bits it would get alone.  The map never sees the points of a
-    piece with fewer than MIN_CONTINUITY_PAIRS kept pairs."""
+    gets the bits it would get alone.  Kept pairs are counted over each
+    piece's block of rows, and the map never sees the points of a piece with
+    fewer than MIN_CONTINUITY_PAIRS kept pairs.  The mask and the ratios are
+    built in place, only in arrays the pass made itself: a rule may return
+    its input.  Witness points are sorted out only for a piece that fails."""
     _check_pairs(pairs)
     reports = {}
     todo = []
@@ -305,23 +308,28 @@ def _piece_continuity_reports(m, ks, seeds, pairs) -> list:
         y = np.empty_like(x)
         for (_, rng), rows in zip(draws, np.split(y, len(draws))):
             rng.standard_normal(out=rows)
-        which = np.repeat(np.arange(len(batch)), pairs)
         y *= CONTINUITY_DELTA / 2.0
         y += x
         dist = norm(x - y, m.kind)
+        keep = dist >= 1e-14
+        keep &= dist <= CONTINUITY_DELTA
         idx = np.array([k for k, _, _ in batch], dtype=np.int64)
-        keep = m.witness.membership(y, idx[which], 0.0) & (dist >= 1e-14) & (dist <= CONTINUITY_DELTA)
-        kept = np.bincount(which[keep], minlength=len(batch))
+        keep &= m.witness.membership(y, np.repeat(idx, pairs), 0.0)
+        kept = np.add.reduceat(keep, np.arange(0, len(keep), pairs)) if pairs else np.zeros(len(batch), int)
         used = np.where(kept >= MIN_CONTINUITY_PAIRS, kept, 0)
-        keep &= (used > 0)[which]
-        x, y, dist = np.compress(keep, x, axis=0), np.compress(keep, y, axis=0), dist[keep]
-        ratio = norm(m.rule(x) - m.rule(y), m.kind) / dist if len(x) else dist
+        if not used.all():
+            keep &= np.repeat(used > 0, pairs)
+        x, y, dist = (np.compress(keep, a, axis=0) for a in (x, y, dist))
+        if len(x):
+            ratio = norm(m.rule(x) - m.rule(y), m.kind)
+            ratio /= dist
         for (k, _, bound), count, u, e in zip(batch, kept, used, np.cumsum(used)):
             name = f"piece-continuity-{k}"
             if u:
                 r = ratio[e - u:e]
-                offenders = _worst_points(x[e - u:e], np.where(r > bound, r, 0.0))
-                reports[k] = _mk_report(name, count, float(np.max(r)), bound, offenders)
+                worst = r.max()
+                offenders = _worst_points(x[e - u:e], np.where(r > bound, r, 0.0)) if worst > bound else ()
+                reports[k] = _mk_report(name, count, worst, bound, offenders)
             else:
                 reports[k] = CheckReport(name, INCONCLUSIVE, int(count), 0.0, bound)
     return [reports[k] for k in ks]

@@ -21,7 +21,12 @@ from hypothesis import strategies as st
 
 from _oracles import _rng, reference_pairs
 from pcretract import core, verification
-from pcretract.constructions import CONSTRUCTION_IDS, build_construction, sphere_retraction
+from pcretract.constructions import (
+    CONSTRUCTION_IDS,
+    build_construction,
+    fractional_part_retraction,
+    sphere_retraction,
+)
 from pcretract.core import FiniteUnion, NormBand, NormKind, PieceFamily, Singleton, norm, piece
 from pcretract.verification import (
     CORRUPTIONS,
@@ -31,6 +36,7 @@ from pcretract.verification import (
     CheckReport,
     check_cover,
     check_piece_continuity,
+    corrupt_understated_lipschitz,
     run_suite,
 )
 
@@ -84,6 +90,12 @@ CONTROLS = (None,) + tuple(CORRUPTIONS)
 )
 @example(dim=3, norm_text="p:2", seed=7, pairs=2000, delta=1e-3, max_index=10,
          batch_rows=verification.BATCH_ROWS)
+# sphere pieces 5 and 8 keep 49 and 36 pairs, beside pieces that pass: the
+# under-minimum mask runs in a mixed batch.
+@example(dim=10, norm_text="p:2", seed=7, pairs=2000, delta=1e-3, max_index=10,
+         batch_rows=verification.BATCH_ROWS)
+@example(dim=10, norm_text="p:2", seed=7, pairs=0, delta=1e-3, max_index=10,
+         batch_rows=verification.BATCH_ROWS)
 def test_suite_equals_per_piece_reference(
     construction, control, dim, norm_text, seed, pairs, delta, max_index, batch_rows
 ):
@@ -109,6 +121,16 @@ def test_piece_zero_matches_reference(construction, pairs):
     assert got == reference_continuity(m, 0, pairs=pairs, seed=4)
     if construction == "open-ball":
         assert got.status == INCONCLUSIVE  # piece 0 is the origin alone
+
+
+def test_a_rule_that_returns_its_input_is_left_unwritten():
+    # Every piece fails with witness points, so the pass takes its ratios and
+    # offenders from the rule's output, which here is x or y itself.  No
+    # in-place step may write into x, y or that output.
+    m = corrupt_understated_lipschitz(fractional_part_retraction().replace(rule=lambda pts: pts))
+    got = [r for r in run_suite(m, seed=7, samples=50) if r.check_name.startswith("piece-continuity-")]
+    assert got == [reference_continuity(m, k, seed=9 + k) for k in range(1, 11)]
+    assert all(r.status == FAIL and r.witness_points for r in got)
 
 
 def _recording(m):

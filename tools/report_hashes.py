@@ -10,7 +10,9 @@ would hash them.  The last three hash one perfbench workload each: every
 by `workloads.run_case` at the workload's sample count and fed to one sha256
 as `repr((index, seed, tuples))`.  A case that raises is hashed as
 `repr((index, seed, repr(exc)))`.  Two checkouts whose reports match print the
-same lines.
+same lines.  Each line ends with the number of Python warnings (numpy's
+floating-point warnings among them) that computing its hash raised; they are
+counted, not printed to stderr.
 
 The script imports the checkout's own `src/` (through `perfbench/paths.py`)
 and `perfbench/workloads.py`, and changes neither.  It only reports: an error
@@ -22,6 +24,7 @@ import hashlib
 import io
 import pathlib
 import sys
+import warnings
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -73,11 +76,13 @@ def main() -> int:
     jobs = [(f"verify {c}", verify_hash, c) for c in CONSTRUCTION_IDS]
     jobs += [(f"pool {w}", pool_hash, w) for w in WORKLOADS]
     for label, fn, arg in jobs:
-        try:
-            value = fn(arg)
-        except Exception as exc:
-            value = f"error: {exc!r}"
-        print(f"{label}: {value}", flush=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                value = fn(arg)
+            except Exception as exc:
+                value = f"error: {exc!r}"
+        print(f"{label}: {value} ({len(caught)} warnings)", flush=True)
     return 0
 
 
