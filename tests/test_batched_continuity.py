@@ -94,6 +94,7 @@ CONTROLS = (None,) + tuple(CORRUPTIONS)
 # under-minimum mask runs in a mixed batch.
 @example(dim=10, norm_text="p:2", seed=7, pairs=2000, delta=1e-3, max_index=10,
          batch_rows=verification.BATCH_ROWS)
+# No pairs: the kept pairs are not counted over empty piece blocks.
 @example(dim=10, norm_text="p:2", seed=7, pairs=0, delta=1e-3, max_index=10,
          batch_rows=verification.BATCH_ROWS)
 def test_suite_equals_per_piece_reference(
