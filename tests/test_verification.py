@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 import tracemalloc
 import weakref
@@ -330,6 +329,19 @@ class TestOperatorChecks:
         by_name = {r.check_name: r for r in reps}
         assert by_name["operator-extension"].status == FAIL
 
+    def test_negative_control_doubled_off_retract(self):
+        # T f = f∘phi on the sphere and 2 f∘phi off it: linear, positive and
+        # an extension, but sup |Tf| doubles.  poly:0:3 is the constant 3.
+        def doubled(p, f):
+            tf = extension_operator(p, f)
+            off = lambda pts: np.abs(norm(pts, P2) - 1.0) > 1e-9
+            return dataclasses.replace(tf, rule=lambda pts, r=tf.rule: np.where(off(pts), 2.0, 1.0) * r(pts))
+        phi = build_construction("sphere", 3, P2)
+        fields = [parse_field(e, 3, phi.codomain, 1.0) for e in TestOperatorEvaluationCount.FIELDS]
+        reps = check_operator_properties(phi, fields, n=2000, seed=3, operator=doubled)
+        assert [r.status for r in reps] == [PASS, PASS, PASS, FAIL]
+        assert reps[3].check_name == "operator-isometry" and reps[3].max_violation == 3.0
+
 
 class TestOperatorEvaluationCount:
     FIELDS = ("coord:0", "sin:1", "cos:2", "const:2", "poly:0:3")
@@ -349,8 +361,8 @@ class TestOperatorEvaluationCount:
             built.append(f.label)
             return extension_operator(p, f)
         reps = check_operator_properties(counted, self.fields(phi), n=3000, seed=4, operator=operator)
-        # x_pts, a_pts, and the isometry domain and retract draws.
-        assert calls == [3000] * 4
+        # The domain and the retract draws; the isometry reads both.
+        assert calls == [3000] * 2
         # One extension per field, per linear combination, per shifted field.
         assert len(built) == 15
         plain = check_operator_properties(phi, self.fields(phi), n=3000, seed=4)
@@ -370,12 +382,16 @@ class TestOperatorEvaluationCount:
         reps = check_operator_properties(phi, [counted(f) for f in fields], n=3000, seed=4)
         plain = check_operator_properties(phi, fields, n=3000, seed=4)
         assert [r.to_json_dict() for r in reps] == [r.to_json_dict() for r in plain]
+        x = domain_sampler(phi, 4).draw(3000)
+        a = codomain_sampler(phi.codomain, 5).draw(3000)
+        expected = [phi.rule(x), a, phi.rule(a)]
         for f in fields:
             arrays = seen[f.label]
             assert len({id(a) for a in arrays}) == len(arrays), f.label
-            # phi's image of each of the four sets, the retract draws of the
-            # extension check and those of the isometry check.
-            assert len(arrays) == 6, f.label
+            # phi's image of the domain draws, the retract draws and phi's
+            # image of the retract draws, in that order.
+            assert len(arrays) == 3, f.label
+            assert all(np.array_equal(got, want) for got, want in zip(arrays, expected)), f.label
 
     @staticmethod
     def scribbler(phi):
@@ -409,16 +425,26 @@ class TestOperatorEvaluationCount:
 NAN_N, NAN_SEED = 300, 1
 
 
-@functools.cache
-def _isometry_draws():
-    return domain_sampler(build_construction("sphere", 3, P2), NAN_SEED + 2).draw(NAN_N)
+def _on_sphere(pts):
+    """Whether each point lies on the unit sphere: of the point sets the
+    operator check gives an extension, only the retract draws do."""
+    return np.abs(norm(pts, P2) - 1.0) <= 1e-12
 
 
-def _isometry_domain_draws(pts):
-    """Whether pts are the domain points the isometry step of the NaN tests
-    draws: every point set of the check has NAN_N rows, so the rows' values
-    tell this one apart."""
-    return pts.shape == _isometry_draws().shape and np.array_equal(pts, _isometry_draws())
+def _spike(phi):
+    """A field that lies about its bound: inf where x_0 > 0.5."""
+    return ScalarField("spike", 3, lambda pts: np.where(pts[:, 0] > 0.5, np.inf, 0.0), phi.codomain, bound=1.0)
+
+
+def _spike_operator(p, f):
+    """An operator whose Tf is inf at the retract draws with x_0 < -0.5 and
+    0 elsewhere.  With f = _spike(p), every property but the isometry is
+    defined: Tf - f is inf or -inf at the retract draws where one side is
+    inf, and 0 at the others, but sup |Tf| and sup |f| are both inf."""
+    return dataclasses.replace(
+        extension_operator(p, f),
+        rule=lambda pts: np.where(_on_sphere(pts) & (pts[:, 0] < -0.5), np.inf, 0.0),
+    )
 
 
 class TestOperatorNaN:
@@ -428,11 +454,11 @@ class TestOperatorNaN:
     FIELDS = TestOperatorEvaluationCount.FIELDS
 
     @staticmethod
-    def nan_operator(where):
-        """extension_operator whose values are NaN wherever
+    def nan_operator(where, base=extension_operator):
+        """``base`` (extension_operator by default) with values NaN wherever
         ``where(field, points)`` is true."""
         def operator(p, f):
-            tf = extension_operator(p, f)
+            tf = base(p, f)
 
             def rule(pts, r=tf.rule):
                 out = r(pts)
@@ -444,9 +470,7 @@ class TestOperatorNaN:
         ("operator-linearity", lambda f, pts: True),
         # The shifted fields of the positivity check are labelled 1*f+1*c.
         ("operator-positivity", lambda f, pts: f.label.startswith("1*")),
-        # Only the retract draws lie on the unit sphere.
-        ("operator-extension", lambda f, pts: np.abs(norm(pts, P2) - 1.0) <= 1e-12),
-        ("operator-isometry", lambda f, pts: _isometry_domain_draws(pts)),
+        ("operator-extension", lambda f, pts: _on_sphere(pts)),
     ])
     def test_nan_extension_raises(self, check, where):
         phi = build_construction("sphere", 3, P2)
@@ -454,6 +478,14 @@ class TestOperatorNaN:
         with pytest.raises(ValueError, match=f"^{check} is undefined"):
             check_operator_properties(phi, fields, n=NAN_N, seed=NAN_SEED,
                                       operator=self.nan_operator(where))
+
+    def test_infinite_suprema_raise_at_isometry(self):
+        # A NaN value reaches an earlier property first, since the isometry
+        # reads only values they read.  Two infinite suprema at different
+        # retract draws reach only the isometry.
+        phi = build_construction("sphere", 3, P2)
+        with pytest.raises(ValueError, match="^operator-isometry is undefined"):
+            check_operator_properties(phi, [_spike(phi)], n=NAN_N, seed=NAN_SEED, operator=_spike_operator)
 
     def test_overflowing_catalog_fields_raise(self):
         # 2 * 1e308 - 3 * -1e308 overflows to inf on both sides: inf - inf.
@@ -539,7 +571,6 @@ class TestImageLifetimes:
 
     def test_repeated_checks_leave_nothing_behind(self):
         # A kept view would keep its 20,000-row input alive: 469 KiB a call.
-        # The view field is unbounded, so no isometry step clears its table.
         phi = build_construction("extend", 3, P2)
         fields = [parse_field(e, 3, phi.codomain, 1.0) for e in TestOperatorEvaluationCount.FIELDS]
         fields.append(ScalarField("view", 3, lambda pts: pts[:, 0], phi.codomain))
@@ -558,18 +589,18 @@ class TestImageLifetimes:
 class TestOperatorNaNOrder:
     """When two properties are NaN at once, the one checked first is named."""
 
+    # On the spike field and operator, the isometry is undefined too.
     @pytest.mark.parametrize("check,where", [
-        # The shifted fields of positivity, and the isometry domain draws.
-        ("operator-positivity", lambda f, pts: f.label.startswith("1*") or _isometry_domain_draws(pts)),
-        # Retract draws of both the extension and the isometry check.
-        ("operator-extension", lambda f, pts: np.abs(norm(pts, P2) - 1.0) <= 1e-12),
+        # The shifted fields of positivity.
+        ("operator-positivity", lambda f, pts: f.label.startswith("1*")),
+        # The retract draws, which the extension and the isometry read.
+        ("operator-extension", lambda f, pts: _on_sphere(pts)),
     ])
     def test_earlier_property_is_named(self, check, where):
         phi = build_construction("sphere", 3, P2)
-        fields = [parse_field(e, 3, phi.codomain, 1.0) for e in TestOperatorNaN.FIELDS]
         with pytest.raises(ValueError, match=f"^{check} is undefined"):
-            check_operator_properties(phi, fields, n=NAN_N, seed=NAN_SEED,
-                                      operator=TestOperatorNaN.nan_operator(where))
+            check_operator_properties(phi, [_spike(phi)], n=NAN_N, seed=NAN_SEED,
+                                      operator=TestOperatorNaN.nan_operator(where, _spike_operator))
 
 
 class TestBorsukDemo:
