@@ -399,10 +399,11 @@ def _inverse(t: np.ndarray) -> np.ndarray:
 
 
 def _radial_bands(kind: NormKind, dim: int, hi: float, with_origin: bool) -> PieceFamily:
-    """Pieces {1/max(n, 1) <= ||x|| <= hi}, each with the origin added when
-    ``with_origin``.  A point's index is the smallest n >= 1 with
-    1/n <= ||x||, confirmed against the piece's float bound, or -1 beyond
-    hi; at the origin it is 1 with the origin added, else -1."""
+    """Pieces {1/max(n, 1) <= ||x|| <= hi}, plus the origin when ``with_origin``.
+    A point's index is n = ceil(1/||x||) >= 1, moved to n + 1 where piece n
+    misses x and to n - 1 where piece n - 1 holds x at tolerance 0; at
+    tolerance 0 that is the smallest piece holding x.  It is -1 beyond hi,
+    and at the origin 1 with the origin added, else -1."""
     origin = Singleton(_origin(dim))
 
     def piece_at(n):
@@ -423,9 +424,9 @@ def _radial_bands(kind: NormKind, dim: int, hi: float, with_origin: bool) -> Pie
         pos = r > 0.0
         rp = r[pos]
         n = np.maximum(_capped_index(_inverse(rp)), 1)
-        # 1/r can round down onto n while r < fl(1/n), as 1/0.19999999999999998
-        # does onto 5; piece n + 1 holds x then.
-        idx[pos] = n + (~above_floor(rp, n, tol) & (n < INDEX_CAP))
+        # 1/r can round down onto n while piece n misses x (1/0.19999999999999998
+        # onto 5), or up past n - 1 while piece n - 1 holds x (1/fl(1/49) onto 50).
+        idx[pos] = n + (~above_floor(rp, n, tol) & (n < INDEX_CAP)) - ((n > 1) & above_floor(rp, n - 1, 0.0))
         idx[r > hi + tol] = -1
         return idx
 
@@ -532,7 +533,8 @@ def open_ball_retraction(dim: int, kind: NormKind) -> PiecewiseMap:
 
 
 def canonical_glue() -> PiecewiseMap:
-    """X = R, A = [0, 1], g = clamp to [0, 1] off A."""
+    """X = R, A = [0, 1], g = clamp to [0, 1] off A.  The complement index
+    names a piece that holds the point, not always the smallest one."""
     a = Interval(0.0, 1.0)
 
     def complement_at(n):

@@ -568,13 +568,17 @@ class TestWitnessIndex:
     def test_radial_index_holds_reciprocals_at_tol_zero(self, build, label):
         # 1/||x|| can round down onto n when ||x|| is an ulp below fl(1/n),
         # which piece n does not hold: at 0.19999999999999998, piece 6 does.
+        # It can also round up past n when ||x|| is fl(1/n) itself: 1/fl(1/49)
+        # is 49.00000000000001, and piece 49 is the smallest that holds it.
         m = build(2, NormKind.parse(label))
-        t = _with_neighbours(1.0 / PROBE_NS)
+        t = _with_neighbours(1.0 / np.concatenate([np.arange(1.0, 2000.0), 10.0 ** np.arange(4, 15)]))
         pts = np.stack([t, np.zeros_like(t)], axis=1)
         idx = m.predicted_index(pts, 0.0)
         assert np.all(idx >= 1)
         assert np.all(m.witness.membership(pts, idx, 0.0))
-        assert m.predicted_index([[0.19999999999999998, 0.0]], 0.0)[0] == 6
+        above = idx > 1
+        assert not np.any(m.witness.membership(pts[above], idx[above] - 1, 0.0))
+        assert m.predicted_index([[0.19999999999999998, 0.0], [1.0 / 49.0, 0.0]], 0.0).tolist() == [6, 49]
 
     def test_glue_index_holds_its_edges_at_tol_zero(self):
         # The complement pieces end at -(n + 1), -1/(n + 2), 1 + 1/(n + 2)
