@@ -176,7 +176,11 @@ def check_retraction_identity(
 ) -> CheckReport:
     """max over retract samples of ||r(a) - a||; a retraction fixes them all.
     The draw is validated once and the rule runs on it directly."""
-    pts = as_points(codomain_sampler(m.codomain, seed).draw(n), m.dim)
+    return _retraction_identity(m, as_points(codomain_sampler(m.codomain, seed).draw(n), m.dim), tol)
+
+
+def _retraction_identity(m: PiecewiseMap, pts: np.ndarray, tol: float) -> CheckReport:
+    """check_retraction_identity on the validated retract points pts."""
     dev = norm(m.rule(pts) - pts, m.kind)
     offenders = _worst_points(pts, np.where(dev > tol, dev, 0.0))
     return _mk_report("retraction-identity", len(pts), float(np.max(dev)), tol, offenders)
@@ -231,9 +235,21 @@ def check_cover(
     time."""
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
+    return _cover(m, _cover_points(m, n, seed, extra_points), max_index, seed, tolerance)
+
+
+def _cover_points(m: PiecewiseMap, n: int, seed: int, extra_points: Optional[Sequence]) -> np.ndarray:
+    """The validated points of check_cover: the extra points, if any, then
+    n draws of domain_sampler(m, seed)."""
     pts = as_points(domain_sampler(m, seed).draw(n), m.dim)
     if extra_points is not None and len(extra_points):
         pts = np.concatenate([as_points(np.asarray(extra_points, float), m.dim), pts])
+    return pts
+
+
+def _cover(m: PiecewiseMap, pts: np.ndarray, max_index: int, seed: int, tolerance: Tolerance) -> CheckReport:
+    """check_cover on the validated points pts; seed feeds the monotonicity
+    draws, if any."""
     tol = tolerance.membership_tol
 
     # Offenders: uncovered points, then points outside their predicted piece
@@ -443,9 +459,6 @@ LINEARITY_ALPHA, LINEARITY_BETA = 2.0, -3.0
 ISOMETRY_TOL = 1e-9
 
 
-# Fields near the float limit overflow to inf and inf - inf is NaN; _not_nan
-# reports the NaN, so numpy's warnings about it would only repeat it.
-@np.errstate(over="ignore", invalid="ignore")
 def check_operator_properties(
     phi: PiecewiseMap,
     fields: Sequence[ScalarField],
@@ -457,8 +470,10 @@ def check_operator_properties(
     """Linearity, positivity, extension and sup-norm isometry reports for the
     composition operator f -> f∘phi over the given catalog fields.
 
-    The check draws two sets of n points, domain points (linearity and
-    positivity) and retract points (extension); the isometry reads both.
+    The check draws two sets of n points, domain points at ``seed``
+    (linearity and positivity) and retract points at ``seed + 1``
+    (extension); the isometry reads both.  run_suite instead hands it the
+    sets its retraction identity and cover checks read.
     Each set is validated once when drawn and made read-only, and the check
     calls rules on it directly rather than through ``apply``; it tests
     instead that every field and every operator result takes points of
@@ -485,14 +500,33 @@ def check_operator_properties(
     """
     if not fields:
         raise ValueError("need at least one field")
+    sets = [_drawn(codomain_sampler(phi.codomain, seed + 1), n, phi.dim),
+            _drawn(domain_sampler(phi, seed), n, phi.dim)]
+    return _operator_reports(phi, fields, sets, tolerance, operator)
+
+
+# Fields near the float limit overflow to inf and inf - inf is NaN; _not_nan
+# reports the NaN, so numpy's warnings about it would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
+def _operator_reports(
+    phi: PiecewiseMap,
+    fields: Sequence[ScalarField],
+    sets: list,
+    tolerance: Tolerance,
+    operator: Callable[[PiecewiseMap, ScalarField], ScalarField],
+) -> list:
+    """check_operator_properties on sets = [retract points, domain points],
+    validated and read-only.  It empties the list: a caller that keeps no
+    other reference to a set hands it over, so the set and its images go
+    when the check is done with them."""
+    a_pts, x_pts = sets
+    sets.clear()
     phi = phi.replace(rule=_memoized(phi.rule))
     fields = [dataclasses.replace(f, rule=_memoized(f.rule)) for f in fields]
 
     def extended(f):
         return _on_dim(operator(phi, f), phi.dim)
 
-    x_pts = _drawn(domain_sampler(phi, seed), n, phi.dim)
-    a_pts = _drawn(codomain_sampler(phi.codomain, seed + 1), n, phi.dim)
     ext = [extended(f) for f in fields]
     for f in fields:
         _on_dim(f, phi.dim)
@@ -699,29 +733,43 @@ def run_suite(
     tolerance: Tolerance = DEFAULT_TOLERANCE,
     fields: Sequence[ScalarField] = (),
 ) -> list:
-    """All applicable checks for a map, in fixed order.  The cover check
-    also tests the map's special points; a map onto NormBand(kind, 0, 1, d),
-    the closure of the open unit ball (the open-ball retraction), also gets
-    the open-ball norm identity.
+    """All applicable checks for a map, in fixed order: the retraction
+    identity, the cover check (which also tests the map's special points),
+    the continuity of pieces 1..max_piece_index, the open-ball norm identity
+    for a map onto NormBand(kind, 0, 1, d), the closure of the open unit
+    ball (the open-ball retraction), and, given fields, the operator
+    properties.
 
-    The continuity checks of pieces 1..max_piece_index run as one batched
-    pass, but each piece k keeps its own generator (seed + 2 + k), so each
-    report equals that of check_piece_continuity(m, k, seed=seed + 2 + k)
-    and batching cannot change it."""
+    Two point sets are drawn once each: the retract set,
+    codomain_sampler(m.codomain, seed), and the domain set,
+    domain_sampler(m, seed + 1).  The retraction identity reads the retract
+    set and the cover check the domain set, so their reports equal
+    check_retraction_identity(m, samples, seed=seed) and check_cover(m,
+    samples, seed=seed + 1, extra_points=m.special_points).  The operator
+    check reads the domain set for linearity and positivity, the retract
+    set for extension, and both for the isometry; alone,
+    check_operator_properties draws its own at (seed, seed + 1).  The suite
+    holds a set only while a later check needs it and hands both over to
+    the operator check, so each goes, with its images, when that check is
+    done with it.
+
+    The continuity checks run as one batched pass, but each piece k keeps
+    its own generator (seed + 2 + k), so each report equals that of
+    check_piece_continuity(m, k, seed=seed + 2 + k) and batching cannot
+    change it.  The open-ball norm identity draws its own points at
+    seed + 50."""
     _check_pairs(pairs)
     if max_piece_index < 1:
         raise ValueError(f"max_piece_index must be >= 1, got {max_piece_index}")
-    reports = [
-        check_retraction_identity(m, n=samples, tol=tolerance.identity_tol, seed=seed),
-        check_cover(
-            m,
-            n=samples,
-            max_index=max_piece_index,
-            seed=seed + 1,
-            tolerance=tolerance,
-            extra_points=m.special_points,
-        ),
-    ]
+    retract = _drawn(codomain_sampler(m.codomain, seed), samples, m.dim)
+    reports = [_retraction_identity(m, retract, tolerance.identity_tol)]
+    operator_sets = [retract] if fields else []
+    del retract
+    domain = _frozen(_cover_points(m, samples, seed + 1, m.special_points))
+    reports.append(_cover(m, domain, max_piece_index, seed + 1, tolerance))
+    if fields:
+        operator_sets.append(domain[len(m.special_points):])
+    del domain
     ks = range(1, max_piece_index + 1)
     reports.extend(_piece_continuity_reports(m, ks, [seed + 2 + k for k in ks], pairs))
     if m.codomain == NormBand(m.kind, 0.0, 1.0, m.dim):
@@ -729,7 +777,5 @@ def run_suite(
             check_norm_identity_open_ball(m, n=samples, tol=tolerance.identity_tol, seed=seed + 50)
         )
     if fields:
-        reports.extend(
-            check_operator_properties(m, fields, n=samples, seed=seed + 60, tolerance=tolerance)
-        )
+        reports.extend(_operator_reports(m, fields, operator_sets, tolerance, extension_operator))
     return reports

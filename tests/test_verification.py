@@ -496,22 +496,46 @@ class TestOperatorNaN:
                 check_operator_properties(phi, fields, n=NAN_N, seed=NAN_SEED)
 
 
+def _traced_peak(call):
+    """(call's result, the peak of tracemalloc's traced memory during it)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestOperatorMemory:
-    # Four point sets of 20,000 x 3 floats take 1.8 MiB; a memo that kept
-    # every image for the whole call peaked near 9.5 MiB.
-    PEAK_MIB = 6.0
+    # Two point sets of 20,000 x 3 floats take 0.9 MiB, and the check peaks
+    # near 3.4 MiB; a memo that kept every image, and its input, for the
+    # whole call peaked near 4.6 MiB.
+    PEAK_MIB = 4.0
+    # run_suite on the same map peaks near 3.37 MiB with the five fields and
+    # 1.78 MiB without.  A suite that kept its point sets in its own locals,
+    # so that the operator check could not free the domain images after
+    # positivity, peaked near 4.6 and 2.7 MiB.  One whose cover check copied
+    # the held domain set to prepend the special points peaked near 2.24 MiB
+    # without fields.
+    SUITE_PEAK_MIB = {True: 3.6, False: 2.0}
 
     def test_traced_peak_is_bounded(self):
         phi = build_construction("extend", 3, P2)
         fields = [parse_field(e, 3, phi.codomain, 1.0) for e in TestOperatorEvaluationCount.FIELDS]
-        tracemalloc.start()
-        try:
-            reps = check_operator_properties(phi, fields, n=20_000, seed=7)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        reps, peak = _traced_peak(lambda: check_operator_properties(phi, fields, n=20_000, seed=7))
         assert all(r.status == PASS for r in reps)
         assert peak <= self.PEAK_MIB * 2**20, f"{peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("with_fields", [True, False])
+    def test_suite_traced_peak_is_bounded(self, with_fields):
+        m = build_construction("extend", 3, P2)
+        fields = [parse_field(e, 3, m.codomain, 1.0) for e in TestOperatorEvaluationCount.FIELDS]
+        fields = fields if with_fields else ()
+        reps, peak = _traced_peak(lambda: run_suite(m, seed=7, samples=20_000, fields=fields))
+        assert len(reps) == 12 + 4 * with_fields and all(r.status == PASS for r in reps)
+        bound = self.SUITE_PEAK_MIB[with_fields]
+        assert peak <= bound * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 class TestImageLifetimes:
@@ -634,6 +658,41 @@ class TestBorsukDemo:
     def test_rejects_directions_of_another_dimension(self, sphere, u, v, got):
         with pytest.raises(core.DimensionMismatch, match=f"^demo directions must have dimension 2, got {got}$"):
             borsuk_discontinuity_demo(sphere, u, v)
+
+
+class TestSuiteSharesDraws:
+    """run_suite draws its retract and domain sets once: the retraction
+    identity and the cover check read them, and so does the operator check."""
+
+    N = 2_000
+    SEED = 11
+
+    @pytest.fixture(params=["extend", "const-extend", "sphere"])
+    def m(self, request):
+        return build_construction(request.param, 3, P2)
+
+    def fields(self, m):
+        return [parse_field(e, 3, m.codomain, 1.0) for e in TestOperatorEvaluationCount.FIELDS]
+
+    def test_two_draws_with_fields(self, m):
+        with mock.patch.object(Sampler, "draw", autospec=True, side_effect=Sampler.draw) as draw:
+            run_suite(m, seed=self.SEED, samples=self.N, fields=self.fields(m))
+        assert draw.call_count == 2
+
+    def test_reports_equal_the_checks_on_the_shared_sets(self, m):
+        n, seed = self.N, self.SEED
+        reps = run_suite(m, seed=seed, samples=n, fields=self.fields(m))
+        assert reps[0] == check_retraction_identity(m, n, seed=seed)
+        assert reps[1] == check_cover(m, n, seed=seed + 1, extra_points=m.special_points)
+        sets = [
+            verification._drawn(codomain_sampler(m.codomain, seed), n, m.dim),
+            verification._drawn(domain_sampler(m, seed + 1), n, m.dim),
+        ]
+        alone = verification._operator_reports(
+            m, self.fields(m), sets, core.DEFAULT_TOLERANCE, extension_operator
+        )
+        assert sets == []
+        assert [r.to_json_dict() for r in reps[-4:]] == [r.to_json_dict() for r in alone]
 
 
 class TestSuiteAndReports:
