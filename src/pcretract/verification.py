@@ -168,19 +168,24 @@ def _worst_points(pts: np.ndarray, dev: np.ndarray) -> np.ndarray:
 # Checks
 
 
+def _points(check: str, pts, dim: int) -> np.ndarray:
+    """pts validated once by as_points, which returns a 2-D float array as
+    it is; a set with no rows raises, naming the check."""
+    pts = as_points(pts, dim)
+    if not len(pts):
+        raise ValueError(f"{check} needs at least one point")
+    return pts
+
+
 def check_retraction_identity(
     m: PiecewiseMap,
-    n: int = 10_000,
+    pts,
     tol: float = DEFAULT_TOLERANCE.identity_tol,
-    seed: int = 0,
 ) -> CheckReport:
-    """max over retract samples of ||r(a) - a||; a retraction fixes them all.
-    The draw is validated once and the rule runs on it directly."""
-    return _retraction_identity(m, as_points(codomain_sampler(m.codomain, seed).draw(n), m.dim), tol)
-
-
-def _retraction_identity(m: PiecewiseMap, pts: np.ndarray, tol: float) -> CheckReport:
-    """check_retraction_identity on the validated retract points pts."""
+    """max over the given retract points a of ||r(a) - a||; a retraction
+    fixes them all.  run_suite gives it codomain_sampler(m.codomain, seed).
+    The points are validated once and the rule runs on them directly."""
+    pts = _points("retraction-identity", pts, m.dim)
     dev = norm(m.rule(pts) - pts, m.kind)
     offenders = _worst_points(pts, np.where(dev > tol, dev, 0.0))
     return _mk_report("retraction-identity", len(pts), float(np.max(dev)), tol, offenders)
@@ -205,21 +210,22 @@ def _batches(items: Sequence, n: int) -> list:
 
 
 # Points drawn from each piece whose monotonicity the bounds leave undecided:
-# nine pieces of 1,000 cost about one cover draw of the default 10,000.
+# nine pieces of 1,000 cost about one cover set of run_suite's default 10,000.
 MONOTONICITY_SAMPLES = 1_000
 
 
 def check_cover(
     m: PiecewiseMap,
-    n: int = 10_000,
+    pts,
     max_index: int = 10,
     seed: int = 0,
     tolerance: Tolerance = DEFAULT_TOLERANCE,
-    extra_points: Optional[Sequence] = None,
 ) -> CheckReport:
-    """Every domain sample lies in its predicted witness piece, and piece(k)
-    lies in piece(k+1) for k < max_index.  Each drawn set is validated once;
-    the predicted index and the witness test then run on it directly.
+    """Every given domain point lies in its predicted witness piece, and
+    piece(k) lies in piece(k+1) for k < max_index.  run_suite gives it
+    m.special_points followed by domain_sampler(m, seed + 1), and this
+    seed.  The points are validated once; the predicted index and the
+    witness test then run on them directly.
 
     Monotonicity is decided from the pieces' bounds where it can be: when
     ``piece(k).subset_of(piece(k+1))`` holds for every k, no point is drawn
@@ -231,25 +237,11 @@ def check_cover(
     can only find points that the draw put outside piece(k) itself.
 
     Otherwise MONOTONICITY_SAMPLES points of each piece(k) are drawn, in
-    order from one generator, and tested against piece(k+1) a batch at a
-    time."""
+    order from one generator seeded by ``seed``, and tested against
+    piece(k+1) a batch at a time."""
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
-    return _cover(m, _cover_points(m, n, seed, extra_points), max_index, seed, tolerance)
-
-
-def _cover_points(m: PiecewiseMap, n: int, seed: int, extra_points: Optional[Sequence]) -> np.ndarray:
-    """The validated points of check_cover: the extra points, if any, then
-    n draws of domain_sampler(m, seed)."""
-    pts = as_points(domain_sampler(m, seed).draw(n), m.dim)
-    if extra_points is not None and len(extra_points):
-        pts = np.concatenate([as_points(np.asarray(extra_points, float), m.dim), pts])
-    return pts
-
-
-def _cover(m: PiecewiseMap, pts: np.ndarray, max_index: int, seed: int, tolerance: Tolerance) -> CheckReport:
-    """check_cover on the validated points pts; seed feeds the monotonicity
-    draws, if any."""
+    pts = _points("cover-and-monotonicity", pts, m.dim)
     tol = tolerance.membership_tol
 
     # Offenders: uncovered points, then points outside their predicted piece
@@ -375,15 +367,14 @@ INTEGER_GAP = 1e-9
 
 def check_norm_identity_open_ball(
     m: PiecewiseMap,
-    n: int = 100_000,
+    pts,
     tol: float = DEFAULT_TOLERANCE.identity_tol,
-    seed: int = 0,
 ) -> CheckReport:
     """||m(x)|| equals ||x|| - floor(||x||) up to tol, and stays strictly
-    below 1 whenever ||x|| is at least INTEGER_GAP away from an integer.
-    The points are drawn from the ball of radius DOMAIN_RADIUS."""
-    sampler = Sampler(seed, "ball", dim=m.dim, kind=m.kind, lo=0.0, hi=DOMAIN_RADIUS)
-    pts = as_points(sampler.draw(n), m.dim)
+    below 1 whenever ||x|| is at least INTEGER_GAP away from an integer,
+    over the given points x.  run_suite gives it the ball of radius
+    DOMAIN_RADIUS, drawn at seed + 50.  The points are validated once."""
+    pts = _points("open-ball-norm-identity", pts, m.dim)
     r = norm(pts, m.kind)
     rn = norm(m.rule(pts), m.kind)
     dev = np.abs(rn - (r - np.floor(r)))
@@ -400,11 +391,6 @@ def check_norm_identity_open_ball(
 def _frozen(pts: np.ndarray) -> np.ndarray:
     pts.flags.writeable = False
     return pts
-
-
-def _drawn(sampler: Sampler, n: int, dim: int) -> np.ndarray:
-    """n points of the sampler, validated once and read-only."""
-    return _frozen(as_points(sampler.draw(n), dim))
 
 
 def _memoized(rule: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
@@ -459,68 +445,56 @@ LINEARITY_ALPHA, LINEARITY_BETA = 2.0, -3.0
 ISOMETRY_TOL = 1e-9
 
 
+# Fields near the float limit overflow to inf and inf - inf is NaN; _not_nan
+# reports the NaN, so numpy's warnings about it would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def check_operator_properties(
     phi: PiecewiseMap,
     fields: Sequence[ScalarField],
-    n: int = 10_000,
-    seed: int = 0,
+    sets: list,
     tolerance: Tolerance = DEFAULT_TOLERANCE,
     operator: Callable[[PiecewiseMap, ScalarField], ScalarField] = extension_operator,
 ) -> list:
     """Linearity, positivity, extension and sup-norm isometry reports for the
     composition operator f -> f∘phi over the given catalog fields.
 
-    The check draws two sets of n points, domain points at ``seed``
-    (linearity and positivity) and retract points at ``seed + 1``
-    (extension); the isometry reads both.  run_suite instead hands it the
-    sets its retraction identity and cover checks read.
-    Each set is validated once when drawn and made read-only, and the check
-    calls rules on it directly rather than through ``apply``; it tests
-    instead that every field and every operator result takes points of
-    phi's dimension.
+    ``sets`` is [retract points, domain points]: linearity and positivity
+    read the domain points, extension the retract points, and the isometry
+    both.  run_suite gives it the sets its retraction identity and cover
+    checks read: codomain_sampler(phi.codomain, seed) and
+    domain_sampler(phi, seed + 1), without the special points.  The check
+    takes the two sets over and empties the list, so a caller that keeps
+    no other reference to a set hands it over, and the set and its images
+    go when the check is done with them.  Each set is validated once and
+    made read-only, and the check calls rules on it directly rather than
+    through ``apply``; it tests instead that every field and every
+    operator result takes points of phi's dimension.
 
     phi and every given field are memoized: each read-only array they are
     given maps, by identity, to its read-only image, and an image lives as
-    long as the array it was made from.  So phi runs once per point set, on
-    2n points, and each field once per distinct array it sees, however many
-    combinations, shifted fields and extensions reuse it.  The domain draws,
-    and every image made from them, go after positivity, and the retract
-    draws after extension.  A field rule that writes into its input raises
-    instead of corrupting a set or an image.  ``operator`` is called once
-    per field, combination and shifted field.
+    long as the array it was made from.  So phi runs once per point set,
+    and each field once per distinct array it sees, however many
+    combinations, shifted fields and extensions reuse it.  The domain
+    points, and every image made from them, go after positivity, and the
+    retract points after extension.  A field rule that writes into its
+    input raises instead of corrupting a set or an image.  ``operator`` is
+    called once per field, combination and shifted field.
 
     For each bounded field, the isometry compares sup |Tf| over both sets
-    with sup |f| over phi's image of the domain draws and the retract draws,
-    each the exact max of two parts taken while their images are alive: the
-    domain side during positivity, the retract side during extension.  A
-    NaN in any compared value raises ValueError naming the first property
-    it reaches, in the order linearity, positivity, extension, isometry;
-    numpy's overflow and invalid-value warnings are silenced inside the
-    check.
+    with sup |f| over phi's image of the domain points and the retract
+    points, each the exact max of two parts taken while their images are
+    alive: the domain side during positivity, the retract side during
+    extension.  A NaN in any compared value raises ValueError naming the
+    first property it reaches, in the order linearity, positivity,
+    extension, isometry; numpy's overflow and invalid-value warnings are
+    silenced inside the check.
     """
     if not fields:
         raise ValueError("need at least one field")
-    sets = [_drawn(codomain_sampler(phi.codomain, seed + 1), n, phi.dim),
-            _drawn(domain_sampler(phi, seed), n, phi.dim)]
-    return _operator_reports(phi, fields, sets, tolerance, operator)
-
-
-# Fields near the float limit overflow to inf and inf - inf is NaN; _not_nan
-# reports the NaN, so numpy's warnings about it would only repeat it.
-@np.errstate(over="ignore", invalid="ignore")
-def _operator_reports(
-    phi: PiecewiseMap,
-    fields: Sequence[ScalarField],
-    sets: list,
-    tolerance: Tolerance,
-    operator: Callable[[PiecewiseMap, ScalarField], ScalarField],
-) -> list:
-    """check_operator_properties on sets = [retract points, domain points],
-    validated and read-only.  It empties the list: a caller that keeps no
-    other reference to a set hands it over, so the set and its images go
-    when the check is done with them."""
     a_pts, x_pts = sets
     sets.clear()
+    a_pts = _frozen(_points("operator-properties", a_pts, phi.dim))
+    x_pts = _frozen(_points("operator-properties", x_pts, phi.dim))
     phi = phi.replace(rule=_memoized(phi.rule))
     fields = [dataclasses.replace(f, rule=_memoized(f.rule)) for f in fields]
 
@@ -740,42 +714,41 @@ def run_suite(
     ball (the open-ball retraction), and, given fields, the operator
     properties.
 
-    Two point sets are drawn once each: the retract set,
-    codomain_sampler(m.codomain, seed), and the domain set,
-    domain_sampler(m, seed + 1).  The retraction identity reads the retract
-    set and the cover check the domain set, so their reports equal
-    check_retraction_identity(m, samples, seed=seed) and check_cover(m,
-    samples, seed=seed + 1, extra_points=m.special_points).  The operator
-    check reads the domain set for linearity and positivity, the retract
-    set for extension, and both for the isometry; alone,
-    check_operator_properties draws its own at (seed, seed + 1).  The suite
-    holds a set only while a later check needs it and hands both over to
-    the operator check, so each goes, with its images, when that check is
-    done with it.
+    run_suite alone draws the checks' point sets, each once and read-only,
+    and holds a set only while a later check needs it.  The retract set,
+    codomain_sampler(m.codomain, seed), feeds the retraction identity; the
+    domain set, m.special_points followed by domain_sampler(m, seed + 1),
+    feeds the cover check, whose monotonicity draws, if any, take
+    seed + 1.  Given fields, both sets are then handed over to the operator
+    check (the domain set without its special points), so each goes, with
+    its images, when that check is done with it.  The open-ball norm
+    identity reads the ball of radius DOMAIN_RADIUS drawn at seed + 50.
 
-    The continuity checks run as one batched pass, but each piece k keeps
-    its own generator (seed + 2 + k), so each report equals that of
+    The continuity checks draw their pairs from the pieces they test, in
+    one batched pass, but each piece k keeps its own generator
+    (seed + 2 + k), so each report equals that of
     check_piece_continuity(m, k, seed=seed + 2 + k) and batching cannot
-    change it.  The open-ball norm identity draws its own points at
-    seed + 50."""
+    change it."""
     _check_pairs(pairs)
     if max_piece_index < 1:
         raise ValueError(f"max_piece_index must be >= 1, got {max_piece_index}")
-    retract = _drawn(codomain_sampler(m.codomain, seed), samples, m.dim)
-    reports = [_retraction_identity(m, retract, tolerance.identity_tol)]
+    retract = _frozen(codomain_sampler(m.codomain, seed).draw(samples))
+    reports = [check_retraction_identity(m, retract, tolerance.identity_tol)]
     operator_sets = [retract] if fields else []
     del retract
-    domain = _frozen(_cover_points(m, samples, seed + 1, m.special_points))
-    reports.append(_cover(m, domain, max_piece_index, seed + 1, tolerance))
+    domain = domain_sampler(m, seed + 1).draw(samples)
+    if m.special_points:
+        domain = np.concatenate([np.asarray(m.special_points, float), domain])
+    domain = _frozen(domain)
+    reports.append(check_cover(m, domain, max_piece_index, seed + 1, tolerance))
     if fields:
         operator_sets.append(domain[len(m.special_points):])
     del domain
     ks = range(1, max_piece_index + 1)
     reports.extend(_piece_continuity_reports(m, ks, [seed + 2 + k for k in ks], pairs))
     if m.codomain == NormBand(m.kind, 0.0, 1.0, m.dim):
-        reports.append(
-            check_norm_identity_open_ball(m, n=samples, tol=tolerance.identity_tol, seed=seed + 50)
-        )
+        ball = Sampler(seed + 50, "ball", dim=m.dim, kind=m.kind, lo=0.0, hi=DOMAIN_RADIUS)
+        reports.append(check_norm_identity_open_ball(m, ball.draw(samples), tolerance.identity_tol))
     if fields:
-        reports.extend(_operator_reports(m, fields, operator_sets, tolerance, extension_operator))
+        reports.extend(check_operator_properties(m, fields, operator_sets, tolerance))
     return reports

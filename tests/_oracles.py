@@ -6,6 +6,8 @@ continuity check did before it was batched.  ``lipschitz_oracle`` and
 ``sup_abs`` are brute-force maxima over such pairs and over given points.
 ``descriptor_from_json`` reads back the descriptor JSON that
 ``pcretract witness`` prints (see docs/schemas.md).
+``retract_draw``, ``domain_draw``, ``ball_draw`` and ``operator_sets`` draw
+the point sets the checks take, from the samplers run_suite draws them with.
 """
 
 import math
@@ -23,6 +25,7 @@ from pcretract.core import (
     norm,
     piece,
 )
+from pcretract.verification import DOMAIN_RADIUS, Sampler, codomain_sampler, domain_sampler
 
 
 def _rng(seed, stream):
@@ -55,6 +58,30 @@ def lipschitz_oracle(m, which, pairs, seed, delta=1e-3):
 def sup_abs(f, pts):
     """max |f| over the given points: a lower bound on f's sup norm."""
     return float(np.max(np.abs(f.apply(pts))))
+
+
+def retract_draw(m, n, seed):
+    """n points of m's retract at seed: run_suite's retract set."""
+    return codomain_sampler(m.codomain, seed).draw(n)
+
+
+def domain_draw(m, n, seed, first=()):
+    """The points ``first``, if any, then n points of domain_sampler(m,
+    seed): with m.special_points first, run_suite's domain set."""
+    pts = domain_sampler(m, seed).draw(n)
+    return np.concatenate([np.reshape(first, (-1, m.dim)), pts]) if len(first) else pts
+
+
+def ball_draw(m, n, seed):
+    """n points of the ball of radius DOMAIN_RADIUS at seed: the norm
+    identity's set, which run_suite draws at its seed + 50."""
+    return Sampler(seed, "ball", dim=m.dim, kind=m.kind, lo=0.0, hi=DOMAIN_RADIUS).draw(n)
+
+
+def operator_sets(phi, n, seed):
+    """[retract_draw at seed + 1, domain_draw at seed]: the operator check's
+    sets, n points each."""
+    return [retract_draw(phi, n, seed + 1), domain_draw(phi, n, seed)]
 
 
 def circle_grid(n):

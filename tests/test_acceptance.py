@@ -15,7 +15,15 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from _oracles import circle_grid, lipschitz_oracle, sup_abs
+from _oracles import (
+    ball_draw,
+    circle_grid,
+    domain_draw,
+    lipschitz_oracle,
+    operator_sets,
+    retract_draw,
+    sup_abs,
+)
 from pcretract.constructions import build_construction, sphere_retraction
 from pcretract.core import NormKind, norm
 from pcretract.fields import parse_field
@@ -76,7 +84,7 @@ def identity_targets():
 def test_criterion_1_retraction_identity(capsys):
     with criterion(capsys, 1, "retraction identity"), budget(5.0):
         for m in identity_targets():
-            r = check_retraction_identity(m, n=10_000, tol=1e-12, seed=1)
+            r = check_retraction_identity(m, retract_draw(m, 10_000, 1), tol=1e-12)
             assert r.status == PASS, (m.construction_id, m.dim, r.max_violation)
             assert r.max_violation <= 1e-12
 
@@ -85,24 +93,24 @@ def test_criterion_2_cover_and_monotonicity(capsys):
     with criterion(capsys, 2, "cover and monotonicity"), budget(5.0):
         for cid in ("fractional", "glue", "sphere", "open-ball", "extend", "const-extend"):
             m = build_construction(cid, 2, P2)
-            extra = [np.zeros(m.dim)] if m.dim > 1 else None
-            r = check_cover(m, n=10_000, max_index=10, seed=2, extra_points=extra)
+            extra = [np.zeros(m.dim)] if m.dim > 1 else ()
+            r = check_cover(m, domain_draw(m, 10_000, 2, extra), max_index=10, seed=2)
             assert r.status == PASS, (cid, r.max_violation, r.witness_points)
 
         bare = sphere_retraction(2, P2, paper_witness=True)
-        r = check_cover(bare, n=10_000, seed=2, extra_points=[np.zeros(2)])
+        r = check_cover(bare, domain_draw(bare, 10_000, 2, [np.zeros(2)]), seed=2)
         assert r.status == FAIL
         assert r.witness_points == ((0.0, 0.0),)
 
         augmented = sphere_retraction(2, P2)
-        r = check_cover(augmented, n=10_000, seed=2, extra_points=[np.zeros(2)])
+        r = check_cover(augmented, domain_draw(augmented, 10_000, 2, [np.zeros(2)]), seed=2)
         assert r.status == PASS
 
 
 def test_criterion_3_open_ball_norm_identity(capsys):
     with criterion(capsys, 3, "open-ball norm identity"), budget(2.0):
         m = build_construction("open-ball", 2, P2)
-        r = check_norm_identity_open_ball(m, n=100_000, tol=1e-12, seed=3)
+        r = check_norm_identity_open_ball(m, ball_draw(m, 100_000, 3), tol=1e-12)
         assert r.status == PASS
         assert r.max_violation <= 1e-12
 
@@ -131,7 +139,7 @@ def test_criterion_5_operator_suite(capsys):
         catalog = [parse_field(e, 2, phi.codomain, 1.0) for e in FIELD_EXPRS]
         reps = {
             r.check_name: r
-            for r in check_operator_properties(phi, catalog, n=100_000, seed=5)
+            for r in check_operator_properties(phi, catalog, operator_sets(phi, 100_000, 5))
         }
         assert reps["operator-linearity"].status == PASS
         assert reps["operator-linearity"].max_violation <= 1e-12
@@ -187,17 +195,20 @@ def test_criterion_8_negative_controls(capsys):
         ball = build_construction("open-ball", 2, P2)
         catalog = [parse_field(e, 2, sphere.codomain, 1.0) for e in FIELD_EXPRS]
 
-        assert check_retraction_identity(corrupt_halved(sphere), n=2_000, seed=8).status == FAIL
-        assert check_cover(corrupt_shrinking_witness(sphere), n=2_000, seed=8).status == FAIL
+        halved = check_retraction_identity(corrupt_halved(sphere), retract_draw(sphere, 2_000, 8))
+        assert halved.status == FAIL
+        shrinking = check_cover(corrupt_shrinking_witness(sphere), domain_draw(sphere, 2_000, 8), seed=8)
+        assert shrinking.status == FAIL
         assert (
             check_piece_continuity(corrupt_understated_lipschitz(sphere), 2, pairs=2_000, seed=8).status
             == FAIL
         )
-        assert check_norm_identity_open_ball(corrupt_identity_rule(ball), n=5_000, seed=8).status == FAIL
+        identity = check_norm_identity_open_ball(corrupt_identity_rule(ball), ball_draw(ball, 5_000, 8))
+        assert identity.status == FAIL
         bad = {
             r.check_name: r
             for r in check_operator_properties(
-                sphere, catalog, n=2_000, seed=8, operator=negated_operator
+                sphere, catalog, operator_sets(sphere, 2_000, 8), operator=negated_operator
             )
         }
         assert bad["operator-positivity"].status == FAIL

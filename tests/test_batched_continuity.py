@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import _rng, reference_pairs
+from _oracles import _rng, domain_draw, reference_pairs
 from pcretract import core, verification
 from pcretract.constructions import (
     CONSTRUCTION_IDS,
@@ -216,7 +216,7 @@ class TestBoundedMemory:
         m = build_construction("sphere", 3, P2)
 
         def cover(max_index):
-            return lambda: check_cover(m, n=1000, max_index=max_index, seed=2)
+            return lambda: check_cover(m, domain_draw(m, 1000, 2), max_index=max_index, seed=2)
 
         assert _peak(cover(200)) <= 1.25 * _peak(cover(20))
 
@@ -248,7 +248,7 @@ class TestCoverBatches:
             [d[~piece(m.witness, k + 1).contains(d, 1e-9)] for k, d in zip(range(1, 20), draws)]
         )
         with mock.patch.object(verification, "MONOTONICITY_SAMPLES", 5000):
-            r = check_cover(m, n=100, max_index=20, seed=3)
+            r = check_cover(m, domain_draw(m, 100, 3), max_index=20, seed=3)
         assert r.status == FAIL
         assert r.max_violation == float(len(misses)) > 10
         assert r.witness_points == tuple(tuple(float(c) for c in p) for p in misses[:10])
@@ -257,9 +257,10 @@ class TestCoverBatches:
     def test_batch_size_does_not_change_the_report(self, batch_rows):
         m = self._alternating()
         with mock.patch.object(verification, "MONOTONICITY_SAMPLES", 3000):
-            want = check_cover(m, n=100, max_index=12, seed=4)
+            domain = domain_draw(m, 100, 4)
+            want = check_cover(m, domain, max_index=12, seed=4)
             with mock.patch.object(verification, "BATCH_ROWS", batch_rows):
-                assert check_cover(m, n=100, max_index=12, seed=4) == want
+                assert check_cover(m, domain, max_index=12, seed=4) == want
 
 
 class TestPairArguments:

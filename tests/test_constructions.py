@@ -150,12 +150,13 @@ class TestDiagonalPredictedIndex:
         assert np.all(k == DIAGONAL_INDEX_LIMIT - 1)
 
     def test_cover_reports_instead_of_raising(self):
+        # Each probe is the whole tested set: no domain point is drawn.
         m, _ = self.FAMILIES["fractional"]
-        assert check_cover(m, n=10, extra_points=[[0.9999999999999999]]).status == PASS
+        assert check_cover(m, [[0.9999999999999999]]).status == PASS
         ob, _ = self.FAMILIES["open-ball"]
-        assert check_cover(ob, n=10, extra_points=[[0.9999999999999999, 0.0, 0.0]]).status == PASS
+        assert check_cover(ob, [[0.9999999999999999, 0.0, 0.0]]).status == PASS
         # At tol 0 no piece below 2**52 holds it: one miss, no exception.
-        r = check_cover(m, n=10, extra_points=[[0.9999999999999999]], tolerance=Tolerance(1e-300))
+        r = check_cover(m, [[0.9999999999999999]], tolerance=Tolerance(1e-300))
         assert r.max_violation == 1.0
 
 
@@ -204,7 +205,7 @@ class TestGlue:
                 idx = self.m.predicted_index([[t]], tol)
                 assert 0 <= idx[0] <= 2**62
             if abs(t) < 1.0:
-                assert check_cover(self.m, n=10, extra_points=[[t]]).status == PASS
+                assert check_cover(self.m, [[t]]).status == PASS
 
 
 class TestRadialIndexSaturation:
@@ -220,7 +221,7 @@ class TestRadialIndexSaturation:
             warnings.simplefilter("error", RuntimeWarning)
             idx = m.predicted_index([[r, 0.0, 0.0]])
             assert idx[0] == 2**62
-            assert check_cover(m, n=10, extra_points=[[r, 0.0, 0.0]]).status == PASS
+            assert check_cover(m, [[r, 0.0, 0.0]]).status == PASS
 
 
 class TestSphere:

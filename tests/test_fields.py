@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from _oracles import circle_grid, sup_abs
+from _oracles import circle_grid, operator_sets, sup_abs
 from pcretract import core, fields
 from pcretract.core import DimensionMismatch, NormBand, NormKind, norm
 from pcretract.constructions import sphere_retraction, unit_sphere
@@ -215,7 +215,7 @@ class TestDomainTestPerCall:
 
     def test_operator_check_on_the_retract_tests_nothing(self, sphere, circle, calls):
         catalog = [parse_field(e, 2, circle, 1.0) for e in ("coord:0", "sin:1", "poly:0:1,2")]
-        reports = check_operator_properties(sphere, catalog, n=100)
+        reports = check_operator_properties(sphere, catalog, operator_sets(sphere, 100, 0))
         assert all(r.status == "pass" for r in reports)
         assert calls == []
 

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from _oracles import lipschitz_oracle
+from _oracles import ball_draw, domain_draw, lipschitz_oracle, operator_sets, retract_draw
 from pcretract import constructions, core, verification
 from pcretract.core import Interval, NormBand, NormKind, Tolerance, as_points, norm, piece
 from pcretract.constructions import (
@@ -94,16 +94,16 @@ class TestSampler:
 
 class TestIdentityCheck:
     def test_sphere_passes(self, sphere):
-        r = check_retraction_identity(sphere, n=10_000, tol=1e-12, seed=1)
+        r = check_retraction_identity(sphere, retract_draw(sphere, 10_000, 1), tol=1e-12)
         assert r.status == PASS and r.max_violation <= 1e-12
 
     def test_fractional_exact_on_retract(self):
         m = build_construction("fractional")
-        r = check_retraction_identity(m, n=5000, tol=0.0, seed=1)
+        r = check_retraction_identity(m, retract_draw(m, 5000, 1), tol=0.0)
         assert r.status == PASS and r.max_violation == 0.0
 
     def test_negative_control_halved(self, sphere):
-        r = check_retraction_identity(corrupt_halved(sphere), n=1000, seed=1)
+        r = check_retraction_identity(corrupt_halved(sphere), retract_draw(sphere, 1000, 1))
         assert r.status == FAIL
         assert r.max_violation == pytest.approx(0.5, abs=1e-12)
         assert len(r.witness_points) > 0
@@ -116,8 +116,8 @@ class TestIdentityCheck:
 
 
 class TestValidatedOnce:
-    """The identity and cover checks validate each set they draw once and
-    then call the rule, the predicted index and the witness directly."""
+    """Each check validates each set it is given once and then calls the
+    rule, the predicted index and the witness directly."""
 
     @pytest.fixture
     def validations(self, monkeypatch):
@@ -134,43 +134,61 @@ class TestValidatedOnce:
     @pytest.mark.parametrize("cid", ["extend", "glue", "open-ball"])
     def test_identity_and_cover(self, cid, validations):
         m = build_construction(cid, 1 if cid == "glue" else 3, P2)
+        retract = retract_draw(m, 500, 1)
         validations.clear()  # the factory's own sample checks
-        check_retraction_identity(m, n=500, seed=1)
-        assert len(validations) == 1
+        check_retraction_identity(m, retract)
+        assert validations == [(500, m.dim)]
+        # The cover set holds the special points, if any, and is still one set.
+        domain = domain_draw(m, 500, 0, m.special_points)
         validations.clear()
         with mock.patch.object(verification, "MONOTONICITY_SAMPLES", 100):
-            check_cover(m, n=500, max_index=3, extra_points=m.special_points or None)
-        # The draw and the special points if any; monotonicity is decided
-        # from the pieces' bounds, so no batch is drawn for it.
-        assert len(validations) == (2 if m.special_points else 1)
+            check_cover(m, domain, max_index=3)
+        # Monotonicity is decided from the pieces' bounds, so no batch is
+        # drawn for it.
+        assert validations == [domain.shape]
 
     @pytest.mark.parametrize("cid", ["extend", "glue", "open-ball"])
     def test_undecided_cover_draws_one_monotonicity_batch(self, cid, validations):
         m = corrupt_shrinking_witness(build_construction(cid, 1 if cid == "glue" else 3, P2))
+        domain = domain_draw(m, 500, 0, m.special_points)
         validations.clear()
         with mock.patch.object(verification, "MONOTONICITY_SAMPLES", 100):
-            check_cover(m, n=500, max_index=3, extra_points=m.special_points or None)
-        assert len(validations) == (3 if m.special_points else 2)
+            check_cover(m, domain, max_index=3)
+        assert len(validations) == 2 and validations[0] == domain.shape
+
+    def test_norm_identity(self, open_ball, validations):
+        pts = ball_draw(open_ball, 500, 7)
+        validations.clear()
+        check_norm_identity_open_ball(open_ball, pts)
+        assert validations == [pts.shape]
+
+    def test_operator_check_once_per_set(self, validations):
+        phi = build_construction("extend", 3, P2)
+        fields = [parse_field(e, 3, phi.codomain, 1.0) for e in TestOperatorEvaluationCount.FIELDS]
+        sets = operator_sets(phi, 500, 2)
+        validations.clear()
+        check_operator_properties(phi, fields, sets)
+        assert validations == [(500, 3), (500, 3)]
 
 
 class TestCoverCheck:
     def test_sphere_passes_including_origin(self, sphere):
-        r = check_cover(sphere, n=5000, seed=2, extra_points=[np.zeros(2)])
+        r = check_cover(sphere, domain_draw(sphere, 5000, 2, [np.zeros(2)]), seed=2)
         assert r.status == PASS
 
     def test_paper_witness_fails_exactly_at_origin(self):
         m = sphere_retraction(2, P2, paper_witness=True)
-        r = check_cover(m, n=2000, seed=2, extra_points=[np.zeros(2)])
+        r = check_cover(m, domain_draw(m, 2000, 2, [np.zeros(2)]), seed=2)
         assert r.status == FAIL
         assert r.witness_points == ((0.0, 0.0),)
 
     def test_negative_control_shrinking_witness(self, sphere):
-        r = check_cover(corrupt_shrinking_witness(sphere), n=500, seed=2)
+        r = check_cover(corrupt_shrinking_witness(sphere), domain_draw(sphere, 500, 2), seed=2)
         assert r.status == FAIL
 
     def test_offenders_grouped_by_index_in_input_order(self, open_ball):
         bad = corrupt_shrinking_witness(open_ball)
-        r = check_cover(bad, n=3000, seed=5, max_index=1)
+        r = check_cover(bad, domain_draw(bad, 3000, 5), seed=5, max_index=1)
         pts = domain_sampler(bad, 5).draw(3000)
         idx = bad.predicted_index(pts, 1e-9)
         want = []
@@ -181,7 +199,7 @@ class TestCoverCheck:
         assert r.witness_points == tuple(tuple(float(c) for c in p) for p in want[:10])
 
     def test_open_ball_cover(self, open_ball):
-        r = check_cover(open_ball, n=5000, seed=3, extra_points=[np.zeros(2)])
+        r = check_cover(open_ball, domain_draw(open_ball, 5000, 3, [np.zeros(2)]), seed=3)
         assert r.status == PASS
 
     @pytest.mark.parametrize("max_index", [10, 10**4])
@@ -192,7 +210,7 @@ class TestCoverCheck:
 
         monkeypatch.setattr(verification, "sample_pieces", no_draws)
         m = build_construction(cid, 3)
-        r = check_cover(m, n=200, max_index=max_index, seed=4, extra_points=m.special_points or None)
+        r = check_cover(m, domain_draw(m, 200, 4, m.special_points), max_index=max_index, seed=4)
         assert r.status == PASS
 
     @pytest.mark.parametrize("cid", constructions.CONSTRUCTION_IDS)
@@ -201,7 +219,7 @@ class TestCoverCheck:
         # exactly as the sampled step always did: the same misses, counted
         # and listed in the same order.
         bad = corrupt_shrinking_witness(build_construction(cid, 3))
-        r = check_cover(bad, n=300, max_index=5, seed=6)
+        r = check_cover(bad, domain_draw(bad, 300, 6), max_index=5, seed=6)
         pts = as_points(domain_sampler(bad, 6).draw(300), bad.dim)
         idx = bad.predicted_index(pts, 1e-9)
         inside = bad.witness.membership(pts, idx, 1e-9)
@@ -276,7 +294,7 @@ class TestLipschitzOracle:
 
 class TestNormIdentity:
     def test_passes(self, open_ball):
-        r = check_norm_identity_open_ball(open_ball, n=50_000, tol=1e-12, seed=7)
+        r = check_norm_identity_open_ball(open_ball, ball_draw(open_ball, 50_000, 7), tol=1e-12)
         assert r.status == PASS
 
     def test_integer_norm_maps_to_origin(self, open_ball):
@@ -285,7 +303,7 @@ class TestNormIdentity:
 
     def test_negative_control_identity_rule(self, open_ball):
         bad = corrupt_identity_rule(open_ball)
-        r = check_norm_identity_open_ball(bad, n=5000, seed=7)
+        r = check_norm_identity_open_ball(bad, ball_draw(bad, 5000, 7))
         assert r.status == FAIL
         # At ||x|| = 2.5 the defect of the identity map is exactly 2.
         pts = np.array([[2.5, 0.0]])
@@ -302,7 +320,7 @@ class TestOperatorChecks:
         ]
 
     def test_all_pass(self, sphere, catalog):
-        reps = check_operator_properties(sphere, catalog, n=20_000, seed=8)
+        reps = check_operator_properties(sphere, catalog, operator_sets(sphere, 20_000, 8))
         names = [r.check_name for r in reps]
         assert names == [
             "operator-linearity",
@@ -318,14 +336,14 @@ class TestOperatorChecks:
 
     def test_negative_control_negated_operator(self, sphere, catalog):
         reps = check_operator_properties(
-            sphere, catalog, n=2000, seed=8, operator=negated_operator
+            sphere, catalog, operator_sets(sphere, 2000, 8), operator=negated_operator
         )
         by_name = {r.check_name: r for r in reps}
         assert by_name["operator-positivity"].status == FAIL
         assert by_name["operator-extension"].status == FAIL
 
     def test_negative_control_halved_phi(self, sphere, catalog):
-        reps = check_operator_properties(corrupt_halved(sphere), catalog, n=2000, seed=8)
+        reps = check_operator_properties(corrupt_halved(sphere), catalog, operator_sets(sphere, 2000, 8))
         by_name = {r.check_name: r for r in reps}
         assert by_name["operator-extension"].status == FAIL
 
@@ -338,7 +356,7 @@ class TestOperatorChecks:
             return dataclasses.replace(tf, rule=lambda pts, r=tf.rule: np.where(off(pts), 2.0, 1.0) * r(pts))
         phi = build_construction("sphere", 3, P2)
         fields = [parse_field(e, 3, phi.codomain, 1.0) for e in TestOperatorEvaluationCount.FIELDS]
-        reps = check_operator_properties(phi, fields, n=2000, seed=3, operator=doubled)
+        reps = check_operator_properties(phi, fields, operator_sets(phi, 2000, 3), operator=doubled)
         assert [r.status for r in reps] == [PASS, PASS, PASS, FAIL]
         assert reps[3].check_name == "operator-isometry" and reps[3].max_violation == 3.0
 
@@ -360,12 +378,13 @@ class TestOperatorEvaluationCount:
         def operator(p, f):
             built.append(f.label)
             return extension_operator(p, f)
-        reps = check_operator_properties(counted, self.fields(phi), n=3000, seed=4, operator=operator)
+        reps = check_operator_properties(counted, self.fields(phi), operator_sets(phi, 3000, 4),
+                                         operator=operator)
         # The domain and the retract draws; the isometry reads both.
         assert calls == [3000] * 2
         # One extension per field, per linear combination, per shifted field.
         assert len(built) == 15
-        plain = check_operator_properties(phi, self.fields(phi), n=3000, seed=4)
+        plain = check_operator_properties(phi, self.fields(phi), operator_sets(phi, 3000, 4))
         assert [r.to_json_dict() for r in reps] == [r.to_json_dict() for r in plain]
         assert all(r.status == PASS for r in reps)
 
@@ -379,8 +398,8 @@ class TestOperatorEvaluationCount:
             return dataclasses.replace(f, rule=rule)
 
         fields = self.fields(phi)
-        reps = check_operator_properties(phi, [counted(f) for f in fields], n=3000, seed=4)
-        plain = check_operator_properties(phi, fields, n=3000, seed=4)
+        reps = check_operator_properties(phi, [counted(f) for f in fields], operator_sets(phi, 3000, 4))
+        plain = check_operator_properties(phi, fields, operator_sets(phi, 3000, 4))
         assert [r.to_json_dict() for r in reps] == [r.to_json_dict() for r in plain]
         x = domain_sampler(phi, 4).draw(3000)
         a = codomain_sampler(phi.codomain, 5).draw(3000)
@@ -408,16 +427,16 @@ class TestOperatorEvaluationCount:
         return ScalarField("scribble", 3, scribble, phi.codomain, bound=1.0)
 
     def test_field_writing_into_input_raises(self, phi):
-        before = check_operator_properties(phi, self.fields(phi), n=500, seed=2)
+        before = check_operator_properties(phi, self.fields(phi), operator_sets(phi, 500, 2))
         # First written: phi's image of the domain draws.
         with pytest.raises(ValueError, match="read-only"):
             check_operator_properties(phi, [self.scribbler(phi)] + self.fields(phi),
-                                      n=500, seed=2)
+                                      operator_sets(phi, 500, 2))
         # With an operator that does not compose, the domain draws themselves.
         with pytest.raises(ValueError, match="read-only"):
-            check_operator_properties(phi, [self.scribbler(phi)], n=500, seed=2,
+            check_operator_properties(phi, [self.scribbler(phi)], operator_sets(phi, 500, 2),
                                       operator=lambda p, f: f)
-        after = check_operator_properties(phi, self.fields(phi), n=500, seed=2)
+        after = check_operator_properties(phi, self.fields(phi), operator_sets(phi, 500, 2))
         assert [r.to_json_dict() for r in after] == [r.to_json_dict() for r in before]
 
 
@@ -476,7 +495,7 @@ class TestOperatorNaN:
         phi = build_construction("sphere", 3, P2)
         fields = [parse_field(e, 3, phi.codomain, 1.0) for e in self.FIELDS]
         with pytest.raises(ValueError, match=f"^{check} is undefined"):
-            check_operator_properties(phi, fields, n=NAN_N, seed=NAN_SEED,
+            check_operator_properties(phi, fields, operator_sets(phi, NAN_N, NAN_SEED),
                                       operator=self.nan_operator(where))
 
     def test_infinite_suprema_raise_at_isometry(self):
@@ -485,7 +504,8 @@ class TestOperatorNaN:
         # retract draws reach only the isometry.
         phi = build_construction("sphere", 3, P2)
         with pytest.raises(ValueError, match="^operator-isometry is undefined"):
-            check_operator_properties(phi, [_spike(phi)], n=NAN_N, seed=NAN_SEED, operator=_spike_operator)
+            check_operator_properties(phi, [_spike(phi)], operator_sets(phi, NAN_N, NAN_SEED),
+                                      operator=_spike_operator)
 
     def test_overflowing_catalog_fields_raise(self):
         # 2 * 1e308 - 3 * -1e308 overflows to inf on both sides: inf - inf.
@@ -493,7 +513,7 @@ class TestOperatorNaN:
         fields = [parse_field(e, 3, phi.codomain, 1.0) for e in ("const:1e308", "const:-1e308")]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="^operator-linearity is undefined"):
-                check_operator_properties(phi, fields, n=NAN_N, seed=NAN_SEED)
+                check_operator_properties(phi, fields, operator_sets(phi, NAN_N, NAN_SEED))
 
 
 def _traced_peak(call):
@@ -523,7 +543,10 @@ class TestOperatorMemory:
     def test_traced_peak_is_bounded(self):
         phi = build_construction("extend", 3, P2)
         fields = [parse_field(e, 3, phi.codomain, 1.0) for e in TestOperatorEvaluationCount.FIELDS]
-        reps, peak = _traced_peak(lambda: check_operator_properties(phi, fields, n=20_000, seed=7))
+        # The sets are drawn inside the traced call, as the suite draws them.
+        reps, peak = _traced_peak(
+            lambda: check_operator_properties(phi, fields, operator_sets(phi, 20_000, 7))
+        )
         assert all(r.status == PASS for r in reps)
         assert peak <= self.PEAK_MIB * 2**20, f"{peak / 2**20:.2f} MiB"
 
@@ -598,12 +621,12 @@ class TestImageLifetimes:
         phi = build_construction("extend", 3, P2)
         fields = [parse_field(e, 3, phi.codomain, 1.0) for e in TestOperatorEvaluationCount.FIELDS]
         fields.append(ScalarField("view", 3, lambda pts: pts[:, 0], phi.codomain))
-        check_operator_properties(phi, fields, n=20_000, seed=7)
+        check_operator_properties(phi, fields, operator_sets(phi, 20_000, 7))
         tracemalloc.start()
         try:
             baseline, _ = tracemalloc.get_traced_memory()
             for _ in range(5):
-                check_operator_properties(phi, fields, n=20_000, seed=7)
+                check_operator_properties(phi, fields, operator_sets(phi, 20_000, 7))
             current, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -623,7 +646,7 @@ class TestOperatorNaNOrder:
     def test_earlier_property_is_named(self, check, where):
         phi = build_construction("sphere", 3, P2)
         with pytest.raises(ValueError, match=f"^{check} is undefined"):
-            check_operator_properties(phi, [_spike(phi)], n=NAN_N, seed=NAN_SEED,
+            check_operator_properties(phi, [_spike(phi)], operator_sets(phi, NAN_N, NAN_SEED),
                                       operator=TestOperatorNaN.nan_operator(where, _spike_operator))
 
 
@@ -660,6 +683,51 @@ class TestBorsukDemo:
             borsuk_discontinuity_demo(sphere, u, v)
 
 
+class TestGivenPoints:
+    """The input contract of the checks that read a given point set."""
+
+    @pytest.fixture
+    def phi(self):
+        return build_construction("open-ball", 3, P2)
+
+    def fields(self, phi):
+        return [parse_field(e, 3, phi.codomain, 1.0) for e in TestOperatorEvaluationCount.FIELDS]
+
+    def checks(self, phi):
+        """Each check by its name, as a function of its points (the
+        operator check's two sets both the given points)."""
+        return {
+            "retraction-identity": lambda pts: [check_retraction_identity(phi, pts)],
+            "cover-and-monotonicity": lambda pts: [check_cover(phi, pts)],
+            "open-ball-norm-identity": lambda pts: [check_norm_identity_open_ball(phi, pts)],
+            "operator-properties": lambda pts: check_operator_properties(phi, self.fields(phi), [pts, pts]),
+        }
+
+    @pytest.mark.parametrize("name", [
+        "retraction-identity", "cover-and-monotonicity", "open-ball-norm-identity", "operator-properties",
+    ])
+    def test_empty_set_raises_naming_the_check(self, phi, name):
+        with pytest.raises(ValueError, match=f"^{name} needs at least one point$"):
+            self.checks(phi)[name](np.empty((0, 3)))
+
+    def test_operator_check_takes_the_sets_over(self, phi):
+        sets = operator_sets(phi, 300, 3)
+        handed = list(sets)
+        assert all(s.flags.writeable for s in handed)
+        check_operator_properties(phi, self.fields(phi), sets)
+        assert sets == []
+        assert not any(s.flags.writeable for s in handed)
+
+    @pytest.mark.parametrize("name", [
+        "retraction-identity", "cover-and-monotonicity", "open-ball-norm-identity", "operator-properties",
+    ])
+    def test_plain_lists_are_accepted(self, phi, name):
+        pts = retract_draw(phi, 50, 4)
+        check = self.checks(phi)[name]
+        as_lists = [r.to_json_dict() for r in check(pts.tolist())]
+        assert as_lists == [r.to_json_dict() for r in check(pts)]
+
+
 class TestSuiteSharesDraws:
     """run_suite draws its retract and domain sets once: the retraction
     identity and the cover check read them, and so does the operator check."""
@@ -674,23 +742,55 @@ class TestSuiteSharesDraws:
     def fields(self, m):
         return [parse_field(e, 3, m.codomain, 1.0) for e in TestOperatorEvaluationCount.FIELDS]
 
+    @staticmethod
+    def spied(m, fields, seed, n):
+        """The sets run_suite gives its checks: the retraction identity's,
+        the cover check's and the operator check's list, copied before the
+        check empties it."""
+        operator_check = verification.check_operator_properties
+        handed = []
+
+        def recorded(phi, fields, sets, *rest):
+            handed.append(list(sets))
+            return operator_check(phi, fields, sets, *rest)
+
+        with mock.patch.object(verification, "check_retraction_identity",
+                               wraps=verification.check_retraction_identity) as identity, \
+             mock.patch.object(verification, "check_cover", wraps=verification.check_cover) as cover, \
+             mock.patch.object(verification, "check_operator_properties", wraps=recorded):
+            run_suite(m, seed=seed, samples=n, fields=fields)
+        (retract,) = [c.args[1] for c in identity.call_args_list]
+        (domain,) = [c.args[1] for c in cover.call_args_list]
+        (sets,) = handed
+        return retract, domain, sets
+
     def test_two_draws_with_fields(self, m):
         with mock.patch.object(Sampler, "draw", autospec=True, side_effect=Sampler.draw) as draw:
             run_suite(m, seed=self.SEED, samples=self.N, fields=self.fields(m))
         assert draw.call_count == 2
 
+    def test_three_draws_for_open_ball_with_fields(self):
+        # The norm identity's ball is the third set.
+        m = build_construction("open-ball", 3, P2)
+        with mock.patch.object(Sampler, "draw", autospec=True, side_effect=Sampler.draw) as draw:
+            run_suite(m, seed=self.SEED, samples=self.N, fields=self.fields(m))
+        assert draw.call_count == 3
+
+    def test_checks_get_the_shared_sets(self, m):
+        retract, domain, sets = self.spied(m, self.fields(m), self.SEED, self.N)
+        assert len(sets) == 2 and sets[0] is retract
+        special = np.reshape(m.special_points, (-1, 3))
+        assert np.array_equal(domain[: len(special)], special)
+        assert len(domain) == len(special) + self.N
+        assert np.shares_memory(sets[1], domain) and np.array_equal(sets[1], domain[len(special):])
+
     def test_reports_equal_the_checks_on_the_shared_sets(self, m):
         n, seed = self.N, self.SEED
         reps = run_suite(m, seed=seed, samples=n, fields=self.fields(m))
-        assert reps[0] == check_retraction_identity(m, n, seed=seed)
-        assert reps[1] == check_cover(m, n, seed=seed + 1, extra_points=m.special_points)
-        sets = [
-            verification._drawn(codomain_sampler(m.codomain, seed), n, m.dim),
-            verification._drawn(domain_sampler(m, seed + 1), n, m.dim),
-        ]
-        alone = verification._operator_reports(
-            m, self.fields(m), sets, core.DEFAULT_TOLERANCE, extension_operator
-        )
+        assert reps[0] == check_retraction_identity(m, retract_draw(m, n, seed))
+        assert reps[1] == check_cover(m, domain_draw(m, n, seed + 1, m.special_points), seed=seed + 1)
+        sets = [retract_draw(m, n, seed), domain_draw(m, n, seed + 1)]
+        alone = check_operator_properties(m, self.fields(m), sets)
         assert sets == []
         assert [r.to_json_dict() for r in reps[-4:]] == [r.to_json_dict() for r in alone]
 
@@ -702,14 +802,14 @@ class TestSuiteAndReports:
         assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
 
     def test_report_json_schema(self, sphere):
-        r = check_retraction_identity(sphere, n=100, seed=9)
+        r = check_retraction_identity(sphere, retract_draw(sphere, 100, 9))
         doc = r.to_json_dict()
         assert set(doc) == {"check", "status", "samples", "max_violation", "tolerance", "witness_points"}
         assert doc["status"] in ("pass", "fail", "inconclusive")
 
     def test_witness_points_capped_at_ten(self, sphere):
         # Every retract point fails by 0.5, so the report names the most it may.
-        r = check_retraction_identity(corrupt_halved(sphere), n=5000, seed=9)
+        r = check_retraction_identity(corrupt_halved(sphere), retract_draw(sphere, 5000, 9))
         assert len(r.witness_points) == verification.WITNESS_POINTS == 10
 
     def test_corruption_catalog_documented(self):
