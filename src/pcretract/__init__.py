@@ -40,14 +40,9 @@ from .constructions import (
 from .fields import (
     ScalarField,
     const_field,
-    coord_field,
-    cos_field,
     extension_operator,
     linear_combination,
     parse_field,
-    poly_field,
-    prod_field,
-    sin_field,
 )
 from .verification import (
     CheckReport,

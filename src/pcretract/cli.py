@@ -128,8 +128,6 @@ def _build_map(args):
         raise ConstructionError(f"--paper-witness applies only to sphere, not {args.construction}")
     kind = NormKind.parse(args.norm)
     dim = 2 if args.dim is None else args.dim
-    if dim < 1:
-        raise ConstructionError("dimension must be >= 1")
     if args.construction in LINE_CONSTRUCTIONS:
         if args.dim is not None and dim != 1:
             raise ConstructionError(f"--dim: {args.construction} lives in dimension 1, got {dim}")
@@ -258,7 +256,9 @@ def main(argv=None) -> int:
             args.seed = _env_seed()
         elif seed < 0:
             raise ValueError(f"--seed must be >= 0, got {seed}")
-        if args.dim is not None and args.dim > MAX_DIM:  # every command takes --dim
+        if args.dim is not None and args.dim < 1:  # every command takes --dim
+            raise ConstructionError(f"--dim must be at least 1, got {args.dim}")
+        if args.dim is not None and args.dim > MAX_DIM:
             raise ConstructionError(f"--dim must be at most {MAX_DIM}, got {args.dim}")
         command = {"verify": cmd_verify, "witness": cmd_witness, "demo": cmd_demo}[args.command]
         code = command(args)

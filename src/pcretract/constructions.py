@@ -135,8 +135,8 @@ class PiecewiseMap:
     whose piece holds the point (-1 = no piece found, which a cover check
     must report as a failure); it is the witness's ``index`` unless given.
     ``special_points`` are points where the map switches branch (the origin
-    of the sphere retraction); the cover check tests them on top of its
-    random draws.
+    of the sphere retraction); ``run_suite`` puts them at the head of the
+    cover check's domain set, before its random draws.
     """
 
     construction_id: str

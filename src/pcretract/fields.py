@@ -1,10 +1,8 @@
 """Scalar fields on a retract and the composition extension operator.
 
-Fields come from a fixed catalog (constants, coordinate projections,
-single-coordinate polynomials, sines/cosines of coordinates, products of two
-coordinates, finite linear combinations) with declared bounds and Lipschitz
-constants relative to the radius of their domain.  Arbitrary scalar functions
-are deliberately not representable.
+Fields come from a fixed catalog, read by ``parse_field``, and from finite
+linear combinations of catalog fields, with declared bounds and Lipschitz
+constants.  Arbitrary scalar functions are deliberately not representable.
 """
 
 from __future__ import annotations
@@ -51,68 +49,9 @@ class ScalarField:
         return float(self.apply(as_vector(x)[None, :])[0])
 
 
-def _catalog_field(label: str, coords: tuple, dim: int, domain, rule, bound, lipschitz) -> ScalarField:
-    """A catalog field that reads the coordinates ``coords``; unbounded when
-    ``bound`` is None."""
-    for i in coords:
-        if not (0 <= i < dim):
-            raise FieldDomainError(f"coordinate {i} out of range for dimension {dim}")
-    return ScalarField(
-        label=label,
-        dim=dim,
-        rule=rule,
-        domain=domain,
-        bound=bound,
-        lipschitz=lipschitz,
-    )
-
-
 def const_field(c: float, dim: int, domain) -> ScalarField:
     c = float(c)
-    return _catalog_field(f"const:{c:g}", (), dim, domain, lambda pts: np.full(len(pts), c), abs(c), 0.0)
-
-
-def coord_field(i: int, dim: int, domain, radius: float = 1.0) -> ScalarField:
-    # |x_i| <= ||x||_p for every p >= 1, so `radius` bounds the field.
-    bound = radius if math.isfinite(radius) else None
-    return _catalog_field(f"coord:{i}", (i,), dim, domain, lambda pts: pts[:, i].copy(), bound, 1.0)
-
-
-def sin_field(i: int, dim: int, domain, radius: float = 1.0) -> ScalarField:
-    bound = min(1.0, radius) if math.isfinite(radius) else 1.0
-    return _catalog_field(f"sin:{i}", (i,), dim, domain, lambda pts: np.sin(pts[:, i]), bound, 1.0)
-
-
-def cos_field(i: int, dim: int, domain) -> ScalarField:
-    return _catalog_field(f"cos:{i}", (i,), dim, domain, lambda pts: np.cos(pts[:, i]), 1.0, 1.0)
-
-
-def prod_field(i: int, j: int, dim: int, domain, radius: float = 1.0) -> ScalarField:
-    finite = math.isfinite(radius)
-    return _catalog_field(
-        f"prod:{i},{j}", (i, j), dim, domain, lambda pts: pts[:, i] * pts[:, j],
-        radius * radius if finite else None, 2.0 * radius if finite else None,
-    )
-
-
-def poly_field(i: int, coeffs: Sequence[float], dim: int, domain, radius: float = 1.0) -> ScalarField:
-    """c0 + c1*x_i + c2*x_i^2 + ... in the single coordinate x_i."""
-    coeffs = tuple(float(c) for c in coeffs)
-    if not coeffs:
-        raise FieldDomainError("polynomial needs at least one coefficient")
-
-    def rule(pts):
-        t = pts[:, i]
-        out = np.zeros(len(pts))
-        for c in reversed(coeffs):
-            out = out * t + c
-        return out
-
-    finite = math.isfinite(radius)
-    bound = sum(abs(c) * radius**k for k, c in enumerate(coeffs)) if finite else None
-    lip = sum(k * abs(c) * radius ** (k - 1) for k, c in enumerate(coeffs) if k) if finite else None
-    label = "poly:" + str(i) + ":" + ",".join(f"{c:g}" for c in coeffs)
-    return _catalog_field(label, (i,), dim, domain, rule, bound, lip)
+    return ScalarField(f"const:{c:g}", dim, lambda pts: np.full(len(pts), c), domain, abs(c), 0.0)
 
 
 def linear_combination(terms: Sequence[tuple]) -> ScalarField:
@@ -154,29 +93,66 @@ def _finite(text: str) -> float:
 
 
 def parse_field(expr: str, dim: int, domain, radius: float = 1.0) -> ScalarField:
-    """Catalog field from a CLI expression: const:<c>, coord:<i>, sin:<i>,
-    cos:<i>, prod:<i>,<j>, poly:<i>:<c0>,<c1>,...; every constant c must be
-    finite."""
+    """Catalog field on ``domain`` from a CLI expression <head>:<arguments>.
+
+    Coordinates i, j lie in 0..dim-1, constants c are finite, and R is
+    ``radius``, which bounds |x_i| <= ||x||_p (p >= 1) on the domain:
+
+    expression                  field           bound           Lipschitz
+    ``const:<c>``               c               |c|             0
+    ``coord:<i>``               x_i             R               1
+    ``sin:<i>``                 sin x_i         min(1, R)       1
+    ``cos:<i>``                 cos x_i         1               1
+    ``prod:<i>,<j>``            x_i x_j         R^2             2R
+    ``poly:<i>:<c0>,<c1>,...``  sum c_k x_i^k   sum |c_k| R^k   sum k |c_k| R^(k-1)
+
+    At R = inf the entries with R in them are None, but sin's bound stays 1.
+    An unknown head or a malformed argument raises FieldDomainError.
+    """
     expr = expr.strip()
     head, sep, rest = expr.partition(":")
+    if not sep or head not in FIELD_HEADS:
+        raise FieldDomainError(f"unrecognized field expression {expr!r}")
     try:
-        if head == "const" and sep:
+        if head == "const":
             return const_field(_finite(rest), dim, domain)
-        if head == "coord" and sep:
-            return coord_field(int(rest), dim, domain, radius)
-        if head == "sin" and sep:
-            return sin_field(int(rest), dim, domain, radius)
-        if head == "cos" and sep:
-            return cos_field(int(rest), dim, domain)
-        if head == "prod" and sep:
+        finite = math.isfinite(radius)
+        if head == "prod":
             i, j = rest.split(",")
-            return prod_field(int(i), int(j), dim, domain, radius)
-        if head == "poly" and sep:
+            coords = (int(i), int(j))
+        elif head == "poly":
             i, _, cs = rest.partition(":")
-            return poly_field(int(i), [_finite(c) for c in cs.split(",")], dim, domain, radius)
+            coords = (int(i),)
+            coeffs = tuple(_finite(c) for c in cs.split(","))
+            bound = sum(abs(c) * radius**k for k, c in enumerate(coeffs)) if finite else None
+            lip = sum(k * abs(c) * radius ** (k - 1) for k, c in enumerate(coeffs) if k) if finite else None
+        else:
+            coords = (int(rest),)
+        for k in coords:
+            if not 0 <= k < dim:
+                raise FieldDomainError(f"coordinate {k} out of range for dimension {dim}")
     except (ValueError, TypeError) as exc:
         raise FieldDomainError(f"malformed field expression {expr!r}: {exc}") from exc
-    raise FieldDomainError(f"unrecognized field expression {expr!r}")
+    i, j = coords[0], coords[-1]
+    label = f"{head}:" + ",".join(map(str, coords))
+    if head == "coord":
+        return ScalarField(label, dim, lambda pts: pts[:, i].copy(), domain, radius if finite else None, 1.0)
+    if head == "sin":
+        return ScalarField(label, dim, lambda pts: np.sin(pts[:, i]), domain,
+                           min(1.0, radius) if finite else 1.0, 1.0)
+    if head == "cos":
+        return ScalarField(label, dim, lambda pts: np.cos(pts[:, i]), domain, 1.0, 1.0)
+    if head == "prod":
+        return ScalarField(label, dim, lambda pts: pts[:, i] * pts[:, j], domain,
+                           radius * radius if finite else None, 2.0 * radius if finite else None)
+
+    def rule(pts):
+        t, out = pts[:, i], np.zeros(len(pts))
+        for c in reversed(coeffs):  # Horner, from the last coefficient
+            out = out * t + c
+        return out
+
+    return ScalarField(label + ":" + ",".join(f"{c:g}" for c in coeffs), dim, rule, domain, bound, lip)
 
 
 def _covers(domain, retract) -> bool:

@@ -373,6 +373,19 @@ class TestDimBound:
         assert p.stdout == b""
         assert p.stderr == f"error: --dim must be at most 1000, got {dim}\n".encode()
 
+    @pytest.mark.parametrize("args", [
+        ("verify", "--construction", "sphere"),
+        ("witness", "--construction", "sphere", "--n", "1"),
+        ("demo", "--u", "1", "--v", "-1"),
+    ])
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_dim_below_one_rejected(self, args, dim):
+        # The error names the flag, on every command.
+        p = run_cli(*args, "--dim", str(dim))
+        assert p.returncode == 2
+        assert p.stdout == b""
+        assert p.stderr == f"error: --dim must be at least 1, got {dim}\n".encode()
+
     @pytest.mark.parametrize("flag", ["--samples", "--pairs"])
     def test_rows_times_dim_bounded(self, flag, monkeypatch, capsys):
         # The suite is stubbed out: at the cap a real run draws 240 MB arrays.

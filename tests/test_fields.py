@@ -12,15 +12,10 @@ from pcretract.constructions import sphere_retraction, unit_sphere
 from pcretract.fields import (
     FieldDomainError,
     ScalarField,
-    coord_field,
     const_field,
-    cos_field,
     extension_operator,
     linear_combination,
     parse_field,
-    poly_field,
-    prod_field,
-    sin_field,
 )
 from pcretract.verification import Sampler, check_operator_properties
 
@@ -44,29 +39,29 @@ class TestCatalog:
         assert f.bound == 2.5 and f.lipschitz == 0.0
 
     def test_coord(self, circle):
-        f = coord_field(1, 2, circle)
+        f = parse_field("coord:1", 2, circle)
         assert f([0.25, -0.5]) == -0.5
 
     def test_coord_out_of_range(self, circle):
         with pytest.raises(FieldDomainError):
-            coord_field(3, 2, circle)
+            parse_field("coord:3", 2, circle)
 
     def test_trig(self, circle):
-        assert sin_field(0, 2, circle)([0.5, 0.0]) == math.sin(0.5)
-        assert cos_field(0, 2, circle)([0.5, 0.0]) == math.cos(0.5)
+        assert parse_field("sin:0", 2, circle)([0.5, 0.0]) == math.sin(0.5)
+        assert parse_field("cos:0", 2, circle)([0.5, 0.0]) == math.cos(0.5)
 
     def test_prod(self, circle):
-        f = prod_field(0, 1, 2, circle)
+        f = parse_field("prod:0,1", 2, circle)
         assert f([0.6, 0.8]) == pytest.approx(0.48)
         assert f.bound == 1.0 and f.lipschitz == 2.0
 
     def test_poly(self, circle):
-        f = poly_field(0, [1.0, 0.0, 2.0], 2, circle)  # 1 + 2*x0^2
+        f = parse_field("poly:0:1,0,2", 2, circle)  # 1 + 2*x0^2
         assert f([0.5, 0.0]) == pytest.approx(1.5)
         assert f.bound == 3.0
 
     def test_linear_combination(self, circle):
-        f = linear_combination([(2.0, coord_field(0, 2, circle)), (1.0, const_field(1, 2, circle))])
+        f = linear_combination([(2.0, parse_field("coord:0", 2, circle)), (1.0, const_field(1, 2, circle))])
         assert f([0.5, 0.0]) == pytest.approx(2.0)
         assert f.bound == 3.0 and f.lipschitz == 2.0
 
@@ -96,6 +91,68 @@ class TestCatalog:
         assert parse_field("poly:0:-1e308,1e308", 2, circle).bound == math.inf  # the sum overflows
 
 
+def _unless_inf(radius, value):
+    return None if math.isinf(radius) else value
+
+
+class TestCatalogTable:
+    """Each head at radius R = 1, 2 and inf: its label, its declared bound
+    and Lipschitz constant, and its values bit for bit against the direct
+    numpy expression."""
+
+    CASES = {
+        "const:-2.5": ("const:-2.5", lambda R: 2.5, lambda R: 0.0,
+                       lambda pts: np.full(len(pts), -2.5)),
+        "coord:1": ("coord:1", lambda R: _unless_inf(R, R), lambda R: 1.0, lambda pts: pts[:, 1]),
+        "sin:2": ("sin:2", lambda R: 1.0, lambda R: 1.0, lambda pts: np.sin(pts[:, 2])),
+        "cos:0": ("cos:0", lambda R: 1.0, lambda R: 1.0, lambda pts: np.cos(pts[:, 0])),
+        "prod:0,2": ("prod:0,2", lambda R: _unless_inf(R, R * R), lambda R: _unless_inf(R, 2 * R),
+                     lambda pts: pts[:, 0] * pts[:, 2]),
+        # 1 - 2 t + 0.5 t^2 with t = x_1, by Horner from the last coefficient.
+        "poly:1:1,-2,0.5": ("poly:1:1,-2,0.5", lambda R: _unless_inf(R, 1 + 2 * R + 0.5 * R * R),
+                            lambda R: _unless_inf(R, 2 + R),
+                            lambda pts: (0.5 * pts[:, 1] - 2.0) * pts[:, 1] + 1.0),
+    }
+
+    @pytest.mark.parametrize("radius", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("expr", list(CASES))
+    def test_head(self, expr, radius):
+        label, bound, lipschitz, direct = self.CASES[expr]
+        domain = NormBand(P2, 0.0, radius, 3)
+        f = parse_field(expr, 3, domain, radius)
+        assert (f.label, f.dim, f.bound, f.lipschitz, f.witness) == (
+            label, 3, bound(radius), lipschitz(radius), None
+        )
+        assert f.domain is domain  # so the extension operator skips its retract probe
+        pts = np.random.default_rng(4).uniform(-2.0, 2.0, size=(257, 3))
+        assert f.apply(pts).tobytes() == direct(pts).tobytes()
+
+    def test_sin_bound_below_one(self, circle):
+        assert parse_field("sin:0", 2, circle, 0.25).bound == 0.25
+
+    @pytest.mark.parametrize("expr, reason", [
+        # The arguments split first, then the coordinates are read, then
+        # the constants, then the coordinates' range is checked.
+        ("poly:x:nan", "invalid literal for int() with base 10: 'x'"),
+        ("poly:5:nan", "constant nan is not finite"),
+        ("prod:0,1,2", "too many values to unpack (expected 2)"),
+        ("prod:x,9", "invalid literal for int() with base 10: 'x'"),
+        ("coord:3", "coordinate 3 out of range for dimension 3"),
+        ("prod:0,5", "coordinate 5 out of range for dimension 3"),
+    ])
+    def test_error_precedence(self, expr, reason):
+        domain = unit_sphere(P2, 3)
+        with pytest.raises(FieldDomainError) as info:
+            parse_field(expr, 3, domain)
+        assert str(info.value) == f"malformed field expression {expr!r}: {reason}"
+
+    @pytest.mark.parametrize("expr", ["const", "coord", "mystery:1", "Coord:0", ""])
+    def test_unrecognized_head(self, expr):
+        with pytest.raises(FieldDomainError) as info:
+            parse_field(expr, 3, unit_sphere(P2, 3))
+        assert str(info.value) == f"unrecognized field expression {expr!r}"
+
+
 class TestExtensionOperator:
     def test_constant_fixed_by_composition(self, sphere, circle):
         tf = extension_operator(sphere, const_field(3.0, 2, circle))
@@ -103,30 +160,30 @@ class TestExtensionOperator:
         assert np.all(tf.apply(pts) == 3.0)
 
     def test_extension_property_on_retract(self, sphere, circle):
-        f = coord_field(0, 2, circle)
+        f = parse_field("coord:0", 2, circle)
         tf = extension_operator(sphere, f)
         rng = np.random.default_rng(1)
         a = circle.sample(rng, 500)
         assert np.max(np.abs(tf.apply(a) - f.apply(a))) <= 1e-12
 
     def test_sphere_coordinate_example(self, sphere, circle):
-        tf = extension_operator(sphere, coord_field(0, 2, circle))
+        tf = extension_operator(sphere, parse_field("coord:0", 2, circle))
         assert tf([3.0, 4.0]) == pytest.approx(0.6, abs=0)
 
     def test_dimension_mismatch_rejected(self, sphere):
-        f = coord_field(0, 3, sphere_retraction(3, P2).codomain)
+        f = parse_field("coord:0", 3, sphere_retraction(3, P2).codomain)
         with pytest.raises(FieldDomainError):
             extension_operator(sphere, f)
 
     def test_bound_carried_over(self, sphere, circle):
-        f = coord_field(0, 2, circle)
+        f = parse_field("coord:0", 2, circle)
         tf = extension_operator(sphere, f)
         assert tf.bounded and tf.bound == f.bound
         assert tf.witness is sphere.witness
 
     def test_double_composition_raises(self, sphere, circle):
         # T f carries phi's witness, so it is no continuous field to extend.
-        tf = extension_operator(sphere, coord_field(0, 2, circle))
+        tf = extension_operator(sphere, parse_field("coord:0", 2, circle))
         with pytest.raises(FieldDomainError, match="carries its own witness"):
             extension_operator(sphere, tf)
 
@@ -159,18 +216,18 @@ class TestRetractProbe:
         assert circle.draws == [128] * (5 * len(other))
 
     def test_field_domain_still_tested_per_field(self, sphere, circle):
-        extension_operator(sphere, coord_field(0, 2, circle))
+        extension_operator(sphere, parse_field("coord:0", 2, circle))
         annulus = NormBand(P2, 2.0, 3.0, 2)
         with pytest.raises(FieldDomainError, match="does not cover"):
-            extension_operator(sphere, coord_field(0, 2, annulus))
+            extension_operator(sphere, parse_field("coord:0", 2, annulus))
 
     def test_domain_of_another_dimension(self, sphere):
         ball3 = NormBand(P2, 0.0, 2.0, 3)
         with pytest.raises(DimensionMismatch, match="expected dimension 3, got 2"):
-            extension_operator(sphere, coord_field(0, 2, ball3))
+            extension_operator(sphere, parse_field("coord:0", 2, ball3))
 
     def test_probe_not_revalidated(self, sphere):
-        f = coord_field(0, 2, unit_sphere(P2, 2))
+        f = parse_field("coord:0", 2, unit_sphere(P2, 2))
         extension_operator(sphere, f)  # tests a seeded draw of the retract
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "as_points", lambda *a, **k: pytest.fail("probe re-validated"))
@@ -204,9 +261,9 @@ class TestDomainTestPerCall:
 
     def test_other_domain_tested_on_every_call(self, sphere, circle, calls):
         # An equal but distinct domain, and another map's retract, are tested each time.
-        f = coord_field(0, 2, unit_sphere(P2, 2))
+        f = parse_field("coord:0", 2, unit_sphere(P2, 2))
         other = sphere_retraction(2, P2)
-        g = coord_field(0, 2, circle)
+        g = parse_field("coord:0", 2, circle)
         for attempt in range(1, 4):
             extension_operator(sphere, f)
             extension_operator(other, g)
@@ -221,7 +278,7 @@ class TestDomainTestPerCall:
 
     def test_missing_domain_raises_on_every_call(self, sphere, calls):
         annulus = NormBand(P2, 2.0, 3.0, 2)
-        f = coord_field(0, 2, annulus)
+        f = parse_field("coord:0", 2, annulus)
         for attempt in range(1, 4):
             with pytest.raises(FieldDomainError, match="does not cover"):
                 extension_operator(sphere, f)
@@ -231,7 +288,7 @@ class TestDomainTestPerCall:
 class TestSupNorm:
     def test_coord_on_circle_close_to_grid_oracle(self, circle):
         # Independent oracle: sup over a dense angular grid of |cos| is 1.
-        f = coord_field(0, 2, circle)
+        f = parse_field("coord:0", 2, circle)
         oracle = sup_abs(f, circle_grid(100_000))
         assert oracle == pytest.approx(1.0, abs=1e-9)
         est = sup_abs(f, Sampler(7, "sphere", dim=2).draw(100_000))
@@ -239,7 +296,7 @@ class TestSupNorm:
 
     def test_monotone_in_sample_count(self, circle):
         # The sphere draws nest, so the sampled sup cannot fall as n grows.
-        f = sin_field(0, 2, circle)
+        f = parse_field("sin:0", 2, circle)
         s = Sampler(21, "sphere", dim=2)
         vals = [sup_abs(f, s.draw(n)) for n in (10, 100, 1000, 10_000)]
         assert vals == sorted(vals)

@@ -360,6 +360,21 @@ class TestOperatorChecks:
         assert [r.status for r in reps] == [PASS, PASS, PASS, FAIL]
         assert reps[3].check_name == "operator-isometry" and reps[3].max_violation == 3.0
 
+    @pytest.mark.parametrize("construction", ["fractional", "glue"])
+    def test_line_constructions(self, construction):
+        # Dimension 1, retract Interval(0, 1): every head reads coordinate 0.
+        m = build_construction(construction)
+        exprs = ("coord:0", "sin:0", "cos:0", "const:2", "poly:0:1,2", "prod:0,0")
+        fields = [parse_field(e, 1, m.codomain, 1.0) for e in exprs]
+        reps = [r for r in run_suite(m, seed=7, samples=2_000, fields=fields)
+                if r.check_name.startswith("operator-")]
+        assert [(r.check_name, r.status, r.samples_used) for r in reps] == [
+            ("operator-linearity", PASS, 2_000),
+            ("operator-positivity", PASS, 2_000),
+            ("operator-extension", PASS, 2_000),
+            ("operator-isometry", PASS, 4_000),
+        ]
+
 
 class TestOperatorEvaluationCount:
     FIELDS = ("coord:0", "sin:1", "cos:2", "const:2", "poly:0:3")
