@@ -28,7 +28,6 @@ from .constructions import (
     canonical_constant_extension,
     canonical_extend,
     canonical_glue,
-    constant_extension,
     extend_retraction,
     fractional_part_retraction,
     glue_retraction,

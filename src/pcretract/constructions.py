@@ -359,21 +359,6 @@ def extend_retraction(
     )
 
 
-def constant_extension(
-    inner: PiecewiseMap,
-    a0,
-    u_region,
-    complement_pieces: PieceFamily,
-    **kwargs,
-) -> PiecewiseMap:
-    """Extend by the constant map x -> a0 off U; a0 must lie in the retract."""
-    a0 = as_vector(a0)
-    if not inner.codomain.contains(a0):
-        raise ConstructionError("a0 must belong to the retract")
-    kwargs.setdefault("construction_id", "const-extend")
-    return extend_retraction(inner, Constant(tuple(a0)), u_region, complement_pieces, **kwargs)
-
-
 def _origin(dim: int) -> tuple:
     return (0.0,) * dim
 
@@ -579,25 +564,22 @@ def canonical_glue() -> PiecewiseMap:
     )
 
 
-def _punctured_extension(dim: int, kind: NormKind, factory, **kwargs) -> PiecewiseMap:
-    m = factory(
+def canonical_extend(dim: int = 2, kind: NormKind = NormKind(2.0)) -> PiecewiseMap:
+    """Extension of the radial projection over the puncture by the constant
+    map to e1; behaves identically to the sphere retraction."""
+    m = extend_retraction(
         radial_projection_map(dim, kind),
-        u_region=PuncturedSpace(dim),
-        complement_pieces=constant_family(Singleton(_origin(dim))),
+        Constant(_unit_e1(dim)),
+        PuncturedSpace(dim),
+        constant_family(Singleton(_origin(dim))),
         piece_lipschitz=lambda n: 2.0 * max(n, 1),
-        **kwargs,
     )
     return m.replace(special_points=(_origin(dim),))
 
 
-def canonical_extend(dim: int = 2, kind: NormKind = NormKind(2.0)) -> PiecewiseMap:
-    """Extension of the radial projection over the puncture by the constant
-    map to e1; behaves identically to the sphere retraction."""
-    return _punctured_extension(dim, kind, extend_retraction, g=Constant(_unit_e1(dim)))
-
-
 def canonical_constant_extension(dim: int = 2, kind: NormKind = NormKind(2.0)) -> PiecewiseMap:
-    return _punctured_extension(dim, kind, constant_extension, a0=_unit_e1(dim))
+    """canonical_extend under the id "const-extend"."""
+    return canonical_extend(dim, kind).replace(construction_id="const-extend")
 
 
 CONSTRUCTION_IDS = ("fractional", "glue", "extend", "const-extend", "sphere", "open-ball")

@@ -129,18 +129,24 @@ def by_columns(a: np.ndarray, *steps) -> np.ndarray:
 def norm(x, kind: NormKind = EUCLIDEAN) -> Union[float, np.ndarray]:
     """p-norm or max-norm of a point or an (n, d) batch.
 
-    The result equals ``np.linalg.norm(x, ord=p, axis=-1)`` bit for bit:
+    A batch's norms equal ``np.linalg.norm(x, ord=p, axis=-1)`` bit for bit:
     max of |x_j|, sum of |x_j|, sqrt of the sum of x_j*x_j, or the sum of
     |x_j|**p to the power 1/p, each summed left to right over the columns
     for rows of fewer than 8 coordinates and by numpy's own reduction for
-    wider rows (see fold_columns).  Sums of |x_j|**p are not rescaled, so
-    large p can overflow to inf or underflow to 0.  A NaN coordinate raises
-    ``ValueError``.
+    wider rows (see fold_columns).  A point is read as a one-row batch, so
+    its norm has the bits of that row.  An (n, 0) batch gives zeros and any
+    other shape raises ``ValueError``.  Sums of |x_j|**p are not rescaled,
+    so large p can overflow to inf or underflow to 0.  A NaN coordinate
+    raises ``ValueError``.
     """
     a = np.asarray(x, dtype=float)
-    if a.ndim != 2 or a.shape[1] == 0:
-        r = np.linalg.norm(a, ord=np.inf if kind.is_max else kind.p, axis=-1)
-    elif kind.is_max:
+    if a.ndim == 1:
+        return float(norm(a[None], kind)[0])
+    if a.ndim != 2:
+        raise ValueError(f"norm takes a point or an (n, d) batch, got shape {a.shape}")
+    if a.shape[1] == 0:
+        return np.zeros(len(a))
+    if kind.is_max:
         r = fold_columns(a, np.abs, np.maximum)
     elif kind.p == 1.0:
         r = fold_columns(a, np.abs, np.add)
@@ -152,7 +158,7 @@ def norm(x, kind: NormKind = EUCLIDEAN) -> Union[float, np.ndarray]:
     # A norm is NaN exactly when a coordinate is: the terms are nonnegative.
     if np.any(np.isnan(r)):
         raise ValueError("norm of a NaN coordinate is undefined")
-    return float(r) if np.ndim(r) == 0 else r
+    return r
 
 
 @dataclass(frozen=True)
@@ -370,7 +376,7 @@ class Singleton(SetDescriptor):
         if isinstance(other, FiniteUnion):
             return super().subset_of(other)
         if isinstance(other, NormBand):
-            r = norm(np.array([self.point]), other.kind)[0] if any(self.point) else 0.0
+            r = norm(self.point, other.kind)
             return other.lo <= r <= other.hi
         return bool(other._contains(np.array([self.point]), 0.0)[0])
 

@@ -106,7 +106,8 @@ def parse_field(expr: str, dim: int, domain, radius: float = 1.0) -> ScalarField
     ``prod:<i>,<j>``            x_i x_j         R^2             2R
     ``poly:<i>:<c0>,<c1>,...``  sum c_k x_i^k   sum |c_k| R^k   sum k |c_k| R^(k-1)
 
-    At R = inf the entries with R in them are None, but sin's bound stays 1.
+    At R = inf the entries with R in them are None, but sin's bound stays 1;
+    a poly sum past the float range is inf.
     An unknown head or a malformed argument raises FieldDomainError.
     """
     expr = expr.strip()
@@ -124,8 +125,16 @@ def parse_field(expr: str, dim: int, domain, radius: float = 1.0) -> ScalarField
             i, _, cs = rest.partition(":")
             coords = (int(i),)
             coeffs = tuple(_finite(c) for c in cs.split(","))
-            bound = sum(abs(c) * radius**k for k, c in enumerate(coeffs)) if finite else None
-            lip = sum(k * abs(c) * radius ** (k - 1) for k, c in enumerate(coeffs) if k) if finite else None
+
+            def times_power(a, k):
+                """a * radius**k for a >= 0, saturating to inf as a float product does."""
+                try:
+                    return a * radius**k
+                except OverflowError:  # radius**k left the float range
+                    return math.inf if a else 0.0
+
+            bound = sum(times_power(abs(c), k) for k, c in enumerate(coeffs)) if finite else None
+            lip = sum(times_power(k * abs(c), k - 1) for k, c in enumerate(coeffs) if k) if finite else None
         else:
             coords = (int(rest),)
         for k in coords:

@@ -152,16 +152,18 @@ def _mk_report(name, n, max_violation, tol, offenders=()) -> CheckReport:
         samples_used=int(n),
         max_violation=float(max_violation),
         tolerance=float(tol),
-        witness_points=tuple(tuple(float(c) for c in p) for p in offenders[:WITNESS_POINTS]),
+        witness_points=tuple(map(tuple, np.asarray(offenders[:WITNESS_POINTS], dtype=float).tolist())),
     )
 
 
 def _worst_points(pts: np.ndarray, dev: np.ndarray) -> np.ndarray:
-    if not np.any(dev > 0):
-        return pts[:0]
-    order = np.argsort(dev)[::-1]
-    bad = order[dev[order] > 0][:WITNESS_POINTS]
-    return pts[bad]
+    """Rows of pts at the at most WITNESS_POINTS largest positive deviations,
+    largest first, ties in input order: no sort dispatch can move them."""
+    bad = np.flatnonzero(dev > 0)
+    if len(bad) > WITNESS_POINTS:
+        kth = len(bad) - WITNESS_POINTS
+        bad = bad[dev[bad] >= np.partition(dev[bad], kth)[kth]]
+    return pts[bad[np.lexsort((bad, -dev[bad]))][:WITNESS_POINTS]]
 
 
 # ---------------------------------------------------------------------------
@@ -675,15 +677,7 @@ def corrupt_understated_lipschitz(m: PiecewiseMap) -> PiecewiseMap:
 
 def negated_operator(phi: PiecewiseMap, f: ScalarField) -> ScalarField:
     g = extension_operator(phi, f)
-    return ScalarField(
-        label="-" + g.label,
-        dim=g.dim,
-        rule=lambda pts, r=g.rule: -r(pts),
-        domain=g.domain,
-        bound=g.bound,
-        lipschitz=g.lipschitz,
-        witness=g.witness,
-    )
+    return dataclasses.replace(g, label="-" + g.label, rule=lambda pts, r=g.rule: -r(pts))
 
 
 CORRUPTIONS = {

@@ -54,8 +54,8 @@ def reference_continuity(m, n, pairs=2_000, delta=1e-3, tol_factor=1.0 + 1e-9, s
         return CheckReport(name, INCONCLUSIVE, len(x), 0.0, bound)
     ratio = norm(m.apply(x) - m.apply(y), m.kind) / dist
     dev = np.where(ratio > bound, ratio, 0.0)
-    order = np.argsort(dev)[::-1]
-    worst = x[order[dev[order] > 0][:10]]
+    # Largest deviation first, equal deviations in input order.
+    worst = x[sorted(np.flatnonzero(dev > 0), key=lambda i: (-dev[i], i))[:10]]
     return CheckReport(
         name,
         PASS if np.max(ratio) <= bound else FAIL,

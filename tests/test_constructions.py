@@ -30,7 +30,6 @@ from pcretract.constructions import (
     canonical_constant_extension,
     canonical_extend,
     canonical_glue,
-    constant_extension,
     extend_retraction,
     fractional_part_retraction,
     glue_retraction,
@@ -377,10 +376,10 @@ class TestExtensions:
 
     def test_constant_extension_rejects_a0_outside_retract(self):
         inner = radial_projection_map(2, P2)
-        with pytest.raises(ConstructionError):
-            constant_extension(
+        with pytest.raises(ConstructionError, match="complement piece 0 outside the retract"):
+            extend_retraction(
                 inner,
-                [2.0, 0.0],
+                Constant((2.0, 0.0)),
                 PuncturedSpace(2),
                 constant_family(Singleton((0.0, 0.0))),
             )

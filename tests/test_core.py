@@ -117,7 +117,7 @@ def _magnitude_points(rng, n, d):
 
 
 class TestNormKernel:
-    """norm must equal np.linalg.norm(axis=-1) bit for bit: the column loop
+    """A batch's norm must equal np.linalg.norm(axis=-1) bit for bit: the column loop
     below 8 coordinates and numpy's reduction from 8 on."""
 
     @given(
@@ -132,11 +132,16 @@ class TestNormKernel:
         x = _magnitude_points(rng, n, d)
         kind = NormKind(p)
         with np.errstate(over="ignore", under="ignore"):
-            for a in (x, x[:0], _magnitude_points(rng, 1, d)[0]):
+            for a in (x, x[:0]):
                 want = np.linalg.norm(a, ord=p, axis=-1)
                 got = norm(a, kind)
                 assert np.shape(got) == np.shape(want)
                 assert np.array_equal(got, want)
+            # A single point's norm is its one-row batch's.
+            point = _magnitude_points(rng, 1, d)
+            got = norm(point[0], kind)
+            assert isinstance(got, float)
+            assert np.array_equal(got, norm(point, kind)[0])
 
     @pytest.mark.parametrize("d", [1, 3, 7, 8, 12])
     @pytest.mark.parametrize("p", KERNEL_PS)

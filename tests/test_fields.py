@@ -146,6 +146,32 @@ class TestCatalogTable:
             parse_field(expr, 3, domain)
         assert str(info.value) == f"malformed field expression {expr!r}: {reason}"
 
+    LONG_POLY = ":" + "1," * 1100 + "1"
+
+    def test_long_poly_saturates_to_inf(self):
+        # 2.0**1100 leaves the float range: the sums saturate, as a product does.
+        f = parse_field("poly:0" + self.LONG_POLY, 3, unit_sphere(P2, 3), radius=2.0)
+        assert f.bound == f.lipschitz == math.inf
+
+    def test_long_poly_range_checked(self):
+        expr = "poly:9" + self.LONG_POLY
+        with pytest.raises(FieldDomainError) as info:
+            parse_field(expr, 3, unit_sphere(P2, 3), radius=2.0)
+        assert str(info.value) == f"malformed field expression {expr!r}: coordinate 9 out of range for dimension 3"
+
+    def test_zero_coefficient_past_the_float_range_adds_nothing(self):
+        f = parse_field("poly:0:1.5," + "0," * 1100 + "0", 3, unit_sphere(P2, 3), radius=2.0)
+        assert (f.bound, f.lipschitz) == (1.5, 0.0)
+
+    @pytest.mark.parametrize("radius", [1.0, 2.0, 1.7, 0.3])
+    @pytest.mark.parametrize("n", [1, 2, 40, 1000])
+    def test_poly_sums_in_range_keep_their_bits(self, radius, n):
+        # 2.0**999 is in range, so the direct sums raise nothing.
+        coeffs = np.random.default_rng(n).uniform(-3.0, 3.0, size=n).tolist()
+        f = parse_field("poly:0:" + ",".join(map(repr, coeffs)), 3, unit_sphere(P2, 3), radius)
+        assert f.bound == sum(abs(c) * radius**k for k, c in enumerate(coeffs))
+        assert f.lipschitz == sum(k * abs(c) * radius ** (k - 1) for k, c in enumerate(coeffs) if k)
+
     @pytest.mark.parametrize("expr", ["const", "coord", "mystery:1", "Coord:0", ""])
     def test_unrecognized_head(self, expr):
         with pytest.raises(FieldDomainError) as info:

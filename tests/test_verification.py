@@ -115,6 +115,34 @@ class TestIdentityCheck:
             run_suite(corrupt_halved(sphere), samples=200, tolerance=Tolerance(identity_tol=math.inf))
 
 
+class TestWorstPoints:
+    """Witness points: the WITNESS_POINTS largest positive deviations,
+    largest first, equal deviations in input order."""
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 50, 2000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tied_deviations_keep_input_order(self, n, seed):
+        rng = np.random.default_rng(seed)
+        # Few distinct values, so most deviations tie, some at the cut.
+        dev = rng.integers(0, 4, size=n).astype(float)
+        pts = np.arange(2.0 * n).reshape(n, 2)
+        got = verification._worst_points(pts, dev)
+        want = sorted(np.flatnonzero(dev > 0), key=lambda i: (-dev[i], i))
+        assert np.array_equal(got, pts[want[: verification.WITNESS_POINTS]].reshape(-1, 2))
+
+    def test_all_tied(self):
+        pts = np.arange(40.0).reshape(20, 2)
+        got = verification._worst_points(pts, np.full(20, 0.5))
+        assert np.array_equal(got, pts[: verification.WITNESS_POINTS])
+
+    def test_report_rows_are_float_tuples(self):
+        pts = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        offenders = verification._worst_points(pts, np.array([1.0, 0.0, 1.0]))
+        r = verification._mk_report("x", 3, 1.0, 0.0, offenders)
+        assert r.witness_points == ((0.1, 0.2), (0.5, 0.6))
+        assert all(type(c) is float for p in r.witness_points for c in p)
+
+
 class TestValidatedOnce:
     """Each check validates each set it is given once and then calls the
     rule, the predicted index and the witness directly."""

@@ -14,6 +14,14 @@ same lines.  Each line ends with the number of Python warnings (numpy's
 floating-point warnings among them) that computing its hash raised; they are
 counted, not printed to stderr.
 
+The hashes are bits, so they hold on one machine and numpy build.  At a p
+outside {1, 2, max}, norms raise arrays to the power p with numpy's SIMD
+pow, whose last bit depends on the kernel numpy dispatches to: with
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" on an AVX-512 CPU,
+the diagonal-cover line reads 7c62b95fce087bac for eb34a6b880e9be73 and the
+radial-norms line 907042f600ce50d3 for 87e0f943bddda414, and the other
+seven lines do not move.  Compare checkouts on one machine.
+
 The script imports the checkout's own `src/` (through `perfbench/paths.py`)
 and `perfbench/workloads.py`, and changes neither.  It only reports: an error
 prints in place of a hash, and the exit code is 0.
